@@ -13,7 +13,14 @@ from fractions import Fraction
 
 from .superpartition import SuperPartition, enumerate_superpartitions
 from .superpoly import SuperPolynomial
-from .transform import BasisExpansion, change_basis, expand_in_monomials
+from .transform import (
+    BasisExpansion,
+    change_basis,
+    eh_in_p,
+    expand_in_monomials,
+    omega_sign,
+    z_weight,
+)
 from . import bases as _bases
 
 __all__ = [
@@ -28,28 +35,8 @@ __all__ = [
 ]
 
 
-def z_weight(sp: SuperPartition) -> int:
-    """z_L = prod_k k^(mult of k) (mult of k)! over the symmetric parts."""
-    out = 1
-    mult: dict[int, int] = {}
-    for v in sp.s:
-        mult[v] = mult.get(v, 0) + 1
-    for k, n_k in mult.items():
-        f = 1
-        for i in range(1, n_k + 1):
-            f *= i
-        out *= k**n_k * f
-    return out
-
-
 def _sector_sign(m: int) -> int:
     return -1 if (m * (m - 1) // 2) % 2 else 1
-
-
-def omega_sign(sp: SuperPartition) -> int:
-    """(-1)^(degree + fermionic degree - length): the p-eigenvalue of the
-    e-h involution."""
-    return -1 if (sp.degree + sp.fermionic_degree - sp.length) % 2 else 1
 
 
 def _as_p_expansion(f) -> BasisExpansion:
@@ -88,26 +75,6 @@ def omega(x: BasisExpansion) -> BasisExpansion:
         "p", p.n, p.m, {sp: omega_sign(sp) * c for sp, c in p.coeffs.items()}
     )
     return change_basis(flipped, x.basis)
-
-
-def eh_in_p(n: int, fermionic: bool, which: str) -> BasisExpansion:
-    """Closed-form power-sum expansion of e_n/h_n (or their tilde versions).
-
-    h: sum over the block of p_L / z_L; e: the same with omega_sign(L).
-    The block is (n|0), or (n|1) when fermionic.
-    """
-    if which not in ("e", "h"):
-        raise ValueError(f"which must be 'e' or 'h', got {which!r}")
-    if n < 0:
-        raise ValueError(f"need n >= 0, got {n}")
-    m = 1 if fermionic else 0
-    coeffs = {}
-    for sp in enumerate_superpartitions(n, m):
-        c = Fraction(1, z_weight(sp))
-        if which == "e":
-            c *= omega_sign(sp)
-        coeffs[sp] = c
-    return BasisExpansion("p", n, m, coeffs)
 
 
 _DUAL_BASES = ("m", "e", "h", "p", "p/z")

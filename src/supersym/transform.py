@@ -1,9 +1,14 @@
 """Basis expansions, the signed product rule, and identity verification.
 
-Everything here moves between the four bases.  The pivot is always the
-monomial basis: a symmetric homogeneous polynomial is expanded by reading
-off coefficients of the defining monomials t_1..t_m x^L, and conversions
-solve the resulting exact linear systems per bidegree block.
+Everything here moves between the four bases.  Conversions pivot through
+power sums and never build a polynomial: power sums multiply freely
+(p_L p_O = +-p_(L u O)), the generators have closed forms in them, h-m
+duality reads off monomial coordinates, and the arrowed e basis is
+unitriangular over m, so reaching e is one back substitution.  A symmetric
+homogeneous polynomial is expanded over monomials by reading off the
+coefficients of the defining monomials t_1..t_m x^L; the products built that
+way by the polynomial engine are the oracle the conversions are tested
+against.
 
 The combinatorial product rule for two monomial elements (signed fillings of
 the target diagram by the source rows) lives here as well, kept independent
@@ -13,9 +18,11 @@ of the polynomial engine so the two can check each other.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
+from types import MappingProxyType
 
 from .superpartition import SuperPartition, bruhat_leq, enumerate_superpartitions
 from .superpoly import SuperPolynomial, format_rational, parse_rational
@@ -27,6 +34,9 @@ __all__ = [
     "mono_product_fillings",
     "mono_product",
     "change_basis",
+    "z_weight",
+    "omega_sign",
+    "eh_in_p",
     "verify_recursions",
     "determinant_formulas",
     "DETERMINANT_KINDS",
@@ -255,12 +265,228 @@ def mono_product(a: SuperPartition, b: SuperPartition) -> BasisExpansion:
     return BasisExpansion("m", n, m, coeffs)
 
 
-# -- basis conversion -----------------------------------------------------------
+# -- the power-sum algebra ------------------------------------------------------
+
+
+def z_weight(sp: SuperPartition) -> int:
+    """z_L = prod_k k^(mult of k) (mult of k)! over the symmetric parts."""
+    out = 1
+    mult: dict[int, int] = {}
+    for v in sp.s:
+        mult[v] = mult.get(v, 0) + 1
+    for k, n_k in mult.items():
+        f = 1
+        for i in range(1, n_k + 1):
+            f *= i
+        out *= k**n_k * f
+    return out
+
+
+def omega_sign(sp: SuperPartition) -> int:
+    """(-1)^(degree + fermionic degree - length): the p-eigenvalue of the
+    e-h involution."""
+    return -1 if (sp.degree + sp.fermionic_degree - sp.length) % 2 else 1
+
+
+def _p_mul(a: SuperPartition, b: SuperPartition) -> tuple[int, SuperPartition | None]:
+    """p_a p_b = sign * p_(a u b), as (sign, label); (0, None) when it vanishes.
+
+    The tilde factors of b move left past the commuting plain factors of a
+    and into place among the tilde factors of a, so the sign is that of
+    sorting the joined fermionic parts decreasingly.  A repeated fermionic
+    part gives 0, because each tilde power sum squares to zero.
+    """
+    sign = 1
+    for x in b.a:
+        for y in a.a:
+            if y == x:
+                return 0, None
+            if y < x:
+                sign = -sign
+    return sign, SuperPartition(
+        tuple(sorted(a.a + b.a, reverse=True)), tuple(sorted(a.s + b.s, reverse=True))
+    )
+
+
+@cache
+def _generator_in_p(n: int, fermionic: bool) -> tuple[tuple[SuperPartition, Fraction], ...]:
+    """h_n (th_n when fermionic) in power sums: the sum of p_L / z_L over
+    the block (n|0), or (n|1), from the H generating series."""
+    return tuple(
+        (sp, Fraction(1, z_weight(sp)))
+        for sp in enumerate_superpartitions(n, 1 if fermionic else 0)
+    )
+
+
+def eh_in_p(n: int, fermionic: bool, which: str) -> BasisExpansion:
+    """Closed-form power-sum expansion of e_n/h_n (or their tilde versions).
+
+    h: sum over the block of p_L / z_L; e: the same with omega_sign(L).
+    The block is (n|0), or (n|1) when fermionic.
+    """
+    if which not in ("e", "h"):
+        raise ValueError(f"which must be 'e' or 'h', got {which!r}")
+    if n < 0:
+        raise ValueError(f"need n >= 0, got {n}")
+    coeffs = {
+        sp: omega_sign(sp) * c if which == "e" else c
+        for sp, c in _generator_in_p(n, fermionic)
+    }
+    return BasisExpansion("p", n, 1 if fermionic else 0, coeffs)
+
+
+@cache
+def _h_in_p(sp: SuperPartition) -> tuple[tuple[SuperPartition, Fraction], ...]:
+    """h_sp in power sums: the closed forms multiplied in the p algebra,
+    tilde factors first in the order of the fermionic parts.  The last
+    factor is peeled off, so elements share their cached prefixes."""
+    if sp.s:
+        rest, last = SuperPartition(sp.a, sp.s[:-1]), _generator_in_p(sp.s[-1], False)
+    elif sp.a:
+        rest, last = SuperPartition(sp.a[:-1]), _generator_in_p(sp.a[-1], True)
+    else:
+        return ((sp, Fraction(1)),)
+    out: dict[SuperPartition, Fraction] = {}
+    for la, c in _h_in_p(rest):
+        for om, d in last:
+            sign, lo = _p_mul(la, om)
+            if sign:
+                out[lo] = out.get(lo, 0) + sign * c * d
+    return tuple((lo, c) for lo, c in out.items() if c)
+
+
+def _numerators(coeffs) -> tuple[dict, int]:
+    """Integer numerators over one common denominator."""
+    den = math.lcm(*(c.denominator for c in coeffs.values()))
+    return {la: c.numerator * (den // c.denominator) for la, c in coeffs.items()}, den
+
+
+def _quotient(num: int, den: int, what: str) -> int:
+    q, r = divmod(num, den)
+    if r:
+        raise ArithmeticError(f"{what} should be an integer, got {Fraction(num, den)}")
+    return q
+
+
+def _apply(coords: dict, columns) -> dict:
+    """sum_L coords[L] * columns[L], for sparse (label, coefficient) columns."""
+    out: dict = {}
+    for la, c in coords.items():
+        for om, d in columns[la]:
+            out[om] = out.get(om, 0) + c * d
+    return out
+
+
+@cache
+def _in_p_columns(basis: str, n: int, m: int) -> tuple[int, Mapping[SuperPartition, tuple]]:
+    """Power-sum coordinates of every e or h element of the block, as integer
+    numerators over one common denominator.  The e elements are the h ones
+    seen through omega, a sign on each p_L."""
+    cols = {sp: _h_in_p(sp) for sp in enumerate_superpartitions(n, m)}
+    den = math.lcm(*(c.denominator for col in cols.values() for _, c in col))
+    return den, MappingProxyType({
+        sp: tuple(
+            (la, (omega_sign(la) if basis == "e" else 1) * c.numerator * (den // c.denominator))
+            for la, c in col
+        )
+        for sp, col in cols.items()
+    })
+
+
+@cache
+def _p_in_m(n: int, m: int) -> Mapping[SuperPartition, tuple[tuple[SuperPartition, int], ...]]:
+    """Monomial coordinates of every p_L of the block, from h-m duality:
+    [m_O] p_L = <h_O, p_L> = z_L [p_L] h_O, an integer."""
+    den, h_cols = _in_p_columns("h", n, m)
+    cols: dict[SuperPartition, list] = {sp: [] for sp in h_cols}
+    for om, col in h_cols.items():
+        for la, c in col:
+            cols[la].append((om, _quotient(z_weight(la) * c, den, f"[m_{om}] p_{la}")))
+    return MappingProxyType({la: tuple(col) for la, col in cols.items()})
+
+
+@cache
+def _e_in_m(n: int, m: int) -> tuple[tuple[SuperPartition, SuperPartition, int, tuple], ...]:
+    """The e-in-m matrix as (pivot row L', column L, pivot, other entries),
+    by decreasing pivot row.  Column L has the pivot +-1 (the sector sign)
+    at L' and the rest of its support below L' (criterion 3)."""
+    den, e_cols = _in_p_columns("e", n, m)
+    p_in_m = _p_in_m(n, m)
+    cols = []
+    for sp, in_p in e_cols.items():
+        col = _apply(dict(in_p), p_in_m)
+        conj = sp.conjugate()
+        pivot = _quotient(col.pop(conj, 0), den, f"[m_{conj}] e_{sp}")
+        if pivot not in (1, -1):
+            raise ArithmeticError(f"e_{sp} has coefficient {pivot} on m_{conj}, not +-1")
+        rest = tuple((om, _quotient(c, den, f"[m_{om}] e_{sp}")) for om, c in col.items() if c)
+        cols.append((conj, sp, pivot, rest))
+    # lexicographic (star, circled shape) extends the Bruhat-style order,
+    # since dominance implies lexicographic order on equal sizes
+    cols.sort(key=lambda col: (col[0].star(), col[0].shape_circled()), reverse=True)
+    return tuple(cols)
+
+
+def _solve_in_e(n: int, m: int, v: dict) -> dict:
+    """e-coordinates of the element with monomial coordinates v.
+
+    One pass down the pivot rows of the triangular e-in-m matrix.  A nonzero
+    residue left at the end raises, so a wrong elimination order or a
+    non-triangular column can never return a wrong answer.
+    """
+    v = dict(v)
+    out = {}
+    for row, sp, pivot, rest in _e_in_m(n, m):
+        c = v.pop(row, 0)
+        if c:
+            c *= pivot
+            out[sp] = c
+            for om, d in rest:
+                v[om] = v.get(om, 0) - c * d
+    if any(v.values()):
+        raise ArithmeticError(f"triangular solve on block ({n}|{m}) left a residue")
+    return out
+
+
+def change_basis(x: BasisExpansion, to: str) -> BasisExpansion:
+    """Exact conversion between any two bases, pivoting through power sums.
+
+    e and h elements are products in the p algebra of the generators'
+    closed forms; p-coordinates become monomial ones by h-m duality;
+    monomial coordinates become e ones by back substitution on the
+    unitriangular e-in-m matrix; h-coordinates are the e-coordinates of the
+    omega image, and omega is a sign on each p_L.  The arithmetic is on
+    integer numerators over one denominator.  No polynomial is built: the
+    polynomial engine (_block_matrix) is the oracle the tests hold this
+    against.
+    """
+    if to not in _bases.BASIS_NAMES:
+        raise ValueError(f"unknown basis {to!r}")
+    n, m = x.n, x.m
+    v, den = _numerators(x.coeffs)
+    source = x.basis
+    if source == "m" and to != "m":
+        v, source = _solve_in_e(n, m, v), "e"
+    if source not in (to, "p"):
+        scale, columns = _in_p_columns(source, n, m)
+        v, den, source = _apply(v, columns), den * scale, "p"
+    if source != to:
+        if to == "h":
+            v = {la: omega_sign(la) * c for la, c in v.items()}
+        v = _apply(v, _p_in_m(n, m))
+        if to != "m":
+            v = _solve_in_e(n, m, v)
+    return BasisExpansion(to, n, m, {la: Fraction(c, den) for la, c in v.items()})
+
+
+# -- the engine oracle for basis changes --------------------------------------------
 
 
 @cache
 def _basis_in_monomials(basis: str, sp: SuperPartition) -> tuple[tuple[SuperPartition, Fraction], ...]:
-    """Monomial coefficients of one product-basis element at stable N.
+    """Monomial coefficients of one product-basis element, built by the
+    polynomial engine at stable N: the slow reference for change_basis and
+    for triangularity.
 
     Only the t_1..t_m sector is ever probed, so the generator product is
     built with that restriction (sound: theta supports only grow).  Inputs
@@ -288,7 +514,8 @@ def _basis_in_monomials(basis: str, sp: SuperPartition) -> tuple[tuple[SuperPart
 
 @cache
 def _block_matrix(basis: str, n: int, m: int) -> tuple[tuple[Fraction, ...], ...]:
-    """Column j holds the monomial coordinates of the j-th basis element."""
+    """Column j holds the engine-built monomial coordinates of the j-th
+    basis element."""
     block = enumerate_superpartitions(n, m)
     index = {sp: i for i, sp in enumerate(block)}
     k = len(block)
@@ -297,51 +524,6 @@ def _block_matrix(basis: str, n: int, m: int) -> tuple[tuple[Fraction, ...], ...
         for cand, c in _basis_in_monomials(basis, sp):
             mat[index[cand]][j] = c
     return tuple(tuple(row) for row in mat)
-
-
-def _invert_matrix(mat) -> tuple[tuple[Fraction, ...], ...]:
-    k = len(mat)
-    aug = [list(row) + [Fraction(int(i == j)) for j in range(k)] for i, row in enumerate(mat)]
-    for col in range(k):
-        piv = next((r for r in range(col, k) if aug[r][col]), None)
-        if piv is None:
-            raise ValueError("singular block matrix")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [v * inv for v in aug[col]]
-        for r in range(k):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
-    return tuple(tuple(row[k:]) for row in aug)
-
-
-@cache
-def _block_matrix_inverse(basis: str, n: int, m: int):
-    return _invert_matrix(_block_matrix(basis, n, m))
-
-
-def change_basis(x: BasisExpansion, to: str) -> BasisExpansion:
-    """Exact conversion between any two bases, pivoting through monomials."""
-    if to not in _bases.BASIS_NAMES:
-        raise ValueError(f"unknown basis {to!r}")
-    if x.basis == to:
-        return BasisExpansion(to, x.n, x.m, dict(x.coeffs))
-    block = enumerate_superpartitions(x.n, x.m)
-    index = {sp: i for i, sp in enumerate(block)}
-    if x.basis == "m":
-        v = [Fraction(0)] * len(block)
-        for sp, c in x.coeffs.items():
-            v[index[sp]] = c
-    else:
-        mat = _block_matrix(x.basis, x.n, x.m)
-        coords = [x.get(sp) for sp in block]
-        v = [sum((row[j] * coords[j] for j in range(len(block))), Fraction(0)) for row in mat]
-    if to == "m":
-        return BasisExpansion("m", x.n, x.m, {sp: v[i] for i, sp in enumerate(block)})
-    inv = _block_matrix_inverse(to, x.n, x.m)
-    c = [sum((row[j] * v[j] for j in range(len(block))), Fraction(0)) for row in inv]
-    return BasisExpansion(to, x.n, x.m, {sp: c[i] for i, sp in enumerate(block)})
 
 
 # -- recursion identities ---------------------------------------------------------
