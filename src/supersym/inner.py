@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .superpartition import SuperPartition, enumerate_superpartitions
-from .superpoly import SuperPolynomial
+from .superpoly import SuperPolynomial, _FIELD_BITS, _FIELD_MASK
 from .transform import (
     BasisExpansion,
     change_basis,
@@ -102,72 +102,150 @@ def dual_bases_check(n: int, m: int, u: str, v: str) -> bool:
 
 
 # -- Cauchy kernels over a doubled alphabet --------------------------------------
+#
+# x_i, t_i are variables 1..N and y_j, f_j are variables N+1..2N.  Both sides
+# of each identity are compared on canonical coefficients only: T[(L, O)] is
+# the coefficient of t_1..t_k x^L f_1..f_k y^O, where x^L puts the fermionic
+# parts of L on x_1..x_k and its symmetric parts on x_{k+1}.. (likewise y^O).
 
 
-def _kernel_product(nvars: int, degree: int, inverse: bool) -> SuperPolynomial:
-    """Expand prod_{i,j} (1 - x_i y_j - t_i f_j)^(-1) (or the product of
-    (1 + x_i y_j + t_i f_j) when inverse) to total x-degree <= degree.
+def _canonical_index(nvars: int, degree: int):
+    """Blocks (n|k) with n <= degree and k <= nvars, each with the labels of
+    its canonical terms: the superpartitions of length <= nvars."""
+    index = []
+    for n in range(degree + 1):
+        k = 0
+        while k * (k - 1) // 2 <= n and k <= nvars:
+            index.append((n, k, tuple(enumerate_superpartitions(n, k, max_len=nvars))))
+            k += 1
+    return tuple(index)
 
-    The second alphabet sits at variables N+1..2N.  Each factor splits as
-    b * (1 + psi b) with b the bosonic geometric series and psi the theta
-    pair, so the product is (all-bosonic part) times (fermionic corrections),
-    each built with degree-truncated multiplies.
+
+def _exponent_key(sp: SuperPartition, offset: int = 0) -> int:
+    """Packed exponents of the canonical term of sp on variables offset+1.."""
+    key = 0
+    for i, e in enumerate(sp.as_composition(), start=offset):
+        key += e << (_FIELD_BITS * i)
+    return key
+
+
+def _kernel_factors(nvars: int, degree: int, inverse: bool):
+    """Bosonic and fermionic factors of prod_{i,j} (1 - x_i y_j - t_i f_j)^(-1)
+    (or of the product of (1 + x_i y_j + t_i f_j) when inverse), each
+    expanded to total x-degree <= degree.
+
+    Each factor splits as b * (1 + psi b) with b the bosonic geometric series
+    and psi the (even) theta pair.  Theta supports only grow under products,
+    so a canonical term with k <= K fermions per alphabet never sees a pair
+    t_i f_j with i or j - N above K; the fermionic factor keeps only the
+    cells i, j - N <= K, where K is the largest k <= N with k(k-1)/2 <= degree.
     """
     big = 2 * nvars
     xvars = tuple(range(1, nvars + 1))
-    bos = SuperPolynomial.one(big)
-    fer = SuperPolynomial.one(big)
+    top_k = max(k for k in range(nvars + 1) if k * (k - 1) // 2 <= degree)
+    # term(big, 1) holds an int 1 where one() holds Fraction(1), so these
+    # integer products stay on int arithmetic
+    bos = SuperPolynomial.term(big, 1)
+    fer = SuperPolynomial.term(big, 1)
     for i in range(1, nvars + 1):
         for j in range(nvars + 1, big + 1):
             cell_b = SuperPolynomial.zero(big)
-            cell_f = SuperPolynomial.one(big)
             top = 1 if inverse else degree
             for k in range(top + 1):
                 cell_b = cell_b + SuperPolynomial.term(big, 1, {i: k, j: k})
+            bos = bos.mul_truncated(cell_b, degree, vars=xvars)
+            if i > top_k or j - nvars > top_k:
+                continue
+            cell_f = SuperPolynomial.term(big, 1)
             for k in range(degree + 1):
                 sign = (-1) ** k if inverse else 1
                 cell_f = cell_f + SuperPolynomial.term(
                     big, sign, {i: k, j: k}, thetas=(i, j)
                 )
-            bos = bos.mul_truncated(cell_b, degree, vars=xvars)
             fer = fer.mul_truncated(cell_f, degree, vars=xvars)
-    return bos.mul_truncated(fer, degree, vars=xvars)
+    return bos, fer
 
 
-def _block_range(nvars: int, degree: int):
-    for n in range(degree + 1):
-        m = 0
-        while m * (m - 1) // 2 <= n and m <= nvars:
-            yield from enumerate_superpartitions(n, m)
-            m += 1
+def _product_table(nvars: int, degree: int, index, inverse: bool) -> dict:
+    """Canonical coefficients of the kernel product (nonzero entries only).
+
+    The product B * F is never formed: B lives on the empty theta support,
+    so an entry is sum_{f in F[target support]} c_f B[target - f] with merge
+    sign +1, over the f whose exponents fit under the target's.
+    """
+    bos, fer = _kernel_factors(nvars, degree, inverse)
+    b_terms = bos.blocks.get(0, {})
+    offsets = tuple(_FIELD_BITS * v for v in range(2 * nvars))
+    table = {}
+    for _, k, labels in index:
+        mask = (1 << k) - 1
+        f_terms = [
+            (kf, cf, tuple((kf >> off) & _FIELD_MASK for off in offsets))
+            for kf, cf in fer.blocks.get(mask | mask << nvars, {}).items()
+        ]
+        for la in labels:
+            kx = _exponent_key(la)
+            for om in labels:
+                target = kx + _exponent_key(om, nvars)
+                fields = tuple((target >> off) & _FIELD_MASK for off in offsets)
+                c = 0
+                for kf, cf, f_fields in f_terms:
+                    if all(e <= t for e, t in zip(f_fields, fields)):
+                        c += cf * b_terms.get(target - kf, 0)
+                if c:
+                    table[la, om] = c
+    return table
 
 
-def _kernel_pp_sum(nvars: int, degree: int, with_omega: bool) -> SuperPolynomial:
-    """sum over |L| <= degree of z_L^(-1) (arrowed p_L)(x, t) p_L(y, f),
-    with an extra omega_sign when with_omega."""
-    big = 2 * nvars
-    total = SuperPolynomial.zero(big)
-    for sp in _block_range(nvars, degree):
-        px = _bases.multiplicative("p", sp, nvars).arrow().widen(big)
-        if px.is_zero():
-            continue
-        py = _bases.multiplicative("p", sp, nvars).shift_alphabet(nvars, big)
-        w = Fraction(omega_sign(sp) if with_omega else 1, z_weight(sp))
-        total = total + (px * py).scale(w)
-    return total
+def _sum_table(index, summand) -> dict:
+    """Canonical coefficients of sum_G w_G x_G y_G (nonzero entries only).
+
+    summand(G) gives w_G and the N-variable polynomials x_G, y_G (None to
+    skip G); y_G stands in the second alphabet.  The x thetas precede the y
+    thetas, so each entry is w_G [L]x_G [O]y_G with no merge sign.
+    """
+    table = {}
+    for n, k, labels in index:
+        mask = (1 << k) - 1
+        keys = [_exponent_key(la) for la in labels]
+        for g in enumerate_superpartitions(n, k):
+            term = summand(g)
+            if term is None:
+                continue
+            w, xg, yg = term
+            xs = xg.blocks.get(mask, {})
+            ys = yg.blocks.get(mask, {})
+            cy = [ys.get(key, 0) for key in keys]
+            for la, key in zip(labels, keys):
+                a = xs.get(key, 0)
+                if not a:
+                    continue
+                for om, b in zip(labels, cy):
+                    if b:
+                        table[la, om] = table.get((la, om), 0) + w * a * b
+    return {pair: c for pair, c in table.items() if c}
 
 
-def _kernel_mh_sum(nvars: int, degree: int) -> SuperPolynomial:
-    """sum over |L| <= degree of (arrowed m_L)(x, t) h_L(y, f)."""
-    big = 2 * nvars
-    total = SuperPolynomial.zero(big)
-    for sp in _block_range(nvars, degree):
-        if sp.length > nvars:
-            continue
-        mx = _bases.monomial(sp, nvars).arrow().widen(big)
-        hy = _bases.multiplicative("h", sp, nvars).shift_alphabet(nvars, big)
-        total = total + mx * hy
-    return total
+def _pp_summand(nvars: int, with_omega: bool):
+    """z_G^(-1) (arrowed p_G)(x) p_G(y), with an extra omega_sign when with_omega."""
+
+    def summand(g: SuperPartition):
+        p = _bases.multiplicative("p", g, nvars)
+        w = Fraction(omega_sign(g) if with_omega else 1, z_weight(g))
+        return w, p.arrow(), p
+
+    return summand
+
+
+def _mh_summand(nvars: int):
+    """(arrowed m_G)(x) h_G(y); m_G vanishes on fewer variables than parts."""
+
+    def summand(g: SuperPartition):
+        if g.length > nvars:
+            return None
+        return 1, _bases.monomial(g, nvars).arrow(), _bases.multiplicative("h", g, nvars)
+
+    return summand
 
 
 def kernel_check(nvars: int, degree: int) -> dict:
@@ -177,21 +255,31 @@ def kernel_check(nvars: int, degree: int) -> dict:
     total x-degree <= degree, must equal both the z-weighted sum of arrowed
     p times p and the sum of arrowed m times h; the product of
     (1 + x_i y_j + t_i f_j) must equal the omega-signed p-times-p sum.
+
+    Every side is compared on its canonical coefficients T[(L, O)] (see
+    _canonical_index), and that comparison is complete.  Each side is
+    invariant under simultaneous exchanges (x_i, t_i) <-> (x_{i+1}, t_{i+1})
+    inside either alphabet, so every term is a signed copy of one whose
+    thetas are t_1..t_k f_1..f_k with the theta-carrying exponents strictly
+    decreasing (equal ones cancel under their exchange) and the rest weakly
+    decreasing: a canonical term labelled by a pair of superpartitions of
+    length <= N.  Both alphabets carry equal degree and fermion number, so
+    only pairs from one block (n|k) can be nonzero.
     """
     if nvars < 1 or degree < 0:
         raise ValueError(f"need nvars >= 1 and degree >= 0, got ({nvars}, {degree})")
     params = {"nvars": nvars, "degree": degree}
+    index = _canonical_index(nvars, degree)
     failure = None
-    direct = _kernel_product(nvars, degree, inverse=False)
-    if direct != _kernel_pp_sum(nvars, degree, with_omega=False):
+    direct = _product_table(nvars, degree, index, inverse=False)
+    if direct != _sum_table(index, _pp_summand(nvars, with_omega=False)):
         failure = "product expansion differs from the weighted p-p sum"
-    elif direct != _kernel_mh_sum(nvars, degree):
+    elif direct != _sum_table(index, _mh_summand(nvars)):
         failure = "product expansion differs from the m-h sum"
-    else:
-        del direct
-        inverse = _kernel_product(nvars, degree, inverse=True)
-        if inverse != _kernel_pp_sum(nvars, degree, with_omega=True):
-            failure = "inverse product differs from the omega-signed p-p sum"
+    elif _product_table(nvars, degree, index, inverse=True) != _sum_table(
+        index, _pp_summand(nvars, with_omega=True)
+    ):
+        failure = "inverse product differs from the omega-signed p-p sum"
     return {"check": "kernel", "params": params, "pass": failure is None, "first_failure": failure}
 
 

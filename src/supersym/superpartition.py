@@ -95,6 +95,11 @@ class SuperPartition:
             raise SparError(f"fermionic parts not strictly decreasing: {a}")
         if any(s[i] < s[i + 1] for i in range(len(s) - 1)):
             raise SparError(f"symmetric parts not weakly decreasing: {s}")
+        # Superpartitions key every cache and coefficient map, so hash once.
+        object.__setattr__(self, "_hash", hash((a, s)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     # -- basic structure --------------------------------------------------
 

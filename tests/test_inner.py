@@ -1,11 +1,15 @@
 """Scalar product, the e-h involution, duality, and kernel checks."""
 
+import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
+from supersym import bases, inner
 from supersym.superpartition import SuperPartition, enumerate_superpartitions
+from supersym.superpoly import SuperPolynomial
 from supersym.bases import basis_element, powersum
 from supersym.transform import BasisExpansion, change_basis
 from supersym.inner import (
@@ -199,9 +203,193 @@ def test_kernel_small():
     assert rep["first_failure"] is None
 
 
+def test_kernel_degree_six():
+    rep = kernel_check(4, 6)
+    assert rep["pass"] is True, rep
+
+
 def test_reproducing_small():
     rep = reproducing_check(4, 2)
     assert rep["pass"] is True, rep
+
+
+# -- kernel oracles: the full doubled alphabet and matrix counting -----------------
+
+
+def full_kernel_product(nvars, degree, inverse):
+    """prod_{i,j} (1 - x_i y_j - t_i f_j)^(-1), or prod (1 + x_i y_j + t_i f_j)
+    when inverse, as one polynomial in 2N variables to x-degree <= degree."""
+    big = 2 * nvars
+    xvars = tuple(range(1, nvars + 1))
+    out = SuperPolynomial.one(big)
+    for i in range(1, nvars + 1):
+        for j in range(nvars + 1, big + 1):
+            if inverse:
+                cell = (
+                    SuperPolynomial.one(big)
+                    + SuperPolynomial.term(big, 1, {i: 1, j: 1})
+                    + SuperPolynomial.term(big, 1, thetas=(i, j))
+                )
+            else:
+                # (1 - u - psi)^(-1) = sum_k u^k + psi sum_k (k + 1) u^k, psi^2 = 0
+                cell = SuperPolynomial.zero(big)
+                for k in range(degree + 1):
+                    cell = cell + SuperPolynomial.term(big, 1, {i: k, j: k})
+                    cell = cell + SuperPolynomial.term(big, k + 1, {i: k, j: k}, thetas=(i, j))
+            out = out.mul_truncated(cell, degree, vars=xvars)
+    return out
+
+
+def full_sum(nvars, degree, summand):
+    """sum over |G| <= degree of w_G x_G(x, t) y_G(y, f) in 2N variables."""
+    big = 2 * nvars
+    total = SuperPolynomial.zero(big)
+    for n, k, _ in inner._canonical_index(nvars, degree):
+        for g in enumerate_superpartitions(n, k):
+            term = summand(g)
+            if term is not None:
+                w, xg, yg = term
+                total = total + (xg.widen(big) * yg.shift_alphabet(nvars, big)).scale(w)
+    return total
+
+
+def canonical_coefficients(poly, nvars, index):
+    """T[(L, O)] read from a 2N-variable polynomial through its public API."""
+    table = {}
+    for _, k, labels in index:
+        thetas = (*range(1, k + 1), *range(nvars + 1, nvars + k + 1))
+        for la in labels:
+            for om in labels:
+                powers = {i + 1: e for i, e in enumerate(la.as_composition())}
+                powers.update({nvars + i + 1: e for i, e in enumerate(om.as_composition())})
+                c = poly.coefficient(powers, thetas)
+                if c:
+                    table[la, om] = c
+    return table
+
+
+@pytest.mark.parametrize("nvars, degree", [(3, 3), (2, 4)])
+def test_full_alphabet_oracle(nvars, degree):
+    index = inner._canonical_index(nvars, degree)
+    pp = inner._pp_summand(nvars, with_omega=False)
+    pp_omega = inner._pp_summand(nvars, with_omega=True)
+    mh = inner._mh_summand(nvars)
+    for inverse, sums in ((False, (pp, mh)), (True, (pp_omega,))):
+        full = full_kernel_product(nvars, degree, inverse)
+        # separate symmetry in each alphabet is what licenses the reduction
+        for i in (*range(1, nvars), *range(nvars + 1, 2 * nvars)):
+            assert full.apply_exchange(i) == full, (inverse, i)
+        table = canonical_coefficients(full, nvars, index)
+        assert table == inner._product_table(nvars, degree, index, inverse)
+        for summand in sums:
+            assert full_sum(nvars, degree, summand) == full
+            assert inner._sum_table(index, summand) == table
+
+
+def _perm_sign(perm):
+    inversions = sum(1 for i in range(len(perm)) for j in range(i) if perm[j] > perm[i])
+    return -1 if inversions % 2 else 1
+
+
+def _rows(total, bounds, cap):
+    """Compositions of total under per-entry bounds (and a common cap)."""
+    if not bounds:
+        if total == 0:
+            yield ()
+        return
+    for v in range(min(total, bounds[0], cap) + 1):
+        for rest in _rows(total - v, bounds[1:], cap):
+            yield (v, *rest)
+
+
+def matrices(alpha, beta, cap):
+    """All matrices with entries in 0..cap, row sums alpha and column sums beta."""
+    if not alpha:
+        if not any(beta):
+            yield ()
+        return
+    for row in _rows(alpha[0], beta, cap):
+        rest = tuple(b - v for b, v in zip(beta, row))
+        for tail in matrices(alpha[1:], rest, cap):
+            yield (row, *tail)
+
+
+def counted_entry(la, om, nvars, inverse):
+    """Kernel coefficient at (L, O) by counting matrices, with no polynomials.
+
+    Choosing the theta pairs t_i f_sigma(i) (i <= k) costs the sign
+    (-1)^(k(k-1)/2) sgn(sigma).  Directly, a chosen cell carries b^2 =
+    sum (a + 1) u^a and the others b = sum u^a, which sums to a determinant;
+    inversely, a chosen cell carries u^0 and the others 1 + u.
+    """
+    k = la.fermionic_degree
+    alpha = la.as_composition() + (0,) * (nvars - la.length)
+    beta = om.as_composition() + (0,) * (nvars - om.length)
+    sector = -1 if (k * (k - 1) // 2) % 2 else 1
+    perms = list(itertools.permutations(range(k)))
+    total = 0
+    for a in matrices(alpha, beta, 1 if inverse else sum(alpha)):
+        for perm in perms:
+            if inverse:
+                total += _perm_sign(perm) * all(a[i][perm[i]] == 0 for i in range(k))
+            else:
+                total += _perm_sign(perm) * math.prod(a[i][perm[i]] + 1 for i in range(k))
+    return sector * total
+
+
+@pytest.mark.parametrize("nvars, degree, inverse", [
+    (3, 4, False), (3, 4, True), (4, 4, False), (4, 4, True),
+    (2, 5, False), (2, 5, True), (3, 6, True),
+])
+def test_kernel_tables_match_matrix_counts(nvars, degree, inverse):
+    index = inner._canonical_index(nvars, degree)
+    table = inner._product_table(nvars, degree, index, inverse)
+    counted = {}
+    for _, _, labels in index:
+        for la in labels:
+            for om in labels:
+                c = counted_entry(la, om, nvars, inverse)
+                if c:
+                    counted[la, om] = c
+    assert table == counted
+    summand = inner._pp_summand(nvars, with_omega=inverse)
+    assert inner._sum_table(index, summand) == counted
+
+
+def test_canonical_index_covers_every_block():
+    nvars, degree = 3, 5
+    index = inner._canonical_index(nvars, degree)
+    want = {(n, k) for n in range(degree + 1) for k in range(nvars + 1) if k * (k - 1) // 2 <= n}
+    assert {(n, k) for n, k, labels in index if labels} == want
+    table = inner._product_table(nvars, degree, index, inverse=False)
+    assert {(la.degree, la.fermionic_degree) for la, _ in table} == want
+
+
+def test_kernel_check_fails_without_omega_signs(monkeypatch):
+    monkeypatch.setattr(inner, "omega_sign", lambda sp: 1)
+    rep = kernel_check(3, 3)
+    assert rep["pass"] is False
+    assert rep["first_failure"] == "inverse product differs from the omega-signed p-p sum"
+
+
+def test_kernel_check_fails_on_a_wrong_z_weight(monkeypatch):
+    target = sp("(2;1,1)")
+    real = inner.z_weight
+    monkeypatch.setattr(inner, "z_weight", lambda g: 2 * real(g) if g == target else real(g))
+    rep = kernel_check(2, 4)
+    assert rep["pass"] is False
+    assert rep["first_failure"] == "product expansion differs from the weighted p-p sum"
+
+
+def test_kernel_check_fails_on_a_scaled_monomial(monkeypatch):
+    target = sp("(1;2)")
+    real = bases.monomial
+    monkeypatch.setattr(
+        bases, "monomial", lambda g, nvars: real(g, nvars).scale(3) if g == target else real(g, nvars)
+    )
+    rep = kernel_check(2, 3)
+    assert rep["pass"] is False
+    assert rep["first_failure"] == "product expansion differs from the m-h sum"
 
 
 # -- the big worked involution example, kept last for cache reuse ---------------------

@@ -33,6 +33,14 @@ def test_trailing_zeros_stripped_from_symmetric_side():
     assert SuperPartition(a=(), s=(2, 1, 0)).s == (2, 1)
 
 
+def test_normalised_equals_hash_alike():
+    x = SuperPartition(a=(2, 0), s=(1, 0))
+    y = SuperPartition(a=(2, 0), s=(1,))
+    assert x == y and hash(x) == hash(y)
+    assert {x: 1}[y] == 1
+    assert repr(x) == "SuperPartition(a=(2, 0), s=(1,))"
+
+
 def test_zero_kept_on_antisymmetric_side():
     x = sp("(1,0;)")
     assert x.a == (1, 0)
