@@ -3,8 +3,8 @@
 Each family comes in a bosonic version (e_n, h_n, p_n) and a fermionic one
 (te_n, th_n, tp_n, rendered with a tilde in math but spelled with a leading
 `_tilde` suffix here).  Products over the parts of a superpartition give the
-multiplicative bases; the monomial basis is built directly from distinct
-variable placements.
+multiplicative bases; the monomial basis is written directly, one term per
+distinct variable placement.
 
 Generating series with one extra bosonic parameter t = x_{N+1} and one extra
 anticommuting parameter tau = t_{N+1} tie the families together; see
@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import cache
 
 from .superpartition import SuperPartition, enumerate_superpartitions
-from .superpoly import SuperPolynomial, _FIELD_BITS
+from .superpoly import SuperPolynomial, _FIELD_BITS, _FIELD_MASK, _sort_sign
 
 __all__ = [
     "monomial",
@@ -44,36 +44,33 @@ def default_nvars(sp: SuperPartition) -> int:
     return n + m
 
 
-def _distinct_arrangements(values: tuple[int, ...]):
-    """Distinct orderings of a multiset, without generating duplicates."""
-    counts: dict[int, int] = {}
-    for v in values:
-        counts[v] = counts.get(v, 0) + 1
-    total = len(values)
-
-    def rec(prefix):
-        if len(prefix) == total:
-            yield tuple(prefix)
-            return
-        for v in sorted(counts, reverse=True):
-            if counts[v]:
-                counts[v] -= 1
-                prefix.append(v)
-                yield from rec(prefix)
-                prefix.pop()
-                counts[v] += 1
-
-    yield from rec([])
+def _symmetric_keys(nslots: int, groups) -> list[int]:
+    """Packed keys of every placement of the symmetric parts on the slots
+    0..nslots-1: one set of slots per distinct value, taken from those the
+    larger values left; unchosen slots stay at zero."""
+    placed = [(0, tuple(range(nslots)))]
+    for value, count in groups:
+        units = [value << (_FIELD_BITS * v) for v in range(nslots)]
+        nxt = []
+        for key, avail in placed:
+            for chosen in itertools.combinations(avail, count):
+                rest = tuple(v for v in avail if v not in chosen)
+                nxt.append((key + sum([units[v] for v in chosen]), rest))
+        placed = nxt
+    return [key for key, _ in placed]
 
 
 def monomial(sp: SuperPartition, nvars: int, strict: bool = True) -> SuperPolynomial:
     """Monomial basis element: the sum over distinct variable placements.
 
     Fermionic parts occupy a set of variables, each bringing its theta;
-    symmetric parts (padded with zeros) fill the rest.  Normalized so the
-    coefficient of t_1..t_m x_1^{a_1}..x_m^{a_m} x_{m+1}^{s_1}.. is +1.
-    With fewer variables than parts the element has no room: error when
-    strict, zero polynomial otherwise (the truncated-alphabet convention).
+    symmetric parts fill a set of the remaining variables per distinct
+    value.  Normalized so the coefficient of
+    t_1..t_m x_1^{a_1}..x_m^{a_m} x_{m+1}^{s_1}.. is +1.  The fermionic
+    parts are distinct, so every placement is a distinct term and the
+    blocks are written without accumulating.  With fewer variables than
+    parts the element has no room: error when strict, zero polynomial
+    otherwise (the truncated-alphabet convention).
     """
     m = sp.fermionic_degree
     if sp.length > nvars:
@@ -82,19 +79,26 @@ def monomial(sp: SuperPartition, nvars: int, strict: bool = True) -> SuperPolyno
                 f"monomial for {sp} needs at least {sp.length} variables, got {nvars}"
             )
         return SuperPolynomial.zero(nvars)
-    svals = sp.s + (0,) * (nvars - m - len(sp.s))
-    out = SuperPolynomial.zero(nvars)
-    for pos in itertools.combinations(range(1, nvars + 1), m):
-        rest = [v for v in range(1, nvars + 1) if v not in pos]
-        for perm in itertools.permutations(pos):
-            base = {p: a for p, a in zip(perm, sp.a)}
-            for arr in _distinct_arrangements(svals):
-                powers = dict(base)
-                for p, v in zip(rest, arr):
-                    if v:
-                        powers[p] = v
-                out = out + SuperPolynomial.term(nvars, 1, powers, thetas=perm)
-    return out
+    top = max(sp.as_composition(), default=0)
+    if top > _FIELD_MASK:
+        raise ValueError(f"part {top} of {sp} exceeds the exponent field (max {_FIELD_MASK})")
+    groups = [(v, len(tuple(run))) for v, run in itertools.groupby(sp.s)]
+    sym = _symmetric_keys(nvars - m, groups)
+    # a_j on the idx[j]-th theta variable: the word's sort sign is idx's sign
+    orders = [(idx, _sort_sign(idx)) for idx in itertools.permutations(range(m))]
+    blocks = {}
+    for pos in itertools.combinations(range(nvars), m):
+        keys = sym
+        for v in pos:  # open a zero field at each theta variable, lowest first
+            off = _FIELD_BITS * v
+            low = (1 << off) - 1
+            keys = [k & low | k >> off << (off + _FIELD_BITS) for k in keys]
+        placed = [
+            (sum([a << (_FIELD_BITS * pos[i]) for a, i in zip(sp.a, idx)]), sign)
+            for idx, sign in orders
+        ]
+        blocks[sum(1 << v for v in pos)] = {kf + k: sign for kf, sign in placed for k in keys}
+    return SuperPolynomial(nvars, blocks)
 
 
 def _packed_key(combo) -> int:
@@ -114,7 +118,7 @@ def elementary(n: int, nvars: int) -> SuperPolynomial:
         _packed_key(combo): 1
         for combo in itertools.combinations(range(1, nvars + 1), n)
     }
-    return SuperPolynomial(nvars, {0: body} if body else {})
+    return SuperPolynomial(nvars, {0: body})
 
 
 @cache
@@ -128,8 +132,7 @@ def elementary_tilde(n: int, nvars: int) -> SuperPolynomial:
         body = {
             _packed_key(combo): 1 for combo in itertools.combinations(others, n)
         }
-        if body:
-            blocks[1 << (i - 1)] = body
+        blocks[1 << (i - 1)] = body
     return SuperPolynomial(nvars, blocks)
 
 
@@ -142,7 +145,7 @@ def complete(n: int, nvars: int) -> SuperPolynomial:
         _packed_key(combo): 1
         for combo in itertools.combinations_with_replacement(range(1, nvars + 1), n)
     }
-    return SuperPolynomial(nvars, {0: body} if body else {})
+    return SuperPolynomial(nvars, {0: body})
 
 
 @cache
@@ -163,7 +166,7 @@ def complete_tilde(n: int, nvars: int) -> SuperPolynomial:
             counts[v] = counts.get(v, 0) + 1
         for i in range(1, nvars + 1):
             blocks[1 << (i - 1)][key] = counts.get(i, 0) + 1
-    return SuperPolynomial(nvars, {m: b for m, b in blocks.items() if b})
+    return SuperPolynomial(nvars, blocks)
 
 
 @cache
@@ -174,7 +177,7 @@ def powersum(n: int, nvars: int) -> SuperPolynomial:
     if n == 0:
         return SuperPolynomial.zero(nvars)
     body = {_packed_key([i] * n): 1 for i in range(1, nvars + 1)}
-    return SuperPolynomial(nvars, {0: body} if body else {})
+    return SuperPolynomial(nvars, {0: body})
 
 
 @cache

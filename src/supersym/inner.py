@@ -143,10 +143,8 @@ def _kernel_factors(nvars: int, degree: int, inverse: bool):
     big = 2 * nvars
     xvars = tuple(range(1, nvars + 1))
     top_k = max(k for k in range(nvars + 1) if k * (k - 1) // 2 <= degree)
-    # term(big, 1) holds an int 1 where one() holds Fraction(1), so these
-    # integer products stay on int arithmetic
-    bos = SuperPolynomial.term(big, 1)
-    fer = SuperPolynomial.term(big, 1)
+    bos = SuperPolynomial.one(big)
+    fer = SuperPolynomial.one(big)
     for i in range(1, nvars + 1):
         for j in range(nvars + 1, big + 1):
             cell_b = SuperPolynomial.zero(big)
@@ -156,7 +154,7 @@ def _kernel_factors(nvars: int, degree: int, inverse: bool):
             bos = bos.mul_truncated(cell_b, degree, vars=xvars)
             if i > top_k or j - nvars > top_k:
                 continue
-            cell_f = SuperPolynomial.term(big, 1)
+            cell_f = SuperPolynomial.one(big)
             for k in range(degree + 1):
                 sign = (-1) ** k if inverse else 1
                 cell_f = cell_f + SuperPolynomial.term(

@@ -77,6 +77,8 @@ class SuperPartition:
     kept (it contributes a circled empty row and counts toward the length).
     ``s``: symmetric parts, weakly decreasing; trailing zeros are stripped on
     construction so that equality is structural.
+    ``degree`` (all parts summed) and ``bidegree`` ``(degree, len(a))`` are
+    computed on construction.
     """
 
     a: tuple[int, ...] = ()
@@ -95,8 +97,11 @@ class SuperPartition:
             raise SparError(f"fermionic parts not strictly decreasing: {a}")
         if any(s[i] < s[i + 1] for i in range(len(s) - 1)):
             raise SparError(f"symmetric parts not weakly decreasing: {s}")
-        # Superpartitions key every cache and coefficient map, so hash once.
+        # Superpartitions key every cache and coefficient map, and every
+        # expansion checks its labels' bidegree, so compute both once.
         object.__setattr__(self, "_hash", hash((a, s)))
+        object.__setattr__(self, "degree", sum(a) + sum(s))
+        object.__setattr__(self, "bidegree", (self.degree, len(a)))
 
     def __hash__(self) -> int:
         return self._hash
@@ -106,14 +111,6 @@ class SuperPartition:
     @property
     def fermionic_degree(self) -> int:
         return len(self.a)
-
-    @property
-    def degree(self) -> int:
-        return sum(self.a) + sum(self.s)
-
-    @property
-    def bidegree(self) -> tuple[int, int]:
-        return (self.degree, self.fermionic_degree)
 
     @property
     def length(self) -> int:

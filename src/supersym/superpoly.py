@@ -3,8 +3,11 @@
 A SuperPolynomial lives in the ring generated by x1..xN (commuting) and
 t1..tN (anticommuting, squaring to zero: t_i t_j = -t_j t_i).  Terms are
 stored per theta-support: for each subset of anticommuting variables, a
-sparse map from packed exponent vectors to rational coefficients, with the
-theta letters implicitly in increasing order.  All arithmetic is exact.
+sparse map from packed exponent vectors to exact coefficients (int, or
+Fraction where a true fraction occurs), with the theta letters implicitly in
+increasing order.  Stored blocks hold no zero coefficient and no block is
+empty, so equal polynomials have equal blocks.  Each exponent has a 16-bit
+field; a product that would carry past it raises ValueError.
 
 Variable indices are 1-based throughout the public interface, matching the
 rendered names x1, t1.
@@ -13,6 +16,8 @@ rendered names x1, t1.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
+from operator import or_
 
 __all__ = [
     "SuperPolynomial",
@@ -74,7 +79,12 @@ class SuperPolynomial:
         if nvars < 0:
             raise ValueError(f"need nvars >= 0, got {nvars}")
         self.nvars = nvars
-        self.blocks = blocks if blocks is not None else {}
+        self.blocks = {}
+        for mask, terms in (blocks or {}).items():
+            if not all(terms.values()):
+                terms = {k: c for k, c in terms.items() if c}
+            if terms:
+                self.blocks[mask] = terms
 
     # -- constructors -------------------------------------------------------
 
@@ -84,7 +94,7 @@ class SuperPolynomial:
 
     @classmethod
     def one(cls, nvars: int) -> SuperPolynomial:
-        return cls(nvars, {0: {0: Fraction(1)}})
+        return cls(nvars, {0: {0: 1}})
 
     @classmethod
     def term(cls, nvars: int, coeff, powers=None, thetas=()) -> SuperPolynomial:
@@ -117,6 +127,22 @@ class SuperPolynomial:
                 raise ValueError(f"variable t{var} outside 1..{nvars}")
             mask |= 1 << (var - 1)
         return cls(nvars, {mask: {key: sign * c}})
+
+    @classmethod
+    def linear_combination(cls, nvars: int, pairs) -> SuperPolynomial:
+        """sum c * f over (c, f) pairs, accumulated in one set of blocks
+        rather than one copied partial sum per summand."""
+        blocks: dict[int, dict[int, Fraction]] = {}
+        for c, f in pairs:
+            if f.nvars != nvars:
+                raise ValueError(f"mixed rings: {nvars} vs {f.nvars} variables")
+            if isinstance(c, Fraction) and c.denominator == 1:
+                c = c.numerator
+            for mask, terms in f.blocks.items():
+                dst = blocks.setdefault(mask, {})
+                for key, v in terms.items():
+                    dst[key] = dst.get(key, 0) + c * v
+        return cls(nvars, blocks)
 
     @classmethod
     def x(cls, var: int, nvars: int) -> SuperPolynomial:
@@ -156,22 +182,19 @@ class SuperPolynomial:
             mask ^= low
         return tuple(out)
 
-    def coefficient(self, powers=None, thetas=()) -> Fraction:
+    def coefficient(self, powers=None, thetas=()) -> int | Fraction:
         """Coefficient of the monomial with the thetas in the given order."""
         probe = SuperPolynomial.term(self.nvars, 1, powers, thetas)
         if probe.is_zero():
             raise ValueError(f"repeated theta index in {thetas}")
         ((mask, terms),) = probe.blocks.items()
         ((key, sign),) = terms.items()
-        return sign * self.blocks.get(mask, {}).get(key, Fraction(0))
+        return sign * self.blocks.get(mask, {}).get(key, 0)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SuperPolynomial):
             return NotImplemented
-        return self.nvars == other.nvars and self._as_canonical() == other._as_canonical()
-
-    def _as_canonical(self):
-        return {m: t for m, t in self.blocks.items() if t}
+        return self.nvars == other.nvars and self.blocks == other.blocks
 
     def __hash__(self):
         raise TypeError("SuperPolynomial is mutable-by-construction; not hashable")
@@ -193,8 +216,6 @@ class SuperPolynomial:
                     dst[key] = v
                 else:
                     dst.pop(key, None)
-            if not dst:
-                del blocks[mask]
         return SuperPolynomial(self.nvars, blocks)
 
     def __neg__(self) -> SuperPolynomial:
@@ -216,10 +237,38 @@ class SuperPolynomial:
 
     # -- multiplication ---------------------------------------------------------
 
+    def _key_union(self) -> int:
+        """Bitwise OR of every exponent key."""
+        out = 0
+        for terms in self.blocks.values():
+            out |= reduce(or_, terms, 0)
+        return out
+
+    def _field_maxima(self) -> list[int]:
+        return [
+            max(((k >> off) & _FIELD_MASK for t in self.blocks.values() for k in t), default=0)
+            for off in self._field_offsets()
+        ]
+
+    def _check_factor(self, other: SuperPolynomial) -> None:
+        """Same ring, and no exponent sum of a product can pass its field.
+
+        One bound per operand and call: when no field of either operand uses
+        its top bit every sum fits, and only otherwise are the per-field
+        maxima compared.
+        """
+        self._check_same_ring(other)
+        top_bits = ((1 << (_FIELD_BITS * self.nvars)) - 1) // _FIELD_MASK << (_FIELD_BITS - 1)
+        if not (self._key_union() | other._key_union()) & top_bits:
+            return
+        for var, (ea, eb) in enumerate(zip(self._field_maxima(), other._field_maxima()), 1):
+            if ea + eb > _FIELD_MASK:
+                raise ValueError(f"exponent of x{var} in a product would exceed {_FIELD_MASK}")
+
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
-        self._check_same_ring(other)
+        self._check_factor(other)
         blocks: dict[int, dict[int, Fraction]] = {}
         for ma, ta in self.blocks.items():
             for mb, tb in other.blocks.items():
@@ -236,7 +285,7 @@ class SuperPolynomial:
                             dst[k] = v
                         else:
                             dst.pop(k, None)
-        return SuperPolynomial(self.nvars, {m: t for m, t in blocks.items() if t})
+        return SuperPolynomial(self.nvars, blocks)
 
     __rmul__ = __mul__
 
@@ -247,7 +296,7 @@ class SuperPolynomial:
         be dropped from both factors up front; useful when only one sector
         of a long product is ever read.
         """
-        self._check_same_ring(other)
+        self._check_factor(other)
         allowed = 0
         for v in theta_vars:
             allowed |= 1 << (v - 1)
@@ -269,12 +318,12 @@ class SuperPolynomial:
                             dst[k] = v
                         else:
                             dst.pop(k, None)
-        return SuperPolynomial(self.nvars, {m: t for m, t in blocks.items() if t})
+        return SuperPolynomial(self.nvars, blocks)
 
     def mul_truncated(self, other: SuperPolynomial, max_degree: int, vars=None) -> SuperPolynomial:
         """Product keeping only terms of degree <= max_degree in `vars`
         (1-based bosonic indices, default all)."""
-        self._check_same_ring(other)
+        self._check_factor(other)
         fields = self._field_offsets(vars)
         other_bucketed: dict[int, list[tuple[int, list[tuple[int, Fraction]]]]] = {}
         for mb, tb in other.blocks.items():
@@ -304,7 +353,7 @@ class SuperPolynomial:
                                 dst[k] = v
                             else:
                                 dst.pop(k, None)
-        return SuperPolynomial(self.nvars, {m: t for m, t in blocks.items() if t})
+        return SuperPolynomial(self.nvars, blocks)
 
     # -- degrees and truncation ---------------------------------------------------
 
@@ -322,9 +371,9 @@ class SuperPolynomial:
         fields = self._field_offsets(vars)
         blocks = {}
         for mask, terms in self.blocks.items():
-            kept = {k: c for k, c in terms.items() if self._key_degree(k, fields) <= max_degree}
-            if kept:
-                blocks[mask] = kept
+            blocks[mask] = {
+                k: c for k, c in terms.items() if self._key_degree(k, fields) <= max_degree
+            }
         return SuperPolynomial(self.nvars, blocks)
 
     # -- variable operations ----------------------------------------------------
@@ -378,8 +427,7 @@ class SuperPolynomial:
             for key, c in terms.items():
                 if (key >> off) & _FIELD_MASK == exp:
                     dst[key - (exp << off)] = c
-            if dst:
-                blocks[mask] = dst
+            blocks[mask] = dst
         return SuperPolynomial(self.nvars, blocks)
 
     def select_theta(self, var: int) -> SuperPolynomial:
@@ -414,8 +462,7 @@ class SuperPolynomial:
                 e = (key >> off) & _FIELD_MASK
                 if e:
                     dst[key] = e * c
-            if dst:
-                blocks[mask] = dst
+            blocks[mask] = dst
         return SuperPolynomial(self.nvars, blocks)
 
     def arrow(self) -> SuperPolynomial:
@@ -460,7 +507,7 @@ class SuperPolynomial:
                     dst[nk] = v
                 else:
                     dst.pop(nk, None)
-        return SuperPolynomial(self.nvars, {m: t for m, t in blocks.items() if t})
+        return SuperPolynomial(self.nvars, blocks)
 
     def is_symmetric(self) -> bool:
         """Invariance under every adjacent simultaneous exchange."""

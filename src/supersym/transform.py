@@ -62,7 +62,8 @@ class BasisExpansion:
                 raise ValueError(
                     f"{sp} has bidegree {sp.bidegree}, expected ({self.n}, {self.m})"
                 )
-            c = Fraction(c)
+            if type(c) is not Fraction:
+                c = Fraction(c)
             if c:
                 cleaned[sp] = c
         object.__setattr__(self, "coeffs", cleaned)
@@ -96,10 +97,10 @@ class BasisExpansion:
     def to_poly(self, nvars: int | None = None, arrowed: bool = False) -> SuperPolynomial:
         if nvars is None:
             nvars = self.n + self.m
-        out = SuperPolynomial.zero(nvars)
-        for sp, c in self.coeffs.items():
-            out = out + _bases.basis_element(self.basis, sp, nvars, arrowed).scale(c)
-        return out
+        element = _bases.basis_element
+        return SuperPolynomial.linear_combination(
+            nvars, ((c, element(self.basis, sp, nvars, arrowed)) for sp, c in self.coeffs.items())
+        )
 
     def to_json_dict(self) -> dict:
         return {
@@ -161,13 +162,13 @@ def expand_in_monomials(f: SuperPolynomial, bidegree: tuple[int, int] | None = N
     """
     n, m = bidegree if bidegree is not None else _infer_bidegree(f)
     coeffs: dict[SuperPartition, Fraction] = {}
-    recon = SuperPolynomial.zero(f.nvars)
+    summands = []
     for sp, poly in _monomial_polys(n, m, f.nvars):
         c = _probe_coefficient(f, sp)
         if c:
             coeffs[sp] = c
-            recon = recon + poly.scale(c)
-    if recon != f:
+            summands.append((c, poly))
+    if SuperPolynomial.linear_combination(f.nvars, summands) != f:
         raise ValueError(
             "polynomial is not symmetric (or not in the monomial span at "
             f"{f.nvars} variables)"
@@ -606,16 +607,16 @@ def _hessenberg_det(size, row1, entry, subdiag, nvars) -> SuperPolynomial:
     """
     minors = [SuperPolynomial.one(nvars)]
     for k in range(1, size + 1):
-        acc = SuperPolynomial.zero(nvars)
+        summands = []
         sdp = 1
         for i in range(k, 0, -1):
             a_ik = row1[k - 1] if i == 1 else entry(i, k)
             if not a_ik.is_zero():
                 factor = sdp if (k - i) % 2 == 0 else -sdp
-                acc = acc + (a_ik * minors[i - 1]).scale(factor)
+                summands.append((factor, a_ik * minors[i - 1]))
             if i > 1:
                 sdp *= subdiag(i - 1)
-        minors.append(acc)
+        minors.append(SuperPolynomial.linear_combination(nvars, summands))
     return minors[size]
 
 
@@ -735,7 +736,7 @@ def _det_fraction(mat) -> Fraction:
             m[col], m[piv] = m[piv], m[col]
             det = -det
         det *= m[col][col]
-        inv = 1 / m[col][col]
+        inv = Fraction(1) / m[col][col]
         for r in range(col + 1, k):
             if m[r][col]:
                 f = m[r][col] * inv

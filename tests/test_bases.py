@@ -1,10 +1,16 @@
 """The four classical families and their generating series."""
 
+import itertools
+import math
+
 import pytest
 
 from supersym.superpartition import SuperPartition, enumerate_superpartitions
 from supersym.superpoly import SuperPolynomial
 from supersym.bases import (
+    _series_E,
+    _series_H,
+    _series_P,
     basis_element,
     complete,
     complete_tilde,
@@ -52,6 +58,86 @@ def test_monomial_needs_enough_variables():
     with pytest.raises(ValueError):
         monomial(sp("(;1,1,1)"), 2)
     assert monomial(sp("(;1,1,1)"), 2, strict=False).is_zero()
+
+
+def _distinct_arrangements(values):
+    """Distinct orderings of a multiset, without generating duplicates."""
+    counts = {}
+    for v in values:
+        counts[v] = counts.get(v, 0) + 1
+
+    def rec(prefix):
+        if len(prefix) == len(values):
+            yield tuple(prefix)
+            return
+        for v in sorted(counts, reverse=True):
+            if counts[v]:
+                counts[v] -= 1
+                prefix.append(v)
+                yield from rec(prefix)
+                prefix.pop()
+                counts[v] += 1
+
+    yield from rec([])
+
+
+def placement_oracle(la, nvars):
+    """The monomial element term by term: every arrangement of the
+    fermionic parts on a theta set and of the zero-padded symmetric parts
+    on the rest, each built by SuperPolynomial.term and summed."""
+    m = la.fermionic_degree
+    arrangements = list(_distinct_arrangements(la.s + (0,) * (nvars - la.length)))
+    blocks = {}
+    for pos in itertools.combinations(range(1, nvars + 1), m):
+        rest = [v for v in range(1, nvars + 1) if v not in pos]
+        for perm in itertools.permutations(pos):
+            base = dict(zip(perm, la.a))
+            for arr in arrangements:
+                powers = dict(base)
+                powers.update(zip(rest, arr))
+                ((mask, terms),) = P.term(nvars, 1, powers, thetas=perm).blocks.items()
+                dst = blocks.setdefault(mask, {})
+                for key, c in terms.items():
+                    dst[key] = dst.get(key, 0) + c
+    return P(nvars, blocks)
+
+
+def multinomial_count(la, nvars):
+    """Distinct placements: nvars! over the symmetric multiplicities and the
+    variables left at zero (the fermionic parts are distinct)."""
+    if la.length > nvars:
+        return 0
+    out = math.factorial(nvars) // math.factorial(nvars - la.length)
+    for _, run in itertools.groupby(la.s):
+        out //= math.factorial(len(tuple(run)))
+    return out
+
+
+def test_monomial_matches_placement_oracle():
+    for n in range(7):
+        for m in range(4):
+            for la in enumerate_superpartitions(n, m):
+                for nvars in range(n + m + 2):
+                    if la.length > nvars:
+                        with pytest.raises(ValueError):
+                            monomial(la, nvars)
+                        assert monomial(la, nvars, strict=False).is_zero()
+                        continue
+                    f = monomial(la, nvars)
+                    assert f == monomial(la, nvars, strict=False)
+                    assert f == placement_oracle(la, nvars), (la, nvars)
+                    assert f.num_terms() == multinomial_count(la, nvars), (la, nvars)
+                    assert all(abs(c) == 1 for _, _, c in f.iter_terms())
+                    if nvars <= n + m:
+                        assert f.is_symmetric(), (la, nvars)
+
+
+def test_monomial_rejects_parts_beyond_the_exponent_field():
+    with pytest.raises(ValueError):
+        monomial(SuperPartition(a=(65536,), s=()), 1)
+    with pytest.raises(ValueError):
+        monomial(SuperPartition(a=(), s=(65536,)), 2)
+    assert monomial(SuperPartition(a=(), s=(65535,)), 1) == P.term(1, 1, {1: 65535})
 
 
 def test_default_variable_count():
@@ -151,6 +237,22 @@ def test_constructed_elements_are_symmetric_with_right_bidegree():
                     for mask, key, _ in f.iter_terms():
                         bos = sum(f.key_exponent(key, v) for v in range(1, f.nvars + 1))
                         assert (bos, mask.bit_count()) == (n, m)
+
+
+def int_coefficients(f):
+    return all(type(c) is int for _, _, c in f.iter_terms())
+
+
+def test_integer_products_stay_on_int_coefficients():
+    assert int_coefficients(P.one(3))
+    for basis in ("e", "h", "p"):
+        for la in enumerate_superpartitions(4, 2):
+            f = multiplicative(basis, la, 6)
+            assert not f.is_zero() and int_coefficients(f), (basis, la)
+            assert int_coefficients(multiplicative(basis, la, 6, arrowed=True))
+    for series in (_series_E, _series_H, _series_P):
+        f = series(3, 3)
+        assert not f.is_zero() and int_coefficients(f), series.__name__
 
 
 # -- generating series -------------------------------------------------------------

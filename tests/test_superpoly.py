@@ -191,6 +191,67 @@ def test_alphabet_reshaping():
     assert neg == f.scale(-1)  # x2^2 keeps sign, t2 flips
 
 
+def test_zero_coefficients_are_dropped_on_construction():
+    assert P(2, {0: {0: 0}}) == P.zero(2)
+    assert P(2, {0: {0: 0}}).is_zero()
+    assert P(2, {1: {}, 0: {5: Fraction(0), 3: 2}}).blocks == {0: {3: 2}}
+    assert P(2, {0: {0: 1}, 1: {}}) == P.one(2)
+
+
+def test_linear_combination_accumulates_and_cancels():
+    x1, x2 = P.x(1, 2), P.x(2, 2)
+    assert P.linear_combination(2, [(2, x1), (Fraction(-1, 2), x2), (-1, x1)]) == x1 - x2.scale(
+        Fraction(1, 2)
+    )
+    assert P.linear_combination(2, [(1, x1 + x2), (-1, x1 + x2)]).is_zero()
+    assert P.linear_combination(2, []).is_zero()
+    # an integral Fraction weight leaves int coefficients
+    (c,) = P.linear_combination(2, [(Fraction(3), x1)]).blocks[0].values()
+    assert type(c) is int
+    with pytest.raises(ValueError):
+        P.linear_combination(2, [(1, P.x(1, 3))])
+
+
+BIG = 40000  # two of these overflow a 16-bit exponent field
+
+
+def test_product_exponent_overflow_raises():
+    f = P.term(2, 1, {1: BIG})
+    with pytest.raises(ValueError, match="x1"):
+        f * f
+
+
+def test_restricted_product_exponent_overflow_raises():
+    f = P.term(2, 1, {2: BIG}, thetas=(1,))
+    g = P.term(2, 1, {2: BIG})
+    with pytest.raises(ValueError, match="x2"):
+        f.mul_restricted(g, (1, 2))
+
+
+def test_truncated_product_exponent_overflow_raises():
+    f = P.term(2, 1, {1: BIG})
+    with pytest.raises(ValueError, match="x1"):
+        f.mul_truncated(f, 2 * BIG)
+    with pytest.raises(ValueError, match="x1"):
+        f.mul_truncated(f, 0, vars=(2,))
+
+
+def test_products_reaching_the_field_maximum_are_exact():
+    # both factors use the top bit of a field, so the per-field maxima are
+    # compared, and 32768 + 32767 still fits
+    f = P.term(3, 1, {1: 32768, 3: 1}) + P.term(3, 1, {2: 1})
+    g = P.term(3, 1, {1: 32767}) + P.term(3, 2, {2: 40000})
+    want = (
+        P.term(3, 1, {1: 65535, 3: 1})
+        + P.term(3, 2, {1: 32768, 2: 40000, 3: 1})
+        + P.term(3, 1, {1: 32767, 2: 1})
+        + P.term(3, 2, {2: 40001})
+    )
+    assert f * g == want
+    assert f.mul_restricted(g, ()) == want
+    assert f.mul_truncated(g, 80000) == want
+
+
 def test_euler_scale_multiplies_by_exponent():
     f = P.term(3, 2, {1: 2, 2: 1})
     assert f.euler_scale(1) == f.scale(2)

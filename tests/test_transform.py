@@ -17,6 +17,8 @@ from supersym.transform import (
     expand_in_monomials,
     mono_product,
     mono_product_fillings,
+    _block_matrix,
+    _det_fraction,
     triangularity,
     verify_recursions,
 )
@@ -217,6 +219,15 @@ def test_triangular_expansion_of_arrowed_elementary():
     assert rep["pass"] is True, rep
     assert rep["first_failure"] is None
     assert isinstance(rep["nonneg_surmise_holds"], bool)
+
+
+def test_determinant_of_integer_matrices_is_exact():
+    # the engine's block matrices hold int entries; elimination must not
+    # fall back to float division
+    det = _det_fraction(((3, 1), (1, 1)))
+    assert det == 2 and type(det) is Fraction
+    det = _det_fraction(_block_matrix("p", 4, 1))
+    assert type(det) is Fraction and det != 0
 
 
 def test_arrowed_elementary_leading_term_by_hand():
