@@ -60,6 +60,16 @@ def _symmetric_keys(nslots: int, groups) -> list[int]:
     return [key for key, _ in placed]
 
 
+def _canonical_key(sp: SuperPartition, offset: int = 0) -> int:
+    """Packed exponents of the canonical term of sp, the one monomial()
+    normalises to +1: the parts of sp.as_composition() on the variables
+    offset+1.., whose first fermionic_degree variables carry the thetas."""
+    key = 0
+    for i, e in enumerate(sp.as_composition(), start=offset):
+        key += e << (_FIELD_BITS * i)
+    return key
+
+
 def monomial(sp: SuperPartition, nvars: int, strict: bool = True) -> SuperPolynomial:
     """Monomial basis element: the sum over distinct variable placements.
 
@@ -240,13 +250,11 @@ def basis_element(basis: str, sp: SuperPartition, nvars: int | None = None, arro
 def _series_E(nvars: int, trunc: int) -> SuperPolynomial:
     """prod_i (1 + t x_i + tau t_i) in the ring with t = x_{N+1}, tau = t_{N+1}."""
     big = nvars + 1
+    term = SuperPolynomial.term
     out = SuperPolynomial.one(big)
     for i in range(1, nvars + 1):
-        factor = (
-            SuperPolynomial.one(big)
-            + SuperPolynomial.term(big, 1, {big: 1, i: 1})
-            + SuperPolynomial.term(big, 1, thetas=(big, i))
-        )
+        cell = (term(big, 1), term(big, 1, {big: 1, i: 1}), term(big, 1, thetas=(big, i)))
+        factor = SuperPolynomial.linear_combination(big, ((1, t) for t in cell))
         out = out.mul_truncated(factor, trunc, vars=(big,))
     return out
 
@@ -258,15 +266,14 @@ def _series_H(nvars: int, trunc: int) -> SuperPolynomial:
     second sum needs one extra order since tau carries no t-degree.
     """
     big = nvars + 1
+    term = SuperPolynomial.term
     out = SuperPolynomial.one(big)
     for i in range(1, nvars + 1):
-        factor = SuperPolynomial.zero(big)
-        for k in range(trunc + 1):
-            factor = factor + SuperPolynomial.term(big, 1, {big: k, i: k})
-        for k in range(1, trunc + 2):
-            factor = factor + k * SuperPolynomial.term(
-                big, 1, {big: k - 1, i: k - 1}, thetas=(big, i)
-            )
+        factor = SuperPolynomial.linear_combination(
+            big,
+            [(1, term(big, 1, {big: k, i: k})) for k in range(trunc + 1)]
+            + [(k, term(big, 1, {big: k - 1, i: k - 1}, (big, i))) for k in range(1, trunc + 2)],
+        )
         out = out.mul_truncated(factor, trunc, vars=(big,))
     return out
 
@@ -274,15 +281,12 @@ def _series_H(nvars: int, trunc: int) -> SuperPolynomial:
 def _series_P(nvars: int, trunc: int) -> SuperPolynomial:
     """sum_i (t x_i + tau t_i)/(1 - t x_i - tau t_i) through t-degree trunc."""
     big = nvars + 1
-    out = SuperPolynomial.zero(big)
+    term = SuperPolynomial.term
+    pairs = []
     for i in range(1, nvars + 1):
-        for k in range(1, trunc + 1):
-            out = out + SuperPolynomial.term(big, 1, {big: k, i: k})
-        for k in range(trunc + 1):
-            out = out + (k + 1) * SuperPolynomial.term(
-                big, 1, {big: k, i: k}, thetas=(big, i)
-            )
-    return out
+        pairs += [(1, term(big, 1, {big: k, i: k})) for k in range(1, trunc + 1)]
+        pairs += [(k + 1, term(big, 1, {big: k, i: k}, (big, i))) for k in range(trunc + 1)]
+    return SuperPolynomial.linear_combination(big, pairs)
 
 
 def _split_t_coefficient(series: SuperPolynomial, n: int, big: int):

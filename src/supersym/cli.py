@@ -170,31 +170,36 @@ def _cmd_omega(args) -> int:
 
 def _suite_reports(args) -> list[dict]:
     suite = args.suite
+
+    def given(value, default):
+        # an explicit 0 is a request, not a missing option
+        return default if value is None else value
+
     if suite == "recursions":
-        return [_transform.verify_recursions(args.n_max or 6)]
+        return [_transform.verify_recursions(given(args.n_max, 6))]
     if suite == "determinants":
         reports = []
         for which in _transform.DETERMINANT_KINDS:
             start = 0 if which.startswith(("etilde", "ptilde")) else 1
-            for n in range(start, (args.n_max or 6) + 1):
+            for n in range(start, given(args.n_max, 6) + 1):
                 reports.append(_transform.determinant_formulas(n, which))
         return reports
     if suite == "generating":
-        trunc = args.degree if args.degree is not None else 4
-        nvars = args.nvars or 5
+        trunc = given(args.degree, 4)
+        nvars = given(args.nvars, 5)
         return [
             _bases.generating_check(kind, trunc, nvars)
             for kind in ("E", "H", "P", "HE", "HP", "EP")
         ]
     if suite == "kernel":
-        nvars = args.nvars or 5
-        degree = args.degree if args.degree is not None else 4
+        nvars = given(args.nvars, 5)
+        degree = given(args.degree, 4)
         return [
             _inner.kernel_check(nvars, degree),
             _inner.reproducing_check(nvars, min(degree, 3)),
         ]
     if suite == "duality":
-        n_max = args.n_max or 5
+        n_max = given(args.n_max, 5)
         failure = None
         for n in range(n_max + 1):
             m = 0
@@ -216,9 +221,9 @@ def _suite_reports(args) -> list[dict]:
             }
         ]
     if suite == "orders":
-        return [orders_check(args.n_max or 6)]
+        return [orders_check(given(args.n_max, 6))]
     if suite == "counting":
-        return [count_check(args.n_max or 12)]
+        return [count_check(given(args.n_max, 12))]
     raise SystemExit(f"error: unknown suite {suite!r}")
 
 

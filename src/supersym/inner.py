@@ -22,6 +22,7 @@ from .transform import (
     z_weight,
 )
 from . import bases as _bases
+from .bases import _canonical_key
 
 __all__ = [
     "z_weight",
@@ -121,14 +122,6 @@ def _canonical_index(nvars: int, degree: int):
     return tuple(index)
 
 
-def _exponent_key(sp: SuperPartition, offset: int = 0) -> int:
-    """Packed exponents of the canonical term of sp on variables offset+1.."""
-    key = 0
-    for i, e in enumerate(sp.as_composition(), start=offset):
-        key += e << (_FIELD_BITS * i)
-    return key
-
-
 def _kernel_factors(nvars: int, degree: int, inverse: bool):
     """Bosonic and fermionic factors of prod_{i,j} (1 - x_i y_j - t_i f_j)^(-1)
     (or of the product of (1 + x_i y_j + t_i f_j) when inverse), each
@@ -143,23 +136,24 @@ def _kernel_factors(nvars: int, degree: int, inverse: bool):
     big = 2 * nvars
     xvars = tuple(range(1, nvars + 1))
     top_k = max(k for k in range(nvars + 1) if k * (k - 1) // 2 <= degree)
+    term = SuperPolynomial.term
+    top = 1 if inverse else degree
+    sign = -1 if inverse else 1
     bos = SuperPolynomial.one(big)
     fer = SuperPolynomial.one(big)
     for i in range(1, nvars + 1):
         for j in range(nvars + 1, big + 1):
-            cell_b = SuperPolynomial.zero(big)
-            top = 1 if inverse else degree
-            for k in range(top + 1):
-                cell_b = cell_b + SuperPolynomial.term(big, 1, {i: k, j: k})
+            cell_b = SuperPolynomial.linear_combination(
+                big, [(1, term(big, 1, {i: k, j: k})) for k in range(top + 1)]
+            )
             bos = bos.mul_truncated(cell_b, degree, vars=xvars)
             if i > top_k or j - nvars > top_k:
                 continue
-            cell_f = SuperPolynomial.one(big)
-            for k in range(degree + 1):
-                sign = (-1) ** k if inverse else 1
-                cell_f = cell_f + SuperPolynomial.term(
-                    big, sign, {i: k, j: k}, thetas=(i, j)
-                )
+            cell_f = SuperPolynomial.linear_combination(
+                big,
+                [(1, term(big, 1))]
+                + [(sign**k, term(big, 1, {i: k, j: k}, (i, j))) for k in range(degree + 1)],
+            )
             fer = fer.mul_truncated(cell_f, degree, vars=xvars)
     return bos, fer
 
@@ -182,9 +176,9 @@ def _product_table(nvars: int, degree: int, index, inverse: bool) -> dict:
             for kf, cf in fer.blocks.get(mask | mask << nvars, {}).items()
         ]
         for la in labels:
-            kx = _exponent_key(la)
+            kx = _canonical_key(la)
             for om in labels:
-                target = kx + _exponent_key(om, nvars)
+                target = kx + _canonical_key(om, nvars)
                 fields = tuple((target >> off) & _FIELD_MASK for off in offsets)
                 c = 0
                 for kf, cf, f_fields in f_terms:
@@ -205,7 +199,7 @@ def _sum_table(index, summand) -> dict:
     table = {}
     for n, k, labels in index:
         mask = (1 << k) - 1
-        keys = [_exponent_key(la) for la in labels]
+        keys = [_canonical_key(la) for la in labels]
         for g in enumerate_superpartitions(n, k):
             term = summand(g)
             if term is None:
@@ -297,13 +291,14 @@ def reproducing_check(nvars: int, max_degree: int) -> dict:
                 if m > 0 and n >= nvars:
                     continue  # power sums only span the block below nvars
                 big = 2 * nvars
-                paired = SuperPolynomial.zero(big)
+                pairs = []
                 unit_m = BasisExpansion.unit("m", sp)
                 for om in enumerate_superpartitions(n, m):
                     c = scalar_product(BasisExpansion.unit("p", om), unit_m)
                     if c:
                         py = _bases.multiplicative("p", om, nvars).shift_alphabet(nvars, big)
-                        paired = paired + py.scale(Fraction(c, z_weight(om)))
+                        pairs.append((Fraction(c, z_weight(om)), py))
+                paired = SuperPolynomial.linear_combination(big, pairs)
                 want = _bases.monomial(sp, nvars).shift_alphabet(nvars, big)
                 if paired != want:
                     failure = f"kernel pairing with m_{sp} does not reproduce it"

@@ -42,6 +42,15 @@ def parse_rational(text: str) -> Fraction:
         raise ValueError(f"bad rational {text!r}: {exc}") from None
 
 
+def _exact(c) -> int | Fraction:
+    """An int passes through; anything else becomes a Fraction, and an
+    integral one an int (plain ints keep the hot loops cheap)."""
+    if type(c) is int:
+        return c
+    c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
 def _sort_sign(seq: tuple[int, ...]) -> int | None:
     """Sign of sorting an anticommuting word; None when a letter repeats."""
     if len(set(seq)) != len(seq):
@@ -81,7 +90,10 @@ class SuperPolynomial:
         self.nvars = nvars
         self.blocks = {}
         for mask, terms in (blocks or {}).items():
-            if not all(terms.values()):
+            # copied, so a caller's later edits cannot reach the stored terms
+            if all(terms.values()):
+                terms = dict(terms)
+            else:
                 terms = {k: c for k, c in terms.items() if c}
             if terms:
                 self.blocks[mask] = terms
@@ -104,11 +116,9 @@ class SuperPolynomial:
         sequence of 1-based indices in any order, and the stored coefficient
         picks up the sign of sorting them (zero polynomial on a repeat).
         """
-        c = Fraction(coeff)
-        if c == 0:
+        c = _exact(coeff)
+        if not c:
             return cls.zero(nvars)
-        if c.denominator == 1:
-            c = c.numerator  # plain ints keep the hot loops cheap
         thetas = tuple(thetas)
         sign = _sort_sign(thetas)
         if sign is None:
@@ -130,16 +140,19 @@ class SuperPolynomial:
 
     @classmethod
     def linear_combination(cls, nvars: int, pairs) -> SuperPolynomial:
-        """sum c * f over (c, f) pairs, accumulated in one set of blocks
-        rather than one copied partial sum per summand."""
+        """sum c * f over (c, f) pairs, accumulated in one set of blocks: the
+        one loop behind sums, differences, negation and scalar multiples.
+        A weight may be any rational; integral ones are applied as int."""
         blocks: dict[int, dict[int, Fraction]] = {}
         for c, f in pairs:
             if f.nvars != nvars:
                 raise ValueError(f"mixed rings: {nvars} vs {f.nvars} variables")
-            if isinstance(c, Fraction) and c.denominator == 1:
-                c = c.numerator
+            c = _exact(c)
             for mask, terms in f.blocks.items():
-                dst = blocks.setdefault(mask, {})
+                dst = blocks.get(mask)
+                if dst is None:  # the first summand on a support is copied in one go
+                    blocks[mask] = dict(terms) if c == 1 else {k: c * v for k, v in terms.items()}
+                    continue
                 for key, v in terms.items():
                     dst[key] = dst.get(key, 0) + c * v
         return cls(nvars, blocks)
@@ -201,39 +214,17 @@ class SuperPolynomial:
 
     # -- linear structure -----------------------------------------------------
 
-    def _check_same_ring(self, other: SuperPolynomial) -> None:
-        if self.nvars != other.nvars:
-            raise ValueError(f"mixed rings: {self.nvars} vs {other.nvars} variables")
-
     def __add__(self, other: SuperPolynomial) -> SuperPolynomial:
-        self._check_same_ring(other)
-        blocks = {m: dict(t) for m, t in self.blocks.items()}
-        for mask, terms in other.blocks.items():
-            dst = blocks.setdefault(mask, {})
-            for key, c in terms.items():
-                v = dst.get(key, 0) + c
-                if v:
-                    dst[key] = v
-                else:
-                    dst.pop(key, None)
-        return SuperPolynomial(self.nvars, blocks)
+        return SuperPolynomial.linear_combination(self.nvars, ((1, self), (1, other)))
 
     def __neg__(self) -> SuperPolynomial:
-        return self.scale(-1)
+        return SuperPolynomial.linear_combination(self.nvars, ((-1, self),))
 
     def __sub__(self, other: SuperPolynomial) -> SuperPolynomial:
-        return self + (-other)
+        return SuperPolynomial.linear_combination(self.nvars, ((1, self), (-1, other)))
 
     def scale(self, c) -> SuperPolynomial:
-        c = Fraction(c)
-        if c == 0:
-            return SuperPolynomial.zero(self.nvars)
-        if c.denominator == 1:
-            c = c.numerator
-        return SuperPolynomial(
-            self.nvars,
-            {m: {k: c * v for k, v in t.items()} for m, t in self.blocks.items()},
-        )
+        return SuperPolynomial.linear_combination(self.nvars, ((c, self),))
 
     # -- multiplication ---------------------------------------------------------
 
@@ -257,7 +248,8 @@ class SuperPolynomial:
         its top bit every sum fits, and only otherwise are the per-field
         maxima compared.
         """
-        self._check_same_ring(other)
+        if self.nvars != other.nvars:
+            raise ValueError(f"mixed rings: {self.nvars} vs {other.nvars} variables")
         top_bits = ((1 << (_FIELD_BITS * self.nvars)) - 1) // _FIELD_MASK << (_FIELD_BITS - 1)
         if not (self._key_union() | other._key_union()) & top_bits:
             return
@@ -265,27 +257,54 @@ class SuperPolynomial:
             if ea + eb > _FIELD_MASK:
                 raise ValueError(f"exponent of x{var} in a product would exceed {_FIELD_MASK}")
 
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
+    def _mul(self, other, allowed=-1, max_degree=None, vars=None) -> SuperPolynomial:
+        """The one product loop behind __mul__, mul_restricted and mul_truncated.
+
+        Blocks whose theta mask leaves `allowed` are skipped in both factors
+        (masks only grow under multiplication).  With a degree bound the
+        right factor is bucketed by its degree in `vars`, so each left term
+        stops at the first bucket over its budget; without one there is a
+        single bucket and no degree is computed.
+        """
         self._check_factor(other)
+        fields = None if max_degree is None else self._field_offsets(vars)
+        right = []
+        for mb, tb in other.blocks.items():
+            if mb & ~allowed:
+                continue
+            if fields is None:
+                right.append((mb, ((0, tb.items()),)))
+                continue
+            by_deg: dict[int, list[tuple[int, Fraction]]] = {}
+            for kb, cb in tb.items():
+                by_deg.setdefault(self._key_degree(kb, fields), []).append((kb, cb))
+            right.append((mb, sorted(by_deg.items())))
+        budget = 0  # without a bound, the one bucket has degree 0
         blocks: dict[int, dict[int, Fraction]] = {}
         for ma, ta in self.blocks.items():
-            for mb, tb in other.blocks.items():
+            if ma & ~allowed:
+                continue
+            for mb, buckets in right:
                 if ma & mb:
                     continue
                 sign = _merge_sign(ma, mb)
                 dst = blocks.setdefault(ma | mb, {})
                 for ka, ca in ta.items():
+                    if fields is not None:
+                        budget = max_degree - self._key_degree(ka, fields)
                     sca = sign * ca
-                    for kb, cb in tb.items():
-                        k = ka + kb
-                        v = dst.get(k, 0) + sca * cb
-                        if v:
-                            dst[k] = v
-                        else:
-                            dst.pop(k, None)
+                    for deg, terms in buckets:
+                        if deg > budget:
+                            break
+                        for kb, cb in terms:
+                            k = ka + kb
+                            dst[k] = dst.get(k, 0) + sca * cb
         return SuperPolynomial(self.nvars, blocks)
+
+    def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return self.scale(other)
+        return self._mul(other)
 
     __rmul__ = __mul__
 
@@ -296,64 +315,12 @@ class SuperPolynomial:
         be dropped from both factors up front; useful when only one sector
         of a long product is ever read.
         """
-        self._check_factor(other)
-        allowed = 0
-        for v in theta_vars:
-            allowed |= 1 << (v - 1)
-        blocks: dict[int, dict[int, Fraction]] = {}
-        for ma, ta in self.blocks.items():
-            if ma & ~allowed:
-                continue
-            for mb, tb in other.blocks.items():
-                if mb & ~allowed or ma & mb:
-                    continue
-                sign = _merge_sign(ma, mb)
-                dst = blocks.setdefault(ma | mb, {})
-                for ka, ca in ta.items():
-                    sca = sign * ca
-                    for kb, cb in tb.items():
-                        k = ka + kb
-                        v = dst.get(k, 0) + sca * cb
-                        if v:
-                            dst[k] = v
-                        else:
-                            dst.pop(k, None)
-        return SuperPolynomial(self.nvars, blocks)
+        return self._mul(other, allowed=reduce(or_, (1 << (v - 1) for v in theta_vars), 0))
 
     def mul_truncated(self, other: SuperPolynomial, max_degree: int, vars=None) -> SuperPolynomial:
         """Product keeping only terms of degree <= max_degree in `vars`
         (1-based bosonic indices, default all)."""
-        self._check_factor(other)
-        fields = self._field_offsets(vars)
-        other_bucketed: dict[int, list[tuple[int, list[tuple[int, Fraction]]]]] = {}
-        for mb, tb in other.blocks.items():
-            by_deg: dict[int, list[tuple[int, Fraction]]] = {}
-            for kb, cb in tb.items():
-                by_deg.setdefault(self._key_degree(kb, fields), []).append((kb, cb))
-            other_bucketed[mb] = sorted(by_deg.items())
-        blocks: dict[int, dict[int, Fraction]] = {}
-        for ma, ta in self.blocks.items():
-            for mb, buckets in other_bucketed.items():
-                if ma & mb:
-                    continue
-                sign = _merge_sign(ma, mb)
-                dst = blocks.setdefault(ma | mb, {})
-                for ka, ca in ta.items():
-                    budget = max_degree - self._key_degree(ka, fields)
-                    if budget < 0:
-                        continue
-                    sca = sign * ca
-                    for deg, pairs in buckets:
-                        if deg > budget:
-                            break
-                        for kb, cb in pairs:
-                            k = ka + kb
-                            v = dst.get(k, 0) + sca * cb
-                            if v:
-                                dst[k] = v
-                            else:
-                                dst.pop(k, None)
-        return SuperPolynomial(self.nvars, blocks)
+        return self._mul(other, max_degree=max_degree, vars=vars)
 
     # -- degrees and truncation ---------------------------------------------------
 
@@ -382,7 +349,7 @@ class SuperPolynomial:
         """Same polynomial viewed in a ring with more variables."""
         if nvars < self.nvars:
             raise ValueError(f"cannot narrow {self.nvars} -> {nvars}")
-        return SuperPolynomial(nvars, {m: dict(t) for m, t in self.blocks.items()})
+        return SuperPolynomial(nvars, self.blocks)
 
     def shift_alphabet(self, offset: int, nvars: int) -> SuperPolynomial:
         """Relabel x_i -> x_{i+offset}, t_i -> t_{i+offset}.
@@ -392,15 +359,18 @@ class SuperPolynomial:
         """
         if offset < 0:
             raise ValueError("offset must be >= 0")
-        blocks = {}
-        for mask, terms in self.blocks.items():
-            if mask >> (self.nvars):
-                raise AssertionError("mask outside declared ring")
-            nm = mask << offset
-            if nm >> nvars:
-                raise ValueError("shift exceeds target ring size")
-            blocks[nm] = {k << (_FIELD_BITS * offset): c for k, c in terms.items()}
-        return SuperPolynomial(nvars, blocks)
+        if self.nvars + offset > nvars:
+            raise ValueError(
+                f"shifting {self.nvars} variables by {offset} leaves a ring of {nvars}"
+            )
+        shift = _FIELD_BITS * offset
+        return SuperPolynomial(
+            nvars,
+            {
+                mask << offset: {k << shift: c for k, c in terms.items()}
+                for mask, terms in self.blocks.items()
+            },
+        )
 
     def negate_vars(self, bos_vars=(), ferm_vars=()) -> SuperPolynomial:
         """Substitute x_v -> -x_v and t_v -> -t_v for the listed indices."""
@@ -433,9 +403,7 @@ class SuperPolynomial:
     def select_theta(self, var: int) -> SuperPolynomial:
         """Terms whose theta word contains t_var, unchanged."""
         bit = 1 << (var - 1)
-        return SuperPolynomial(
-            self.nvars, {m: dict(t) for m, t in self.blocks.items() if m & bit}
-        )
+        return SuperPolynomial(self.nvars, {m: t for m, t in self.blocks.items() if m & bit})
 
     def extract_theta_left(self, var: int) -> SuperPolynomial:
         """Coefficient of t_var factored out on the left.
@@ -473,14 +441,16 @@ class SuperPolynomial:
             if (m * (m - 1) // 2) & 1:
                 blocks[mask] = {k: -c for k, c in terms.items()}
             else:
-                blocks[mask] = dict(terms)
+                blocks[mask] = terms
         return SuperPolynomial(self.nvars, blocks)
 
     def apply_exchange(self, i: int) -> SuperPolynomial:
         """Swap variables i and i+1 in both alphabets (1 <= i < nvars).
 
         With both t_i and t_{i+1} present the letters are adjacent in the
-        sorted word, so the swap contributes one transposition sign.
+        sorted word, so the swap contributes one transposition sign.  The
+        exchange is a bijection on (mask, key), so each image term is written
+        once and nothing accumulates.
         """
         if not 1 <= i < self.nvars:
             raise ValueError(f"need 1 <= i < {self.nvars}, got {i}")
@@ -488,7 +458,9 @@ class SuperPolynomial:
         hi = 1 << i
         off_lo = _FIELD_BITS * (i - 1)
         off_hi = _FIELD_BITS * i
-        blocks: dict[int, dict[int, Fraction]] = {}
+        # x_i^a x_{i+1}^b -> x_i^b x_{i+1}^a adds (a - b) * step to the key
+        step = _FIELD_MASK << off_lo
+        blocks = {}
         for mask, terms in self.blocks.items():
             both = mask & (lo | hi)
             if both == lo or both == hi:
@@ -497,16 +469,11 @@ class SuperPolynomial:
             else:
                 nm = mask
                 sign = -1 if both else 1
-            dst = blocks.setdefault(nm, {})
+            dst = blocks[nm] = {}
             for key, c in terms.items():
                 a = (key >> off_lo) & _FIELD_MASK
                 b = (key >> off_hi) & _FIELD_MASK
-                nk = key - (a << off_lo) - (b << off_hi) + (b << off_lo) + (a << off_hi)
-                v = dst.get(nk, 0) + sign * c
-                if v:
-                    dst[nk] = v
-                else:
-                    dst.pop(nk, None)
+                dst[key + (a - b) * step] = sign * c
         return SuperPolynomial(self.nvars, blocks)
 
     def is_symmetric(self) -> bool:

@@ -27,6 +27,7 @@ from types import MappingProxyType
 from .superpartition import SuperPartition, bruhat_leq, enumerate_superpartitions
 from .superpoly import SuperPolynomial, format_rational, parse_rational
 from . import bases as _bases
+from .bases import _canonical_key
 
 __all__ = [
     "BasisExpansion",
@@ -139,10 +140,7 @@ def _infer_bidegree(f: SuperPolynomial) -> tuple[int, int]:
 
 def _probe_coefficient(f: SuperPolynomial, sp: SuperPartition) -> Fraction:
     """Coefficient of t_1..t_m x_1^{a_1}.. x_m^{a_m} x_{m+1}^{s_1}.. in f."""
-    m = sp.fermionic_degree
-    powers = {i + 1: a for i, a in enumerate(sp.a)}
-    powers.update({m + j + 1: s for j, s in enumerate(sp.s)})
-    return f.coefficient(powers, thetas=tuple(range(1, m + 1)))
+    return f.blocks.get((1 << sp.fermionic_degree) - 1, {}).get(_canonical_key(sp), 0)
 
 
 @cache

@@ -154,6 +154,18 @@ def test_verify_orders_passes(capsys):
     assert out.startswith("[PASS]")
 
 
+def test_verify_zero_sizes_are_not_replaced_by_defaults(capsys):
+    rc, _, err = run(capsys, "verify", "--suite", "recursions", "--n-max", "0")
+    assert rc == 2
+    assert "n_max" in err
+    rc, _, err = run(capsys, "verify", "--suite", "kernel", "--nvars", "0")
+    assert rc == 2
+    assert "nvars" in err
+    rc, out, _ = run(capsys, "verify", "--suite", "orders", "--n-max", "0", "--format", "json")
+    assert rc == 0
+    assert json.loads(out)["reports"][0]["params"] == {"n_max": 0}
+
+
 def test_verify_counting_json(capsys):
     rc, out, _ = run(capsys, "verify", "--suite", "counting", "--n-max", "6", "--format", "json")
     assert rc == 0

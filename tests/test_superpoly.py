@@ -191,6 +191,29 @@ def test_alphabet_reshaping():
     assert neg == f.scale(-1)  # x2^2 keeps sign, t2 flips
 
 
+def test_shift_alphabet_must_stay_in_the_target_ring():
+    # x2 shifted by one is x3, which a 2-variable ring does not have
+    with pytest.raises(ValueError):
+        P.x(2, 2).shift_alphabet(1, 2)
+    with pytest.raises(ValueError):
+        P.one(3).shift_alphabet(2, 4)  # even a constant names its ring
+    assert P.x(2, 2).shift_alphabet(1, 3) == P.x(3, 3)
+
+
+def test_construction_copies_the_callers_terms():
+    d = {0: {0: 1}}
+    p = P(1, d)
+    d[0][0] = 0
+    d[1] = {0: 5}
+    assert p == P.one(1)
+    assert not p.is_zero()
+    # a copy is made on the path that sweeps out zeros too
+    e = {0: {0: 1, 1: 0}}
+    q = P(1, e)
+    e[0][0] = 7
+    assert q == P.one(1)
+
+
 def test_zero_coefficients_are_dropped_on_construction():
     assert P(2, {0: {0: 0}}) == P.zero(2)
     assert P(2, {0: {0: 0}}).is_zero()
@@ -208,6 +231,9 @@ def test_linear_combination_accumulates_and_cancels():
     # an integral Fraction weight leaves int coefficients
     (c,) = P.linear_combination(2, [(Fraction(3), x1)]).blocks[0].values()
     assert type(c) is int
+    for f in (x1.scale(Fraction(3)), x1 + x1):
+        (c,) = f.blocks[0].values()
+        assert type(c) is int
     with pytest.raises(ValueError):
         P.linear_combination(2, [(1, P.x(1, 3))])
 
@@ -279,16 +305,17 @@ def small_polys(draw):
 def test_truncated_product_agrees_with_full(f, g):
     for d in (0, 1, 2, 3):
         assert f.mul_truncated(g, d) == (f * g).truncate(d)
+        for vars in ((1,), (2, 3)):
+            assert f.mul_truncated(g, d, vars) == (f * g).truncate(d, vars)
 
 
 @given(small_polys(), small_polys())
 @settings(max_examples=120, deadline=None)
 def test_restricted_product_agrees_on_allowed_sectors(f, g):
-    allowed = (1, 2)
-    allowed_mask = 0b011
     full = f * g
-    kept = P(3, {m: b for m, b in full.blocks.items() if m | allowed_mask == allowed_mask})
-    assert f.mul_restricted(g, allowed) == kept
+    for allowed, allowed_mask in (((1, 2), 0b011), ((), 0), ((1, 3), 0b101)):
+        kept = P(3, {m: b for m, b in full.blocks.items() if m | allowed_mask == allowed_mask})
+        assert f.mul_restricted(g, allowed) == kept
 
 
 @given(small_polys())
