@@ -4,94 +4,47 @@ Superpartitions index everything; polynomials mix commuting variables
 x1..xN with anticommuting t1..tN; the four classical bases (monomial,
 elementary, complete, power sum) convert into each other exactly over the
 rationals and pair under a diagonal scalar product with Cauchy kernels.
-"""
 
-from .superpartition import (
-    Diagram,
-    SparError,
-    SuperPartition,
-    apply_move,
-    bruhat_leq,
-    count_check,
-    dominance_leq,
-    enumerate_superpartitions,
-    orders_check,
-)
-from .superpoly import SuperPolynomial, format_rational, parse_rational
-from .bases import (
-    basis_element,
-    complete,
-    complete_tilde,
-    default_nvars,
-    elementary,
-    elementary_tilde,
-    generating_check,
-    monomial,
-    multiplicative,
-    powersum,
-    powersum_tilde,
-)
-from .transform import (
-    BasisExpansion,
-    change_basis,
-    determinant_formulas,
-    expand_in_monomials,
-    mono_product,
-    mono_product_fillings,
-    triangularity,
-    verify_recursions,
-)
-from .inner import (
-    dual_bases_check,
-    eh_in_p,
-    kernel_check,
-    omega,
-    omega_sign,
-    reproducing_check,
-    scalar_product,
-    z_weight,
-)
+The names below are loaded on first use, each from the module listed with
+it, so importing the package (or one light submodule) does not compile the
+polynomial engine.
+"""
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BasisExpansion",
-    "Diagram",
-    "SparError",
-    "SuperPartition",
-    "SuperPolynomial",
-    "apply_move",
-    "basis_element",
-    "bruhat_leq",
-    "change_basis",
-    "complete",
-    "complete_tilde",
-    "count_check",
-    "default_nvars",
-    "determinant_formulas",
-    "dominance_leq",
-    "dual_bases_check",
-    "eh_in_p",
-    "elementary",
-    "elementary_tilde",
-    "enumerate_superpartitions",
-    "expand_in_monomials",
-    "format_rational",
-    "generating_check",
-    "kernel_check",
-    "mono_product",
-    "mono_product_fillings",
-    "monomial",
-    "multiplicative",
-    "omega",
-    "omega_sign",
-    "orders_check",
-    "parse_rational",
-    "powersum",
-    "powersum_tilde",
-    "reproducing_check",
-    "scalar_product",
-    "triangularity",
-    "verify_recursions",
-    "z_weight",
-]
+_HOMES = {
+    "superpartition": (
+        "Diagram", "SparError", "SuperPartition", "apply_move", "bruhat_leq",
+        "count_check", "dominance_leq", "enumerate_superpartitions", "orders_check",
+    ),
+    "superpoly": ("SuperPolynomial",),
+    "bases": (
+        "basis_element", "complete", "complete_tilde", "default_nvars", "elementary",
+        "elementary_tilde", "generating_check", "monomial", "multiplicative",
+        "powersum", "powersum_tilde",
+    ),
+    "transform": (
+        "BasisExpansion", "change_basis", "determinant_formulas", "eh_in_p",
+        "expand_in_monomials", "format_rational", "mono_product", "mono_product_fillings",
+        "omega", "omega_sign", "parse_rational", "scalar_product", "triangularity",
+        "verify_recursions", "z_weight",
+    ),
+    "inner": ("dual_bases_check", "kernel_check", "reproducing_check"),
+}
+_HOME = {name: module for module, names in _HOMES.items() for name in names}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    module = _HOME.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+    value = getattr(import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -17,7 +17,7 @@ import itertools
 from fractions import Fraction
 from functools import cache
 
-from .superpartition import SuperPartition, enumerate_superpartitions
+from .superpartition import BASIS_NAMES, SuperPartition, enumerate_superpartitions  # noqa: F401
 from .superpoly import SuperPolynomial, _FIELD_BITS, _FIELD_MASK, _sort_sign
 
 __all__ = [
@@ -33,9 +33,6 @@ __all__ = [
     "default_nvars",
     "generating_check",
 ]
-
-BASIS_NAMES = ("m", "e", "h", "p")
-
 
 def default_nvars(sp: SuperPartition) -> int:
     """Enough variables for a faithful expansion of anything in the block:

@@ -9,16 +9,19 @@ involution, and the verification suites.  Superpartitions are written
 Output is text or JSON (--format, defaulting to the SUPERSYM_FORMAT
 environment variable).  Exit status: 0 on success or a passing suite, 1 on
 a failing verification, 2 on usage errors.
+
+Each command imports only the library modules it runs: `conj`, `order` and
+`list` need superpartition; `convert`, `mult`, `inner` and `omega` add transform.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
 from .superpartition import (
+    BASIS_NAMES,
     SparError,
     SuperPartition,
     bruhat_leq,
@@ -27,10 +30,6 @@ from .superpartition import (
     enumerate_superpartitions,
     orders_check,
 )
-from .superpoly import format_rational
-from . import bases as _bases
-from . import inner as _inner
-from . import transform as _transform
 
 
 def _parse_spar(text: str) -> SuperPartition:
@@ -41,23 +40,26 @@ def _parse_spar(text: str) -> SuperPartition:
 
 
 def _parse_expr(text: str):
+    from .transform import BasisExpansion
     basis, sep, spar = text.partition(":")
-    if not sep or basis not in _bases.BASIS_NAMES:
+    if not sep or basis not in BASIS_NAMES:
         raise SystemExit(
-            f"error: expected 'basis:spar' with basis in {_bases.BASIS_NAMES}, got {text!r}"
+            f"error: expected 'basis:spar' with basis in {BASIS_NAMES}, got {text!r}"
         )
-    return _transform.BasisExpansion.unit(basis, _parse_spar(spar))
+    return BasisExpansion.unit(basis, _parse_spar(spar))
 
 
 def _emit(args, payload: dict, text_lines) -> None:
     if args.format == "json":
+        import json
         print(json.dumps(payload, indent=2))
     else:
         for line in text_lines:
             print(line)
 
 
-def _expansion_lines(exp: _transform.BasisExpansion):
+def _expansion_lines(exp):
+    from .transform import format_rational
     yield f"# basis={exp.basis} n={exp.n} m={exp.m}"
     if not exp.coeffs:
         yield "0"
@@ -116,10 +118,11 @@ def _cmd_order(args) -> int:
 
 
 def _cmd_build(args) -> int:
+    from .bases import basis_element, default_nvars
     sp = _parse_spar(args.spar)
-    nvars = args.nvars if args.nvars is not None else _bases.default_nvars(sp)
+    nvars = args.nvars if args.nvars is not None else default_nvars(sp)
     try:
-        poly = _bases.basis_element(args.basis, sp, nvars, arrowed=args.arrow)
+        poly = basis_element(args.basis, sp, nvars, arrowed=args.arrow)
     except ValueError as exc:
         raise SystemExit(f"error: {exc}") from None
     payload = {
@@ -136,23 +139,24 @@ def _cmd_build(args) -> int:
 def _cmd_mult(args) -> int:
     if args.basis != "m":
         raise SystemExit("error: product expansion is implemented for --basis m")
+    from .transform import mono_product
     a, b = _parse_spar(args.spar1), _parse_spar(args.spar2)
-    exp = _transform.mono_product(a, b)
+    exp = mono_product(a, b)
     _emit(args, exp.to_json_dict(), _expansion_lines(exp))
     return 0
 
 
 def _cmd_convert(args) -> int:
+    from .transform import BasisExpansion, change_basis
     sp = _parse_spar(args.spar)
-    exp = _transform.change_basis(
-        _transform.BasisExpansion.unit(args.from_basis, sp), args.to_basis
-    )
+    exp = change_basis(BasisExpansion.unit(args.from_basis, sp), args.to_basis)
     _emit(args, exp.to_json_dict(), _expansion_lines(exp))
     return 0
 
 
 def _cmd_inner(args) -> int:
-    value = _inner.scalar_product(_parse_expr(args.expr1), _parse_expr(args.expr2))
+    from .transform import format_rational, scalar_product
+    value = scalar_product(_parse_expr(args.expr1), _parse_expr(args.expr2))
     _emit(
         args,
         {"left": args.expr1, "right": args.expr2, "value": format_rational(value)},
@@ -162,8 +166,9 @@ def _cmd_inner(args) -> int:
 
 
 def _cmd_omega(args) -> int:
+    from .transform import BasisExpansion, omega
     sp = _parse_spar(args.spar)
-    exp = _inner.omega(_transform.BasisExpansion.unit(args.basis, sp))
+    exp = omega(BasisExpansion.unit(args.basis, sp))
     _emit(args, exp.to_json_dict(), _expansion_lines(exp))
     return 0
 
@@ -175,39 +180,48 @@ def _suite_reports(args) -> list[dict]:
         # an explicit 0 is a request, not a missing option
         return default if value is None else value
 
+    if args.n_max is not None and args.n_max < 0:
+        # some suites would check no block at all and report a pass
+        raise ValueError(f"need n_max >= 0, got {args.n_max}")
+
     if suite == "recursions":
-        return [_transform.verify_recursions(given(args.n_max, 6))]
+        from .engine_checks import verify_recursions
+        return [verify_recursions(given(args.n_max, 6))]
     if suite == "determinants":
+        from .engine_checks import DETERMINANT_KINDS, determinant_formulas
         reports = []
-        for which in _transform.DETERMINANT_KINDS:
+        for which in DETERMINANT_KINDS:
             start = 0 if which.startswith(("etilde", "ptilde")) else 1
             for n in range(start, given(args.n_max, 6) + 1):
-                reports.append(_transform.determinant_formulas(n, which))
+                reports.append(determinant_formulas(n, which))
         return reports
     if suite == "generating":
+        from .bases import generating_check
         trunc = given(args.degree, 4)
         nvars = given(args.nvars, 5)
         return [
-            _bases.generating_check(kind, trunc, nvars)
+            generating_check(kind, trunc, nvars)
             for kind in ("E", "H", "P", "HE", "HP", "EP")
         ]
     if suite == "kernel":
+        from .inner import kernel_check, reproducing_check
         nvars = given(args.nvars, 5)
         degree = given(args.degree, 4)
         return [
-            _inner.kernel_check(nvars, degree),
-            _inner.reproducing_check(nvars, min(degree, 3)),
+            kernel_check(nvars, degree),
+            reproducing_check(nvars, min(degree, 3)),
         ]
     if suite == "duality":
+        from .inner import dual_bases_check
         n_max = given(args.n_max, 5)
         failure = None
         for n in range(n_max + 1):
             m = 0
             while failure is None and m * (m - 1) // 2 <= n and m <= 3:
                 if enumerate_superpartitions(n, m):
-                    if not _inner.dual_bases_check(n, m, "h", "m"):
+                    if not dual_bases_check(n, m, "h", "m"):
                         failure = f"h-m duality fails on block ({n}|{m})"
-                    elif not _inner.dual_bases_check(n, m, "p", "p/z"):
+                    elif not dual_bases_check(n, m, "p", "p/z"):
                         failure = f"p-p/z duality fails on block ({n}|{m})"
                 m += 1
             if failure:
@@ -269,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("spar2")
 
     p = add("build", _cmd_build, help="expand a basis element as a polynomial")
-    p.add_argument("--basis", choices=_bases.BASIS_NAMES, required=True)
+    p.add_argument("--basis", choices=BASIS_NAMES, required=True)
     p.add_argument("spar")
     p.add_argument("--nvars", type=int, default=None)
     p.add_argument("--arrow", action="store_true", help="apply the sector sign")
@@ -280,8 +294,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("spar2")
 
     p = add("convert", _cmd_convert, help="convert a basis element between bases")
-    p.add_argument("--from", dest="from_basis", choices=_bases.BASIS_NAMES, required=True)
-    p.add_argument("--to", dest="to_basis", choices=_bases.BASIS_NAMES, required=True)
+    p.add_argument("--from", dest="from_basis", choices=BASIS_NAMES, required=True)
+    p.add_argument("--to", dest="to_basis", choices=BASIS_NAMES, required=True)
     p.add_argument("spar")
 
     p = add("inner", _cmd_inner, help="scalar product of two basis elements")
@@ -289,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("expr2")
 
     p = add("omega", _cmd_omega, help="apply the e-h involution to a basis element")
-    p.add_argument("--basis", choices=_bases.BASIS_NAMES, required=True)
+    p.add_argument("--basis", choices=BASIS_NAMES, required=True)
     p.add_argument("spar")
 
     p = add("verify", _cmd_verify, help="run a verification suite")

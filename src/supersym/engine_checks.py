@@ -1,0 +1,394 @@
+"""The polynomial-engine oracle: expansions over monomials and identity checks.
+
+A symmetric homogeneous polynomial is expanded over monomials by reading off
+the coefficients of the defining monomials t_1..t_m x^L; the block matrices
+built that way are what the power-sum pivot of transform is tested against.
+The generator recursions, the determinantal formulas and the triangularity
+of the elementary basis are checked exactly.  The public names are listed
+in transform.__all__ and also read as transform.<name>.
+"""
+
+from __future__ import annotations
+
+import math
+from fractions import Fraction
+from functools import cache
+
+from .superpartition import SuperPartition, bruhat_leq, enumerate_superpartitions
+from .superpoly import SuperPolynomial
+from . import bases as _bases
+from .bases import _canonical_key
+from .transform import BasisExpansion
+
+
+# -- expansion in monomials ----------------------------------------------------
+
+
+def _infer_bidegree(f: SuperPolynomial) -> tuple[int, int]:
+    seen = set()
+    offsets = f._field_offsets()
+    for mask, key, _ in f.iter_terms():
+        seen.add((f._key_degree(key, offsets), mask.bit_count()))
+    if not seen:
+        raise ValueError("cannot infer the bidegree of the zero polynomial")
+    if len(seen) > 1:
+        raise ValueError(f"not homogeneous: bidegrees {sorted(seen)} all present")
+    return seen.pop()
+
+
+def _probe_coefficient(f: SuperPolynomial, sp: SuperPartition) -> Fraction:
+    """Coefficient of t_1..t_m x_1^{a_1}.. x_m^{a_m} x_{m+1}^{s_1}.. in f."""
+    return f.blocks.get((1 << sp.fermionic_degree) - 1, {}).get(_canonical_key(sp), 0)
+
+
+@cache
+def _monomial_polys(n: int, m: int, nvars: int) -> tuple[tuple[SuperPartition, SuperPolynomial], ...]:
+    return tuple(
+        (sp, _bases.monomial(sp, nvars))
+        for sp in enumerate_superpartitions(n, m, max_len=nvars)
+    )
+
+
+def expand_in_monomials(f: SuperPolynomial, bidegree: tuple[int, int] | None = None) -> BasisExpansion:
+    """Expand a symmetric homogeneous polynomial over the monomial basis.
+
+    Coefficients are read off the defining monomials; the result is then
+    re-assembled and compared with the input, so a non-symmetric polynomial
+    (or one outside the span at this number of variables) raises.
+    """
+    n, m = bidegree if bidegree is not None else _infer_bidegree(f)
+    coeffs: dict[SuperPartition, Fraction] = {}
+    summands = []
+    for sp, poly in _monomial_polys(n, m, f.nvars):
+        c = _probe_coefficient(f, sp)
+        if c:
+            coeffs[sp] = c
+            summands.append((c, poly))
+    if SuperPolynomial.linear_combination(f.nvars, summands) != f:
+        raise ValueError(
+            "polynomial is not symmetric (or not in the monomial span at "
+            f"{f.nvars} variables)"
+        )
+    return BasisExpansion("m", n, m, coeffs)
+
+
+# -- the engine oracle for basis changes --------------------------------------------
+
+
+@cache
+def _basis_in_monomials(basis: str, sp: SuperPartition) -> tuple[tuple[SuperPartition, Fraction], ...]:
+    """Monomial coefficients of one product-basis element, built by the
+    polynomial engine at stable N: the slow reference for change_basis and
+    for triangularity.
+
+    Only the t_1..t_m sector is ever probed, so the generator product is
+    built with that restriction (sound: theta supports only grow).  Inputs
+    are symmetric by construction, so the probe alone is exact; the
+    engine-versus-rule tests cover the reconstruction separately.
+    """
+    n, m = sp.bidegree
+    # probe monomials live on the first l(cand) variables, and their
+    # coefficients are stable once nvars covers the longest candidate
+    nvars = max(sp.length, m + n - m * (m - 1) // 2)
+    sector = tuple(range(1, m + 1))
+    plain, tilde = _bases.generator_functions(basis)
+    poly = SuperPolynomial.one(nvars)
+    for a in sp.a:
+        poly = poly.mul_restricted(tilde(a, nvars), sector)
+    for s in sp.s:
+        poly = poly.mul_restricted(plain(s, nvars), sector)
+    out = []
+    for cand in enumerate_superpartitions(n, m):
+        c = _probe_coefficient(poly, cand)
+        if c:
+            out.append((cand, c))
+    return tuple(out)
+
+
+@cache
+def _block_matrix(basis: str, n: int, m: int) -> tuple[tuple[Fraction, ...], ...]:
+    """Column j holds the engine-built monomial coordinates of the j-th
+    basis element."""
+    block = enumerate_superpartitions(n, m)
+    index = {sp: i for i, sp in enumerate(block)}
+    k = len(block)
+    mat = [[Fraction(0)] * k for _ in range(k)]
+    for j, sp in enumerate(block):
+        for cand, c in _basis_in_monomials(basis, sp):
+            mat[index[cand]][j] = c
+    return tuple(tuple(row) for row in mat)
+
+
+# -- recursion identities ---------------------------------------------------------
+
+
+def verify_recursions(n_max: int) -> dict:
+    """Check the six generator recursions exactly at N = n_max + 2.
+
+    Bosonic, n >= 1:
+      sum_r (-1)^r e_r h_{n-r} = 0
+      n h_n = sum_{r>=1} p_r h_{n-r}
+      n e_n = sum_{r>=1} (-1)^{r+1} p_r e_{n-r}
+    Mixed, n >= 0 (p_0 = 0):
+      sum_r (-1)^r (e_r th_{n-r} - te_r h_{n-r}) = 0
+      (n+1) th_n = sum_r [p_r th_{n-r} + (r+1) tp_r h_{n-r}]
+      (n+1) te_n = sum_r (-1)^{r+1} [p_r te_{n-r} - (r+1) tp_r e_{n-r}]
+    """
+    if n_max < 1:
+        raise ValueError(f"need n_max >= 1, got {n_max}")
+    nv = n_max + 2
+    e = [_bases.elementary(k, nv) for k in range(n_max + 1)]
+    te = [_bases.elementary_tilde(k, nv) for k in range(n_max + 1)]
+    h = [_bases.complete(k, nv) for k in range(n_max + 1)]
+    th = [_bases.complete_tilde(k, nv) for k in range(n_max + 1)]
+    p = [_bases.powersum(k, nv) for k in range(n_max + 1)]
+    tp = [_bases.powersum_tilde(k, nv) for k in range(n_max + 1)]
+    zero = SuperPolynomial.zero(nv)
+    failure = None
+    for n in range(n_max + 1):
+        checks = []
+        if n >= 1:
+            acc = zero
+            for r in range(n + 1):
+                acc = acc + (e[r] * h[n - r]).scale((-1) ** r)
+            checks.append(("alternating e-h convolution", acc == zero))
+            acc = zero
+            for r in range(1, n + 1):
+                acc = acc + p[r] * h[n - r]
+            checks.append(("n h_n from p convolution", acc == h[n].scale(n)))
+            acc = zero
+            for r in range(1, n + 1):
+                acc = acc + (p[r] * e[n - r]).scale((-1) ** (r + 1))
+            checks.append(("n e_n from p convolution", acc == e[n].scale(n)))
+        acc = zero
+        for r in range(n + 1):
+            acc = acc + (e[r] * th[n - r] - te[r] * h[n - r]).scale((-1) ** r)
+        checks.append(("alternating mixed e-h convolution", acc == zero))
+        acc = zero
+        for r in range(n + 1):
+            acc = acc + p[r] * th[n - r] + (tp[r] * h[n - r]).scale(r + 1)
+        checks.append(("(n+1) th_n convolution", acc == th[n].scale(n + 1)))
+        acc = zero
+        for r in range(n + 1):
+            acc = acc + (p[r] * te[n - r] - (tp[r] * e[n - r]).scale(r + 1)).scale((-1) ** (r + 1))
+        checks.append(("(n+1) te_n convolution", acc == te[n].scale(n + 1)))
+        for name, ok in checks:
+            if not ok:
+                failure = f"n={n}: {name} fails at N={nv}"
+                break
+        if failure:
+            break
+    return {
+        "check": "recursions",
+        "params": {"n_max": n_max, "nvars": nv},
+        "pass": failure is None,
+        "first_failure": failure,
+    }
+
+
+# -- determinantal formulas ---------------------------------------------------------
+
+
+def _hessenberg_det(size, row1, entry, subdiag, nvars) -> SuperPolynomial:
+    """Determinant of an upper-Hessenberg matrix with scalar subdiagonal.
+
+    row1[j-1] is the (1,j) entry (the only possibly anticommuting ones);
+    entry(i, j) gives rows i >= 2 on and above the diagonal; subdiag(l) is
+    the scalar (l+1, l) entry.  Leading-minor recursion: each term of the
+    expansion uses exactly one first-row entry, everything else commutes.
+    """
+    minors = [SuperPolynomial.one(nvars)]
+    for k in range(1, size + 1):
+        summands = []
+        sdp = 1
+        for i in range(k, 0, -1):
+            a_ik = row1[k - 1] if i == 1 else entry(i, k)
+            if not a_ik.is_zero():
+                factor = sdp if (k - i) % 2 == 0 else -sdp
+                summands.append((factor, a_ik * minors[i - 1]))
+            if i > 1:
+                sdp *= subdiag(i - 1)
+        minors.append(SuperPolynomial.linear_combination(nvars, summands))
+    return minors[size]
+
+
+DETERMINANT_KINDS = (
+    "e_in_h",
+    "etilde_in_h",
+    "p_in_e",
+    "ptilde_in_e",
+    "e_in_p",
+    "etilde_in_p",
+)
+
+
+def determinant_formulas(n: int, which: str, nvars: int | None = None) -> dict:
+    """Check one determinantal identity and its involution image, exactly.
+
+    kinds (primal determinant -> image determinant):
+      e_in_h:      e_n = det(h band)          ->  h_n = det(e band)
+      etilde_in_h: n! te_n = det(th, h band)  ->  n! th_n = det(te, e band)
+      p_in_e:      p_n = det(j e_j row)       ->  (-1)^(n-1) p_n = det(j h_j row)
+      ptilde_in_e: tp_n = det(te, e band)     ->  (-1)^n tp_n = det(th, h band)
+      e_in_p:      n! e_n = det(p band)       ->  n! h_n = det(signed p band)
+      etilde_in_p: n! te_n = det(tp, p band)  ->  n! th_n = det(signed tp, p band)
+    """
+    if which not in DETERMINANT_KINDS:
+        raise ValueError(f"which must be one of {DETERMINANT_KINDS}, got {which!r}")
+    fermionic = which.startswith(("etilde", "ptilde"))
+    if n < (0 if fermionic else 1):
+        raise ValueError(f"{which} needs n >= {0 if fermionic else 1}, got {n}")
+    nv = nvars if nvars is not None else n + 2
+    size = n + 1 if fermionic else n
+    e = [_bases.elementary(k, nv) for k in range(size + 1)]
+    te = [_bases.elementary_tilde(k, nv) for k in range(size + 1)]
+    h = [_bases.complete(k, nv) for k in range(size + 1)]
+    th = [_bases.complete_tilde(k, nv) for k in range(size + 1)]
+    p = [_bases.powersum(k, nv) for k in range(size + 1)]
+    tp = [_bases.powersum_tilde(k, nv) for k in range(size + 1)]
+    zero = SuperPolynomial.zero(nv)
+
+    def band(fam):
+        return lambda i, j: fam[j - i + 1] if j - i + 1 >= 0 else zero
+
+    def signed_band(fam):
+        return lambda i, j: (
+            fam[j - i + 1].scale((-1) ** (j - i)) if j - i + 1 >= 0 else zero
+        )
+
+    one_sd = lambda l: 1
+    fact = math.factorial(n)
+
+    if which == "e_in_h":
+        cases = [
+            ("primal", [h[j] for j in range(1, n + 1)], band(h), one_sd, e[n]),
+            ("image", [e[j] for j in range(1, n + 1)], band(e), one_sd, h[n]),
+        ]
+    elif which == "etilde_in_h":
+        def weighted(fam):
+            return lambda i, j: fam[j - i + 1].scale(n + j - 2 * i + 3) if j - i + 1 >= 0 else zero
+        sd = lambda l: n - l + 1
+        cases = [
+            ("primal", [th[j - 1] for j in range(1, n + 2)], weighted(h), sd, te[n].scale(fact)),
+            ("image", [te[j - 1] for j in range(1, n + 2)], weighted(e), sd, th[n].scale(fact)),
+        ]
+    elif which == "p_in_e":
+        cases = [
+            ("primal", [e[j].scale(j) for j in range(1, n + 1)], band(e), one_sd, p[n]),
+            ("image", [h[j].scale(j) for j in range(1, n + 1)], band(h), one_sd,
+             p[n].scale((-1) ** (n - 1))),
+        ]
+    elif which == "ptilde_in_e":
+        cases = [
+            ("primal", [te[j - 1] for j in range(1, n + 2)], band(e), one_sd, tp[n]),
+            ("image", [th[j - 1] for j in range(1, n + 2)], band(h), one_sd,
+             tp[n].scale((-1) ** n)),
+        ]
+    elif which == "e_in_p":
+        sd = lambda l: l
+        cases = [
+            ("primal", [p[j] for j in range(1, n + 1)], band(p), sd, e[n].scale(fact)),
+            ("image", [p[j].scale((-1) ** (j - 1)) for j in range(1, n + 1)],
+             signed_band(p), sd, h[n].scale(fact)),
+        ]
+    else:  # etilde_in_p
+        sd = lambda l: n - l + 1
+        cases = [
+            ("primal", [tp[j - 1] for j in range(1, n + 2)], band(p), sd, te[n].scale(fact)),
+            ("image", [tp[j - 1].scale((-1) ** (j - 1)) for j in range(1, n + 2)],
+             signed_band(p), sd, th[n].scale(fact)),
+        ]
+
+    failure = None
+    for name, row1, entry, sd, want in cases:
+        det = _hessenberg_det(size, row1, entry, sd, nv)
+        if det != want:
+            failure = f"{which} {name} determinant differs at n={n}, N={nv}"
+            break
+    return {
+        "check": f"determinant-{which}",
+        "params": {"n": n, "nvars": nv},
+        "pass": failure is None,
+        "first_failure": failure,
+    }
+
+
+# -- triangularity of the elementary family ------------------------------------------
+
+
+def _det_fraction(mat) -> Fraction:
+    k = len(mat)
+    m = [list(row) for row in mat]
+    det = Fraction(1)
+    for col in range(k):
+        piv = next((r for r in range(col, k) if m[r][col]), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != col:
+            m[col], m[piv] = m[piv], m[col]
+            det = -det
+        det *= m[col][col]
+        inv = Fraction(1) / m[col][col]
+        for r in range(col + 1, k):
+            if m[r][col]:
+                f = m[r][col] * inv
+                m[r] = [a - f * b for a, b in zip(m[r], m[col])]
+    return det
+
+
+def triangularity(n_max: int) -> dict:
+    """Leading-term structure of the arrowed elementary basis, per block.
+
+    For every block (n|m), n <= n_max: the expansion of the arrowed e over
+    monomials has integer coefficients, coefficient 1 on the conjugate
+    label, and support strictly below the conjugate in the Bruhat-style
+    order.  Also checks that the e matrix is unimodular and the p matrix
+    invertible.  The report carries an informational flag for whether all
+    observed e coefficients were nonnegative (not asserted anywhere).
+    """
+    failure = None
+    nonneg = True
+    for n in range(n_max + 1):
+        m = 0
+        while failure is None and m * (m - 1) // 2 <= n:
+            block = enumerate_superpartitions(n, m)
+            if not block:
+                m += 1
+                continue
+            arrow_sign = -1 if (m * (m - 1) // 2) % 2 else 1
+            for sp in block:
+                conj = sp.conjugate()
+                for cand, c in _basis_in_monomials("e", sp):
+                    cc = c * arrow_sign
+                    if cc.denominator != 1:
+                        failure = f"e_{sp}: non-integer coefficient {cc} on {cand}"
+                        break
+                    if cc < 0:
+                        nonneg = False
+                    if cand == conj:
+                        if cc != 1:
+                            failure = f"e_{sp}: coefficient on {conj} is {cc}, not 1"
+                            break
+                    elif not (bruhat_leq(cand, conj) and cand != conj):
+                        failure = f"e_{sp}: support {cand} not strictly below {conj}"
+                        break
+                if failure:
+                    break
+            if failure:
+                break
+            if _det_fraction(_block_matrix("e", n, m)) not in (1, -1):
+                failure = f"e matrix on block ({n}|{m}) is not unimodular"
+                break
+            if _det_fraction(_block_matrix("p", n, m)) == 0:
+                failure = f"p matrix on block ({n}|{m}) is singular"
+                break
+            m += 1
+        if failure:
+            break
+    return {
+        "check": "triangularity",
+        "params": {"n_max": n_max},
+        "pass": failure is None,
+        "first_failure": failure,
+        "nonneg_surmise_holds": nonneg,
+    }

@@ -1,10 +1,10 @@
-"""Scalar product, the e-h involution, dual bases, and Cauchy kernels.
+"""Dual bases and Cauchy kernels, checked against the polynomial engine.
 
-The bilinear form is diagonal on power sums: the left slot carries the
-sector sign (-1)^(m(m-1)/2) (reversed theta order) and the right slot is
-plain, which makes <p_L, p_O> = z_L delta exactly as displayed everywhere
-below.  scalar_product works on that convention; pass raw=True to pair two
-plain polynomials literally (one extra sector sign).
+The scalar product and the e-h involution are diagonal on power sums and
+live in transform with the rest of the pivot; they are re-exported here.
+The pairing convention: the left slot carries the sector sign
+(-1)^(m(m-1)/2) (reversed theta order) and the right slot is plain, which
+makes <p_L, p_O> = z_L delta exactly as displayed everywhere below.
 """
 
 from __future__ import annotations
@@ -13,12 +13,13 @@ from fractions import Fraction
 
 from .superpartition import SuperPartition, enumerate_superpartitions
 from .superpoly import SuperPolynomial, _FIELD_BITS, _FIELD_MASK
-from .transform import (
+from .transform import (  # noqa: F401  (change_basis is re-exported)
     BasisExpansion,
     change_basis,
     eh_in_p,
-    expand_in_monomials,
+    omega,
     omega_sign,
+    scalar_product,
     z_weight,
 )
 from . import bases as _bases
@@ -34,48 +35,6 @@ __all__ = [
     "kernel_check",
     "reproducing_check",
 ]
-
-
-def _sector_sign(m: int) -> int:
-    return -1 if (m * (m - 1) // 2) % 2 else 1
-
-
-def _as_p_expansion(f) -> BasisExpansion:
-    if isinstance(f, SuperPolynomial):
-        f = expand_in_monomials(f)
-    if not isinstance(f, BasisExpansion):
-        raise TypeError(f"expected BasisExpansion or SuperPolynomial, got {type(f)!r}")
-    return change_basis(f, "p")
-
-
-def scalar_product(f, g, raw: bool = False) -> Fraction:
-    """Bilinear form with <p_L, p_O> = z_L delta (left slot arrowed).
-
-    f and g may be BasisExpansions or symmetric SuperPolynomials; different
-    bidegrees pair to 0.  With raw=True both arguments are read as literal
-    plain polynomials, which costs one sector sign (-1)^(m(m-1)/2) relative
-    to the slot convention.
-    """
-    fp = _as_p_expansion(f)
-    gp = _as_p_expansion(g)
-    if (fp.n, fp.m) != (gp.n, gp.m):
-        return Fraction(0)
-    total = Fraction(0)
-    for sp, c in fp.coeffs.items():
-        d = gp.get(sp)
-        if d:
-            total += z_weight(sp) * c * d
-    return _sector_sign(fp.m) * total if raw else total
-
-
-def omega(x: BasisExpansion) -> BasisExpansion:
-    """The involution fixing monomial-degree data: e_L <-> h_L, and on power
-    sums p_L -> omega_sign(L) p_L.  Returned in the input basis."""
-    p = change_basis(x, "p")
-    flipped = BasisExpansion(
-        "p", p.n, p.m, {sp: omega_sign(sp) * c for sp, c in p.coeffs.items()}
-    )
-    return change_basis(flipped, x.basis)
 
 
 _DUAL_BASES = ("m", "e", "h", "p", "p/z")

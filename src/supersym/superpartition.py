@@ -18,7 +18,6 @@ Example
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cache
 
 __all__ = [
@@ -34,8 +33,33 @@ __all__ = [
 ]
 
 
+# The basis names every expansion and the command line accept.
+BASIS_NAMES = ("m", "e", "h", "p")
+
+
 class SparError(ValueError):
     """Malformed superpartition input: bad token, bad ordering, negative part."""
+
+
+class _Frozen:
+    """Immutable value type: ``_fields`` are set once in ``__init__`` and
+    drive repr, pickling and copying (which rebuild through ``__init__``).
+    Written by hand so that importing the package needs no ``dataclasses``."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f) for f in self._fields)
 
 
 def _int_parts(values, label: str) -> tuple[int, ...]:
@@ -47,16 +71,25 @@ def _int_parts(values, label: str) -> tuple[int, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class Diagram:
+class Diagram(_Frozen):
     """Left-justified rows of boxes; some rows end in a circle.
 
     Exactly one circle per fermionic part.  Row indices in ``circled`` are
     0-based; rendering is 1-based like everything user-facing.
     """
 
-    rows: tuple[int, ...]
-    circled: frozenset[int]
+    __slots__ = _fields = ("rows", "circled")
+
+    def __init__(self, rows: tuple[int, ...], circled: frozenset[int]) -> None:
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "circled", circled)
+
+    def __eq__(self, other) -> bool:
+        fields = (self.rows, self.circled)
+        return other.__class__ is Diagram and fields == (other.rows, other.circled)
+
+    def __hash__(self) -> int:
+        return hash((self.rows, self.circled))
 
     def shape(self) -> tuple[int, ...]:
         """Row lengths with each circle counted as one extra cell."""
@@ -69,8 +102,7 @@ class Diagram:
         )
 
 
-@dataclass(frozen=True)
-class SuperPartition:
+class SuperPartition(_Frozen):
     """Canonical superpartition.
 
     ``a``: fermionic parts, strictly decreasing, each >= 0.  A zero entry is
@@ -81,12 +113,12 @@ class SuperPartition:
     computed on construction.
     """
 
-    a: tuple[int, ...] = ()
-    s: tuple[int, ...] = ()
+    __slots__ = ("a", "s", "_hash", "degree", "bidegree")
+    _fields = ("a", "s")
 
-    def __post_init__(self) -> None:
-        a = _int_parts(self.a, "fermionic side")
-        s = _int_parts(self.s, "symmetric side")
+    def __init__(self, a: tuple[int, ...] = (), s: tuple[int, ...] = ()) -> None:
+        a = _int_parts(a, "fermionic side")
+        s = _int_parts(s, "symmetric side")
         while s and s[-1] == 0:
             s = s[:-1]
         object.__setattr__(self, "a", a)
@@ -105,6 +137,10 @@ class SuperPartition:
 
     def __hash__(self) -> int:
         return self._hash
+
+    def __eq__(self, other) -> bool:
+        # a dict probe with an equal but distinct key lands here: keep it direct
+        return other.__class__ is SuperPartition and self.a == other.a and self.s == other.s
 
     # -- basic structure --------------------------------------------------
 

@@ -19,6 +19,8 @@ from fractions import Fraction
 from functools import reduce
 from operator import or_
 
+from .transform import format_rational, parse_rational
+
 __all__ = [
     "SuperPolynomial",
     "format_rational",
@@ -27,19 +29,6 @@ __all__ = [
 
 _FIELD_BITS = 16
 _FIELD_MASK = (1 << _FIELD_BITS) - 1
-
-
-def format_rational(c) -> str:
-    """Render an int or Fraction as 'p' or 'p/q'."""
-    f = Fraction(c)
-    return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
-
-
-def parse_rational(text: str) -> Fraction:
-    try:
-        return Fraction(text.strip())
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"bad rational {text!r}: {exc}") from None
 
 
 def _exact(c) -> int | Fraction:

@@ -1,5 +1,6 @@
 """Command-line behavior: output forms, exit codes, round trips."""
 
+import ast
 import json
 import os
 import subprocess
@@ -166,6 +167,14 @@ def test_verify_zero_sizes_are_not_replaced_by_defaults(capsys):
     assert json.loads(out)["reports"][0]["params"] == {"n_max": 0}
 
 
+def test_verify_suites_that_would_check_nothing_are_usage_errors(capsys):
+    for suite in ("determinants", "duality"):
+        rc, out, err = run(capsys, "verify", "--suite", suite, "--n-max", "-1")
+        assert rc == 2, suite
+        assert out == ""
+        assert "n_max" in err
+
+
 def test_verify_counting_json(capsys):
     rc, out, _ = run(capsys, "verify", "--suite", "counting", "--n-max", "6", "--format", "json")
     assert rc == 0
@@ -213,3 +222,66 @@ def test_format_environment_default():
     assert proc.returncode == 0
     data = json.loads(proc.stdout)
     assert data["conjugate"] == {"a": [1, 0], "s": [1]}
+
+
+# -- cold start: each subcommand loads only the modules it runs --------------------
+
+
+def loaded_modules(code):
+    """Modules that running ``code`` in a fresh interpreter adds to sys.modules."""
+    probe = f"import sys\nbefore = set(sys.modules)\n{code}\n" + (
+        "sys.stderr.write(repr(sorted(set(sys.modules) - before)))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=child_env()
+    )
+    assert proc.returncode == 0, proc.stderr
+    return set(ast.literal_eval(proc.stderr.splitlines()[-1]))
+
+
+def cli_code(argv):
+    """``python -m supersym.cli *argv`` inside the probe, asserting exit 0."""
+    return (
+        f"import runpy\nsys.argv = {['supersym', *argv]!r}\ntry:\n"
+        "    runpy.run_module('supersym.cli', run_name='__main__')\n"
+        "except SystemExit as exc:\n    assert exc.code == 0, exc.code"
+    )
+
+
+LIGHT = {"supersym", "supersym.superpartition"}
+PIVOT = LIGHT | {"supersym.transform"}
+ENGINE = PIVOT | {"supersym.superpoly", "supersym.bases"}
+ENGINE_CHECKS, INNER = "supersym.engine_checks", "supersym.inner"
+
+
+@pytest.mark.parametrize(
+    "argv, want",
+    [
+        (["conj", "(2,0;)"], LIGHT),
+        (["order", "(2,1;)", "(3,0;)"], LIGHT),
+        (["list", "--n", "3", "--m", "1", "--format", "json"], LIGHT),
+        (["verify", "--suite", "orders", "--n-max", "2"], LIGHT),
+        (["convert", "--from", "h", "--to", "m", "(2,0;1)"], PIVOT),
+        (["mult", "--basis", "m", "(1,0;1)", "(0;2)"], PIVOT),
+        (["inner", "p:(;2)", "h:(;2)"], PIVOT),
+        (["omega", "--basis", "e", "(1,0;1)"], PIVOT),
+        (["build", "--basis", "m", "(1;1)"], ENGINE),
+        (["verify", "--suite", "determinants", "--n-max", "1"], ENGINE | {ENGINE_CHECKS}),
+        (["verify", "--suite", "kernel", "--nvars", "1", "--degree", "1"], ENGINE | {INNER}),
+    ],
+)
+def test_subcommand_loads_only_what_it_runs(argv, want):
+    loaded = loaded_modules(cli_code(argv))
+    assert {m for m in loaded if m.startswith("supersym")} == want
+    assert "dataclasses" not in loaded
+    if "json" not in argv:
+        assert "json" not in loaded
+
+
+def test_importing_the_package_or_the_pivot_loads_no_engine():
+    loaded = loaded_modules("import supersym; supersym.__version__")
+    assert {m for m in loaded if m.startswith("supersym")} == {"supersym"}
+    loaded = loaded_modules("import supersym; supersym.SuperPartition")
+    assert {m for m in loaded if m.startswith("supersym")} == LIGHT
+    loaded = loaded_modules("import supersym.transform")
+    assert {m for m in loaded if m.startswith("supersym")} == PIVOT

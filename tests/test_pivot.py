@@ -9,9 +9,9 @@ from supersym import transform
 from supersym.superpartition import SuperPartition, enumerate_superpartitions
 from supersym.superpoly import SuperPolynomial
 from supersym.bases import multiplicative
+from supersym.engine_checks import _block_matrix
 from supersym.transform import (
     BasisExpansion,
-    _block_matrix,
     _p_mul,
     change_basis,
     eh_in_p,

@@ -17,11 +17,10 @@ from supersym.transform import (
     expand_in_monomials,
     mono_product,
     mono_product_fillings,
-    _block_matrix,
-    _det_fraction,
     triangularity,
     verify_recursions,
 )
+from supersym.engine_checks import _block_matrix, _det_fraction
 
 
 def sp(text):
