@@ -29,7 +29,7 @@ _HOMES = {
         "omega", "omega_sign", "parse_rational", "scalar_product", "triangularity",
         "verify_recursions", "z_weight",
     ),
-    "inner": ("dual_bases_check", "kernel_check", "reproducing_check"),
+    "inner": ("dual_bases_check", "duality_check", "kernel_check", "reproducing_check"),
 }
 _HOME = {name: module for module, names in _HOMES.items() for name in names}
 

@@ -17,7 +17,7 @@ import itertools
 from fractions import Fraction
 from functools import cache
 
-from .superpartition import BASIS_NAMES, SuperPartition, enumerate_superpartitions  # noqa: F401
+from .superpartition import BASIS_NAMES, SuperPartition, _report, enumerate_superpartitions  # noqa: F401
 from .superpoly import SuperPolynomial, _FIELD_BITS, _FIELD_MASK, _sort_sign
 
 __all__ = [
@@ -220,9 +220,7 @@ def multiplicative(basis: str, sp: SuperPartition, nvars: int, arrowed: bool = F
     With arrowed=True each m-fermion sector is scaled by (-1)^(m(m-1)/2),
     which reverses the order of the theta factors.
     """
-    if basis not in _GENERATORS:
-        raise ValueError(f"multiplicative basis must be one of e, h, p, not {basis!r}")
-    plain, tilde = _GENERATORS[basis]
+    plain, tilde = generator_functions(basis)
     out = SuperPolynomial.one(nvars)
     for a in sp.a:
         out = out * tilde(a, nvars)
@@ -307,49 +305,39 @@ def generating_check(kind: str, trunc: int, nvars: int) -> dict:
     if trunc < 0 or nvars < 1:
         raise ValueError(f"need trunc >= 0 and nvars >= 1, got ({trunc}, {nvars})")
     kind = kind.upper()
+    check = f"generating-{kind}"
     params = {"kind": kind, "trunc": trunc, "nvars": nvars}
     big = nvars + 1
-    failure = None
 
     if kind in ("E", "H", "P"):
         series = {"E": _series_E, "H": _series_H, "P": _series_P}[kind](nvars, trunc)
         plain, tilde = _GENERATORS["e" if kind == "E" else kind.lower()]
         for n in range(trunc + 1):
             bos, ferm = _split_t_coefficient(series, n, big)
-            want_bos = plain(n, nvars).widen(big)
+            if bos != plain(n, nvars).widen(big):
+                return _report(check, params, f"bosonic t^{n} coefficient differs")
             weight = n + 1 if kind == "P" else 1
-            want_ferm = tilde(n, nvars).widen(big) * weight
-            if bos != want_bos:
-                failure = f"bosonic t^{n} coefficient differs"
-                break
-            if ferm != want_ferm:
-                failure = f"fermionic t^{n} coefficient differs"
-                break
-    elif kind == "HE":
+            if ferm != tilde(n, nvars).widen(big) * weight:
+                return _report(check, params, f"fermionic t^{n} coefficient differs")
+        return _report(check, params, None)
+    if kind == "HE":
         h = _series_H(nvars, trunc)
         e = _series_E(nvars, trunc).negate_vars((big,), (big,))
-        if h.mul_truncated(e, trunc, vars=(big,)) != SuperPolynomial.one(big):
-            failure = "H(t,tau) E(-t,-tau) != 1"
+        lhs = h.mul_truncated(e, trunc, vars=(big,))
+        rhs = SuperPolynomial.one(big)
+        claim = "H(t,tau) E(-t,-tau) != 1"
     elif kind == "HP":
         h = _series_H(nvars, trunc)
         p = _series_P(nvars, trunc)
         lhs = h.mul_truncated(p, trunc, vars=(big,))
         rhs = h.euler_scale(big) + h.select_theta(big)
-        if lhs != rhs:
-            failure = "H P != (t d/dt + tau d/dtau) H"
+        claim = "H P != (t d/dt + tau d/dtau) H"
     elif kind == "EP":
         e = _series_E(nvars, trunc)
         p = _series_P(nvars, trunc).negate_vars((big,), (big,))
         lhs = e.mul_truncated(p, trunc, vars=(big,))
         rhs = -(e.euler_scale(big) + e.select_theta(big))
-        if lhs != rhs:
-            failure = "E(t,tau) P(-t,-tau) != -(t d/dt + tau d/dtau) E"
+        claim = "E(t,tau) P(-t,-tau) != -(t d/dt + tau d/dtau) E"
     else:
         raise ValueError(f"unknown generating check {kind!r}")
-
-    return {
-        "check": f"generating-{kind}",
-        "params": params,
-        "pass": failure is None,
-        "first_failure": failure,
-    }
+    return _report(check, params, None if lhs == rhs else claim)

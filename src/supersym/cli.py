@@ -49,10 +49,12 @@ def _parse_expr(text: str):
     return BasisExpansion.unit(basis, _parse_spar(spar))
 
 
-def _emit(args, payload: dict, text_lines) -> None:
+def _emit(args, payload, text_lines) -> None:
+    """Print text_lines, or for --format json the dict payload() returns:
+    text output never builds the JSON form."""
     if args.format == "json":
         import json
-        print(json.dumps(payload, indent=2))
+        print(json.dumps(payload(), indent=2))
     else:
         for line in text_lines:
             print(line)
@@ -69,13 +71,16 @@ def _expansion_lines(exp):
 
 def _cmd_list(args) -> int:
     sps = enumerate_superpartitions(args.n, args.m, args.max_len)
-    payload = {
-        "n": args.n,
-        "m": args.m,
-        "max_len": args.max_len,
-        "superpartitions": [sp.to_json_dict() for sp in sps],
-    }
-    _emit(args, payload, (sp.to_text() for sp in sps))
+    _emit(
+        args,
+        lambda: {
+            "n": args.n,
+            "m": args.m,
+            "max_len": args.max_len,
+            "superpartitions": [sp.to_json_dict() for sp in sps],
+        },
+        (sp.to_text() for sp in sps),
+    )
     return 0
 
 
@@ -84,7 +89,7 @@ def _cmd_conj(args) -> int:
     conj = sp.conjugate()
     _emit(
         args,
-        {"input": sp.to_json_dict(), "conjugate": conj.to_json_dict()},
+        lambda: {"input": sp.to_json_dict(), "conjugate": conj.to_json_dict()},
         [conj.to_text()],
     )
     return 0
@@ -111,7 +116,7 @@ def _cmd_order(args) -> int:
     rd = _relation(dominance_leq, x, y)
     _emit(
         args,
-        {"bruhat": rb, "dominance": rd},
+        lambda: {"bruhat": rb, "dominance": rd},
         [f"bruhat: {x} {rb} {y}", f"dominance: {x} {rd} {y}"],
     )
     return 0
@@ -125,14 +130,18 @@ def _cmd_build(args) -> int:
         poly = basis_element(args.basis, sp, nvars, arrowed=args.arrow)
     except ValueError as exc:
         raise SystemExit(f"error: {exc}") from None
-    payload = {
-        "basis": args.basis,
-        "spar": sp.to_json_dict(),
-        "nvars": nvars,
-        "arrowed": args.arrow,
-        "polynomial": poly.render(),
-    }
-    _emit(args, payload, [f"# nvars={nvars}", poly.render()])
+    rendered = poly.render()
+    _emit(
+        args,
+        lambda: {
+            "basis": args.basis,
+            "spar": sp.to_json_dict(),
+            "nvars": nvars,
+            "arrowed": args.arrow,
+            "polynomial": rendered,
+        },
+        [f"# nvars={nvars}", rendered],
+    )
     return 0
 
 
@@ -142,7 +151,7 @@ def _cmd_mult(args) -> int:
     from .transform import mono_product
     a, b = _parse_spar(args.spar1), _parse_spar(args.spar2)
     exp = mono_product(a, b)
-    _emit(args, exp.to_json_dict(), _expansion_lines(exp))
+    _emit(args, exp.to_json_dict, _expansion_lines(exp))
     return 0
 
 
@@ -150,7 +159,7 @@ def _cmd_convert(args) -> int:
     from .transform import BasisExpansion, change_basis
     sp = _parse_spar(args.spar)
     exp = change_basis(BasisExpansion.unit(args.from_basis, sp), args.to_basis)
-    _emit(args, exp.to_json_dict(), _expansion_lines(exp))
+    _emit(args, exp.to_json_dict, _expansion_lines(exp))
     return 0
 
 
@@ -159,7 +168,7 @@ def _cmd_inner(args) -> int:
     value = scalar_product(_parse_expr(args.expr1), _parse_expr(args.expr2))
     _emit(
         args,
-        {"left": args.expr1, "right": args.expr2, "value": format_rational(value)},
+        lambda: {"left": args.expr1, "right": args.expr2, "value": format_rational(value)},
         [format_rational(value)],
     )
     return 0
@@ -169,7 +178,7 @@ def _cmd_omega(args) -> int:
     from .transform import BasisExpansion, omega
     sp = _parse_spar(args.spar)
     exp = omega(BasisExpansion.unit(args.basis, sp))
-    _emit(args, exp.to_json_dict(), _expansion_lines(exp))
+    _emit(args, exp.to_json_dict, _expansion_lines(exp))
     return 0
 
 
@@ -212,28 +221,8 @@ def _suite_reports(args) -> list[dict]:
             reproducing_check(nvars, min(degree, 3)),
         ]
     if suite == "duality":
-        from .inner import dual_bases_check
-        n_max = given(args.n_max, 5)
-        failure = None
-        for n in range(n_max + 1):
-            m = 0
-            while failure is None and m * (m - 1) // 2 <= n and m <= 3:
-                if enumerate_superpartitions(n, m):
-                    if not dual_bases_check(n, m, "h", "m"):
-                        failure = f"h-m duality fails on block ({n}|{m})"
-                    elif not dual_bases_check(n, m, "p", "p/z"):
-                        failure = f"p-p/z duality fails on block ({n}|{m})"
-                m += 1
-            if failure:
-                break
-        return [
-            {
-                "check": "duality",
-                "params": {"n_max": n_max},
-                "pass": failure is None,
-                "first_failure": failure,
-            }
-        ]
+        from .inner import duality_check
+        return [duality_check(given(args.n_max, 5))]
     if suite == "orders":
         return [orders_check(given(args.n_max, 6))]
     if suite == "counting":
@@ -249,7 +238,7 @@ def _cmd_verify(args) -> int:
         status = "PASS" if r["pass"] else "FAIL"
         detail = "" if r["pass"] else f": {r['first_failure']}"
         lines.append(f"[{status}] {r['check']} {r['params']}{detail}")
-    _emit(args, {"suite": args.suite, "pass": ok, "reports": reports}, lines)
+    _emit(args, lambda: {"suite": args.suite, "pass": ok, "reports": reports}, lines)
     return 0 if ok else 1
 
 

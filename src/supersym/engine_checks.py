@@ -14,7 +14,7 @@ import math
 from fractions import Fraction
 from functools import cache
 
-from .superpartition import SuperPartition, bruhat_leq, enumerate_superpartitions
+from .superpartition import SuperPartition, _blocks, _report, bruhat_leq, enumerate_superpartitions
 from .superpoly import SuperPolynomial
 from . import bases as _bases
 from .bases import _canonical_key
@@ -122,6 +122,17 @@ def _block_matrix(basis: str, n: int, m: int) -> tuple[tuple[Fraction, ...], ...
 # -- recursion identities ---------------------------------------------------------
 
 
+def _generators(top: int, nvars: int) -> list[list[SuperPolynomial]]:
+    """The six generator families e, te, h, th, p, tp, each at degrees 0..top."""
+    return [
+        [gen(k, nvars) for k in range(top + 1)]
+        for gen in (
+            _bases.elementary, _bases.elementary_tilde, _bases.complete,
+            _bases.complete_tilde, _bases.powersum, _bases.powersum_tilde,
+        )
+    ]
+
+
 def verify_recursions(n_max: int) -> dict:
     """Check the six generator recursions exactly at N = n_max + 2.
 
@@ -137,14 +148,9 @@ def verify_recursions(n_max: int) -> dict:
     if n_max < 1:
         raise ValueError(f"need n_max >= 1, got {n_max}")
     nv = n_max + 2
-    e = [_bases.elementary(k, nv) for k in range(n_max + 1)]
-    te = [_bases.elementary_tilde(k, nv) for k in range(n_max + 1)]
-    h = [_bases.complete(k, nv) for k in range(n_max + 1)]
-    th = [_bases.complete_tilde(k, nv) for k in range(n_max + 1)]
-    p = [_bases.powersum(k, nv) for k in range(n_max + 1)]
-    tp = [_bases.powersum_tilde(k, nv) for k in range(n_max + 1)]
+    params = {"n_max": n_max, "nvars": nv}
+    e, te, h, th, p, tp = _generators(n_max, nv)
     zero = SuperPolynomial.zero(nv)
-    failure = None
     for n in range(n_max + 1):
         checks = []
         if n >= 1:
@@ -174,16 +180,8 @@ def verify_recursions(n_max: int) -> dict:
         checks.append(("(n+1) te_n convolution", acc == te[n].scale(n + 1)))
         for name, ok in checks:
             if not ok:
-                failure = f"n={n}: {name} fails at N={nv}"
-                break
-        if failure:
-            break
-    return {
-        "check": "recursions",
-        "params": {"n_max": n_max, "nvars": nv},
-        "pass": failure is None,
-        "first_failure": failure,
-    }
+                return _report("recursions", params, f"n={n}: {name} fails at N={nv}")
+    return _report("recursions", params, None)
 
 
 # -- determinantal formulas ---------------------------------------------------------
@@ -240,12 +238,7 @@ def determinant_formulas(n: int, which: str, nvars: int | None = None) -> dict:
         raise ValueError(f"{which} needs n >= {0 if fermionic else 1}, got {n}")
     nv = nvars if nvars is not None else n + 2
     size = n + 1 if fermionic else n
-    e = [_bases.elementary(k, nv) for k in range(size + 1)]
-    te = [_bases.elementary_tilde(k, nv) for k in range(size + 1)]
-    h = [_bases.complete(k, nv) for k in range(size + 1)]
-    th = [_bases.complete_tilde(k, nv) for k in range(size + 1)]
-    p = [_bases.powersum(k, nv) for k in range(size + 1)]
-    tp = [_bases.powersum_tilde(k, nv) for k in range(size + 1)]
+    e, te, h, th, p, tp = _generators(size, nv)
     zero = SuperPolynomial.zero(nv)
 
     def band(fam):
@@ -299,18 +292,11 @@ def determinant_formulas(n: int, which: str, nvars: int | None = None) -> dict:
              signed_band(p), sd, th[n].scale(fact)),
         ]
 
-    failure = None
+    check, params = f"determinant-{which}", {"n": n, "nvars": nv}
     for name, row1, entry, sd, want in cases:
-        det = _hessenberg_det(size, row1, entry, sd, nv)
-        if det != want:
-            failure = f"{which} {name} determinant differs at n={n}, N={nv}"
-            break
-    return {
-        "check": f"determinant-{which}",
-        "params": {"n": n, "nvars": nv},
-        "pass": failure is None,
-        "first_failure": failure,
-    }
+        if _hessenberg_det(size, row1, entry, sd, nv) != want:
+            return _report(check, params, f"{which} {name} determinant differs at n={n}, N={nv}")
+    return _report(check, params, None)
 
 
 # -- triangularity of the elementary family ------------------------------------------
@@ -346,49 +332,28 @@ def triangularity(n_max: int) -> dict:
     invertible.  The report carries an informational flag for whether all
     observed e coefficients were nonnegative (not asserted anywhere).
     """
-    failure = None
     nonneg = True
-    for n in range(n_max + 1):
-        m = 0
-        while failure is None and m * (m - 1) // 2 <= n:
-            block = enumerate_superpartitions(n, m)
-            if not block:
-                m += 1
-                continue
-            arrow_sign = -1 if (m * (m - 1) // 2) % 2 else 1
-            for sp in block:
-                conj = sp.conjugate()
-                for cand, c in _basis_in_monomials("e", sp):
-                    cc = c * arrow_sign
-                    if cc.denominator != 1:
-                        failure = f"e_{sp}: non-integer coefficient {cc} on {cand}"
-                        break
-                    if cc < 0:
-                        nonneg = False
-                    if cand == conj:
-                        if cc != 1:
-                            failure = f"e_{sp}: coefficient on {conj} is {cc}, not 1"
-                            break
-                    elif not (bruhat_leq(cand, conj) and cand != conj):
-                        failure = f"e_{sp}: support {cand} not strictly below {conj}"
-                        break
-                if failure:
-                    break
-            if failure:
-                break
-            if _det_fraction(_block_matrix("e", n, m)) not in (1, -1):
-                failure = f"e matrix on block ({n}|{m}) is not unimodular"
-                break
-            if _det_fraction(_block_matrix("p", n, m)) == 0:
-                failure = f"p matrix on block ({n}|{m}) is singular"
-                break
-            m += 1
-        if failure:
-            break
-    return {
-        "check": "triangularity",
-        "params": {"n_max": n_max},
-        "pass": failure is None,
-        "first_failure": failure,
-        "nonneg_surmise_holds": nonneg,
-    }
+
+    def report(failure):
+        return _report("triangularity", {"n_max": n_max}, failure, nonneg_surmise_holds=nonneg)
+
+    for n, m, block in _blocks(n_max):
+        arrow_sign = -1 if (m * (m - 1) // 2) % 2 else 1
+        for sp in block:
+            conj = sp.conjugate()
+            for cand, c in _basis_in_monomials("e", sp):
+                cc = c * arrow_sign
+                if cc.denominator != 1:
+                    return report(f"e_{sp}: non-integer coefficient {cc} on {cand}")
+                if cc < 0:
+                    nonneg = False
+                if cand == conj:
+                    if cc != 1:
+                        return report(f"e_{sp}: coefficient on {conj} is {cc}, not 1")
+                elif not (bruhat_leq(cand, conj) and cand != conj):
+                    return report(f"e_{sp}: support {cand} not strictly below {conj}")
+        if _det_fraction(_block_matrix("e", n, m)) not in (1, -1):
+            return report(f"e matrix on block ({n}|{m}) is not unimodular")
+        if _det_fraction(_block_matrix("p", n, m)) == 0:
+            return report(f"p matrix on block ({n}|{m}) is singular")
+    return report(None)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .superpartition import SuperPartition, enumerate_superpartitions
+from .superpartition import SuperPartition, _blocks, _report, enumerate_superpartitions
 from .superpoly import SuperPolynomial, _FIELD_BITS, _FIELD_MASK
 from .transform import (  # noqa: F401  (change_basis is re-exported)
     BasisExpansion,
@@ -32,6 +32,7 @@ __all__ = [
     "omega",
     "eh_in_p",
     "dual_bases_check",
+    "duality_check",
     "kernel_check",
     "reproducing_check",
 ]
@@ -61,6 +62,18 @@ def dual_bases_check(n: int, m: int, u: str, v: str) -> bool:
     return True
 
 
+def duality_check(n_max: int) -> dict:
+    """h-m and p-(p/z) duality (dual_bases_check) on every block of degree
+    <= n_max with at most three fermions."""
+    params = {"n_max": n_max}
+    for n, m, _ in _blocks(n_max, max_m=3):
+        if not dual_bases_check(n, m, "h", "m"):
+            return _report("duality", params, f"h-m duality fails on block ({n}|{m})")
+        if not dual_bases_check(n, m, "p", "p/z"):
+            return _report("duality", params, f"p-p/z duality fails on block ({n}|{m})")
+    return _report("duality", params, None)
+
+
 # -- Cauchy kernels over a doubled alphabet --------------------------------------
 #
 # x_i, t_i are variables 1..N and y_j, f_j are variables N+1..2N.  Both sides
@@ -72,13 +85,10 @@ def dual_bases_check(n: int, m: int, u: str, v: str) -> bool:
 def _canonical_index(nvars: int, degree: int):
     """Blocks (n|k) with n <= degree and k <= nvars, each with the labels of
     its canonical terms: the superpartitions of length <= nvars."""
-    index = []
-    for n in range(degree + 1):
-        k = 0
-        while k * (k - 1) // 2 <= n and k <= nvars:
-            index.append((n, k, tuple(enumerate_superpartitions(n, k, max_len=nvars))))
-            k += 1
-    return tuple(index)
+    return tuple(
+        (n, k, tuple(sp for sp in block if sp.length <= nvars))
+        for n, k, block in _blocks(degree, max_m=nvars)
+    )
 
 
 def _kernel_factors(nvars: int, degree: int, inverse: bool):
@@ -221,17 +231,15 @@ def kernel_check(nvars: int, degree: int) -> dict:
         raise ValueError(f"need nvars >= 1 and degree >= 0, got ({nvars}, {degree})")
     params = {"nvars": nvars, "degree": degree}
     index = _canonical_index(nvars, degree)
-    failure = None
     direct = _product_table(nvars, degree, index, inverse=False)
     if direct != _sum_table(index, _pp_summand(nvars, with_omega=False)):
-        failure = "product expansion differs from the weighted p-p sum"
-    elif direct != _sum_table(index, _mh_summand(nvars)):
-        failure = "product expansion differs from the m-h sum"
-    elif _product_table(nvars, degree, index, inverse=True) != _sum_table(
-        index, _pp_summand(nvars, with_omega=True)
-    ):
-        failure = "inverse product differs from the omega-signed p-p sum"
-    return {"check": "kernel", "params": params, "pass": failure is None, "first_failure": failure}
+        return _report("kernel", params, "product expansion differs from the weighted p-p sum")
+    if direct != _sum_table(index, _mh_summand(nvars)):
+        return _report("kernel", params, "product expansion differs from the m-h sum")
+    inverse = _product_table(nvars, degree, index, inverse=True)
+    if inverse != _sum_table(index, _pp_summand(nvars, with_omega=True)):
+        return _report("kernel", params, "inverse product differs from the omega-signed p-p sum")
+    return _report("kernel", params, None)
 
 
 def reproducing_check(nvars: int, max_degree: int) -> dict:
@@ -242,32 +250,26 @@ def reproducing_check(nvars: int, max_degree: int) -> dict:
     left argument, so pairing with m_L contracts <arrowed p_O, m_L> =
     z_O * (p-coefficient of m_L at O), and the y-side reassembles m_L.
     """
-    failure = None
-    for n in range(max_degree + 1):
-        m = 0
-        while failure is None and m * (m - 1) // 2 <= n and m <= nvars:
-            for sp in enumerate_superpartitions(n, m, max_len=nvars):
-                if m > 0 and n >= nvars:
-                    continue  # power sums only span the block below nvars
-                big = 2 * nvars
-                pairs = []
-                unit_m = BasisExpansion.unit("m", sp)
-                for om in enumerate_superpartitions(n, m):
-                    c = scalar_product(BasisExpansion.unit("p", om), unit_m)
-                    if c:
-                        py = _bases.multiplicative("p", om, nvars).shift_alphabet(nvars, big)
-                        pairs.append((Fraction(c, z_weight(om)), py))
-                paired = SuperPolynomial.linear_combination(big, pairs)
-                want = _bases.monomial(sp, nvars).shift_alphabet(nvars, big)
-                if paired != want:
-                    failure = f"kernel pairing with m_{sp} does not reproduce it"
-                    break
-            m += 1
-        if failure:
-            break
-    return {
-        "check": "kernel-reproducing",
-        "params": {"nvars": nvars, "max_degree": max_degree},
-        "pass": failure is None,
-        "first_failure": failure,
-    }
+    if nvars < 1 or max_degree < 0:
+        raise ValueError(f"need nvars >= 1 and max_degree >= 0, got ({nvars}, {max_degree})")
+    params = {"nvars": nvars, "max_degree": max_degree}
+    big = 2 * nvars
+    for n, m, block in _blocks(max_degree, max_m=nvars):
+        if m > 0 and n >= nvars:
+            continue  # power sums only span the block below nvars
+        for sp in block:
+            if sp.length > nvars:
+                continue
+            pairs = []
+            unit_m = BasisExpansion.unit("m", sp)
+            for om in block:
+                c = scalar_product(BasisExpansion.unit("p", om), unit_m)
+                if c:
+                    py = _bases.multiplicative("p", om, nvars).shift_alphabet(nvars, big)
+                    pairs.append((Fraction(c, z_weight(om)), py))
+            paired = SuperPolynomial.linear_combination(big, pairs)
+            want = _bases.monomial(sp, nvars).shift_alphabet(nvars, big)
+            if paired != want:
+                failure = f"kernel pairing with m_{sp} does not reproduce it"
+                return _report("kernel-reproducing", params, failure)
+    return _report("kernel-reproducing", params, None)

@@ -378,6 +378,28 @@ def enumerate_superpartitions(n: int, m: int, max_len: int | None = None) -> lis
     return [sp for sp in block if sp.length <= max_len]
 
 
+def _blocks(n_max: int, max_m: int | None = None):
+    """Every block (n, m, superpartitions) with n <= n_max, and m <= max_m
+    when given: n increasing, then m.  No block is empty, since SPar(n|m) is
+    empty exactly when n < m(m-1)/2.  A negative n_max raises here, at the
+    call, rather than giving a walk that checks nothing."""
+    if n_max < 0:
+        raise ValueError(f"need n_max >= 0, got {n_max}")
+    top = n_max + 1 if max_m is None else max_m
+    return (
+        (n, m, _block(n, m))
+        for n in range(n_max + 1)
+        for m in range(top + 1)
+        if m * (m - 1) // 2 <= n
+    )
+
+
+def _report(check: str, params: dict, failure: str | None, **extra) -> dict:
+    """The report of every verification check: its name, its parameters,
+    whether it passed, and the first failing case in words (None on a pass)."""
+    return {"check": check, "params": params, "pass": failure is None, "first_failure": failure, **extra}
+
+
 def orders_check(n_max: int) -> dict:
     """Exhaustive order laws on every block of degree <= n_max.
 
@@ -386,40 +408,21 @@ def orders_check(n_max: int) -> dict:
     antisymmetry of both orders, and the conjugation reversal
     x <= y iff conj(y) <= conj(x).
     """
-    if n_max < 0:
-        raise ValueError(f"need n_max >= 0, got {n_max}")
-    failure = None
-    for n in range(n_max + 1):
-        m = 0
-        while failure is None and m * (m - 1) // 2 <= n:
-            block = _block(n, m)
-            conj = {sp: sp.conjugate() for sp in block}
-            for x in block:
-                for y in block:
-                    bxy = bruhat_leq(x, y)
-                    if bxy and not dominance_leq(x, y):
-                        failure = f"{x} <= {y} in bruhat but not in dominance"
-                        break
-                    if bxy and bruhat_leq(y, x) and x != y:
-                        failure = f"bruhat antisymmetry fails on {x}, {y}"
-                        break
-                    if dominance_leq(x, y) and dominance_leq(y, x) and x != y:
-                        failure = f"dominance antisymmetry fails on {x}, {y}"
-                        break
-                    if bxy != bruhat_leq(conj[y], conj[x]):
-                        failure = f"conjugation does not reverse bruhat on {x}, {y}"
-                        break
-                if failure:
-                    break
-            m += 1
-        if failure:
-            break
-    return {
-        "check": "orders",
-        "params": {"n_max": n_max},
-        "pass": failure is None,
-        "first_failure": failure,
-    }
+    params = {"n_max": n_max}
+    for _, _, block in _blocks(n_max):
+        conj = {sp: sp.conjugate() for sp in block}
+        for x in block:
+            for y in block:
+                bxy = bruhat_leq(x, y)
+                if bxy and not dominance_leq(x, y):
+                    return _report("orders", params, f"{x} <= {y} in bruhat but not in dominance")
+                if bxy and bruhat_leq(y, x) and x != y:
+                    return _report("orders", params, f"bruhat antisymmetry fails on {x}, {y}")
+                if dominance_leq(x, y) and dominance_leq(y, x) and x != y:
+                    return _report("orders", params, f"dominance antisymmetry fails on {x}, {y}")
+                if bxy != bruhat_leq(conj[y], conj[x]):
+                    return _report("orders", params, f"conjugation does not reverse bruhat on {x}, {y}")
+    return _report("orders", params, None)
 
 
 def _series_coefficients(n_max: int) -> dict[tuple[int, int, int], int]:
@@ -470,13 +473,9 @@ def count_check(n_max: int) -> dict:
                 cumulative += coeffs.get((m, p, n), 0)
                 counted = sum(1 for sp in block if sp.length <= m + p)
                 if counted != cumulative:
-                    return {
-                        "check": "counting",
-                        "params": params,
-                        "pass": False,
-                        "first_failure": (
-                            f"n={n} m={m} p={p}: enumeration gives {counted}, "
-                            f"series gives {cumulative}"
-                        ),
-                    }
-    return {"check": "counting", "params": params, "pass": True, "first_failure": None}
+                    failure = (
+                        f"n={n} m={m} p={p}: enumeration gives {counted}, "
+                        f"series gives {cumulative}"
+                    )
+                    return _report("counting", params, failure)
+    return _report("counting", params, None)

@@ -169,9 +169,6 @@ class SuperPolynomial:
             for key, c in terms.items():
                 yield mask, key, c
 
-    def fermionic_sectors(self) -> set[int]:
-        return {mask.bit_count() for mask in self.blocks}
-
     def key_exponent(self, key: int, var: int) -> int:
         return (key >> (_FIELD_BITS * (var - 1))) & _FIELD_MASK
 

@@ -91,8 +91,8 @@ class BasisExpansion(_Frozen):
         return cls(basis, n, m, {sp: Fraction(1)})
 
     def items_sorted(self):
-        order = {sp: i for i, sp in enumerate(enumerate_superpartitions(self.n, self.m))}
-        return sorted(self.coeffs.items(), key=lambda kv: order[kv[0]])
+        """Terms in the block's enumeration order (decreasing sort_key)."""
+        return sorted(self.coeffs.items(), key=lambda kv: kv[0].sort_key(), reverse=True)
 
     def get(self, sp: SuperPartition) -> Fraction:
         return self.coeffs.get(sp, Fraction(0))

@@ -125,6 +125,25 @@ def test_convert_text_and_json(capsys):
     assert coeffs == {(2,): "-1/2", (1, 1): "1/2"}
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["convert", "--from", "h", "--to", "m", "(1,0;1)"],
+        ["mult", "--basis", "m", "(1;)", "(0;1)"],
+        ["omega", "--basis", "e", "(1;1)"],
+    ],
+)
+def test_text_output_builds_no_json_payload(capsys, monkeypatch, argv):
+    from supersym.transform import BasisExpansion
+
+    def refuse(self):
+        raise AssertionError("JSON payload built for text output")
+
+    monkeypatch.setattr(BasisExpansion, "to_json_dict", refuse)
+    rc, out, _ = run(capsys, *argv)
+    assert rc == 0 and out.startswith("# basis=")
+
+
 def test_inner_value(capsys):
     rc, out, _ = run(capsys, "inner", "p:(;2)", "p:(;2)")
     assert rc == 0
