@@ -25,10 +25,8 @@ from .superpartition import (
     SparError,
     SuperPartition,
     bruhat_leq,
-    count_check,
     dominance_leq,
     enumerate_superpartitions,
-    orders_check,
 )
 
 
@@ -182,52 +180,46 @@ def _cmd_omega(args) -> int:
     return 0
 
 
+# suite: (the module it runs from, the options it reads with their defaults,
+# the runner given that module and the option values)
+_SUITES = {
+    "recursions": ("engine_checks", {"n_max": 6}, lambda mod, n_max: [mod.verify_recursions(n_max)]),
+    "determinants": ("engine_checks", {"n_max": 6}, lambda mod, n_max: [
+        mod.determinant_formulas(n, which)
+        for which, first in mod._FIRST_N.items()
+        for n in range(first, n_max + 1)
+    ]),
+    "generating": ("bases", {"degree": 4, "nvars": 5}, lambda mod, degree, nvars: [
+        mod.generating_check(kind, degree, nvars) for kind in ("E", "H", "P", "HE", "HP", "EP")
+    ]),
+    "kernel": ("inner", {"nvars": 5, "degree": 4}, lambda mod, nvars, degree: [
+        mod.kernel_check(nvars, degree), mod.reproducing_check(nvars, min(degree, 3)),
+    ]),
+    "duality": ("inner", {"n_max": 5}, lambda mod, n_max: [mod.duality_check(n_max)]),
+    "orders": ("superpartition", {"n_max": 6}, lambda mod, n_max: [mod.orders_check(n_max)]),
+    "counting": ("superpartition", {"n_max": 12}, lambda mod, n_max: [mod.count_check(n_max)]),
+}
+
+
 def _suite_reports(args) -> list[dict]:
-    suite = args.suite
-
-    def given(value, default):
+    from importlib import import_module
+    module, reads, run = _SUITES[args.suite]
+    unread = [
+        "--" + opt.replace("_", "-")
+        for opt in ("n_max", "nvars", "degree")
+        if getattr(args, opt) is not None and opt not in reads
+    ]
+    if unread:
+        raise SystemExit(f"error: suite {args.suite} does not read {', '.join(unread)}")
+    values = {
         # an explicit 0 is a request, not a missing option
-        return default if value is None else value
-
-    if args.n_max is not None and args.n_max < 0:
+        opt: default if getattr(args, opt) is None else getattr(args, opt)
+        for opt, default in reads.items()
+    }
+    if values.get("n_max", 0) < 0:
         # some suites would check no block at all and report a pass
-        raise ValueError(f"need n_max >= 0, got {args.n_max}")
-
-    if suite == "recursions":
-        from .engine_checks import verify_recursions
-        return [verify_recursions(given(args.n_max, 6))]
-    if suite == "determinants":
-        from .engine_checks import DETERMINANT_KINDS, determinant_formulas
-        reports = []
-        for which in DETERMINANT_KINDS:
-            start = 0 if which.startswith(("etilde", "ptilde")) else 1
-            for n in range(start, given(args.n_max, 6) + 1):
-                reports.append(determinant_formulas(n, which))
-        return reports
-    if suite == "generating":
-        from .bases import generating_check
-        trunc = given(args.degree, 4)
-        nvars = given(args.nvars, 5)
-        return [
-            generating_check(kind, trunc, nvars)
-            for kind in ("E", "H", "P", "HE", "HP", "EP")
-        ]
-    if suite == "kernel":
-        from .inner import kernel_check, reproducing_check
-        nvars = given(args.nvars, 5)
-        degree = given(args.degree, 4)
-        return [
-            kernel_check(nvars, degree),
-            reproducing_check(nvars, min(degree, 3)),
-        ]
-    if suite == "duality":
-        from .inner import duality_check
-        return [duality_check(given(args.n_max, 5))]
-    if suite == "orders":
-        return [orders_check(given(args.n_max, 6))]
-    if suite == "counting":
-        return [count_check(given(args.n_max, 12))]
-    raise SystemExit(f"error: unknown suite {suite!r}")
+        raise ValueError(f"need n_max >= 0, got {values['n_max']}")
+    return run(import_module(f".{module}", __package__), **values)
 
 
 def _cmd_verify(args) -> int:
@@ -298,10 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("verify", _cmd_verify, help="run a verification suite")
     p.add_argument(
         "--suite",
-        choices=(
-            "recursions", "determinants", "generating",
-            "kernel", "duality", "orders", "counting",
-        ),
+        choices=tuple(_SUITES),
         required=True,
     )
     p.add_argument("--n-max", type=int, default=None)

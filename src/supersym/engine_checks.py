@@ -18,7 +18,7 @@ from .superpartition import SuperPartition, _blocks, _report, bruhat_leq, enumer
 from .superpoly import SuperPolynomial
 from . import bases as _bases
 from .bases import _canonical_key
-from .transform import BasisExpansion
+from .transform import BasisExpansion, omega_sign
 
 
 # -- expansion in monomials ----------------------------------------------------
@@ -119,68 +119,97 @@ def _block_matrix(basis: str, n: int, m: int) -> tuple[tuple[Fraction, ...], ...
     return tuple(tuple(row) for row in mat)
 
 
+# -- identities in generator terms and their images under omega ----------------------
+#
+# A generator term (weight, family, index) stands for weight * X_index, X one
+# of the six families e, te, h, th, p, tp.  Each identity below is stated
+# once in such terms.  Its image under the e-h involution, a ring
+# automorphism, is the same statement with _omega mapped over the terms.
+
+_SWAP = {"e": "h", "h": "e", "te": "th", "th": "te"}
+_ZERO = (0, "e", 0)
+
+
+def _generators(top: int, nvars: int):
+    """The map from a generator term of index <= top to its polynomial;
+    weight 1 gives the cached generator itself.  The bases constructors are
+    looked up at call time (tests and tracers replace them)."""
+    gens = {
+        fam: [gen(k, nvars) for k in range(top + 1)]
+        for fam, gen in (
+            ("e", _bases.elementary), ("te", _bases.elementary_tilde),
+            ("h", _bases.complete), ("th", _bases.complete_tilde),
+            ("p", _bases.powersum), ("tp", _bases.powersum_tilde),
+        )
+    }
+
+    def poly(term):
+        w, fam, k = term
+        return gens[fam][k] if w == 1 else gens[fam][k].scale(w)
+
+    return poly
+
+
+def _omega(term):
+    """omega(w X_k): e <-> h and te <-> th swap; p_k and tp_k keep their
+    family and take the power-sum eigenvalue omega_sign of (;k) or (k;)."""
+    w, fam, k = term
+    if fam in _SWAP:
+        return w, _SWAP[fam], k
+    label = SuperPartition((k,)) if fam == "tp" else SuperPartition((), (k,))
+    return w * omega_sign(label), fam, k
+
+
+# an identity as stated, then its image
+_STATED_AND_IMAGE = (lambda term: term, _omega)
+
+
 # -- recursion identities ---------------------------------------------------------
 
-
-def _generators(top: int, nvars: int) -> list[list[SuperPolynomial]]:
-    """The six generator families e, te, h, th, p, tp, each at degrees 0..top."""
-    return [
-        [gen(k, nvars) for k in range(top + 1)]
-        for gen in (
-            _bases.elementary, _bases.elementary_tilde, _bases.complete,
-            _bases.complete_tilde, _bases.powersum, _bases.powersum_tilde,
-        )
-    ]
+# (names of the identity and of its omega image, first n, the products of
+# two terms summed over r = 0..n, the target at n)
+_RECURSIONS = (
+    (("alternating e-h convolution",), 1,
+     lambda n, r: [(((-1) ** r, "e", r), (1, "h", n - r))], lambda n: _ZERO),
+    (("n h_n from p convolution", "n e_n from p convolution"), 1,
+     lambda n, r: [((1, "p", r), (1, "h", n - r))], lambda n: (n, "h", n)),
+    (("alternating mixed e-h convolution",), 0,
+     lambda n, r: [(((-1) ** r, "e", r), (1, "th", n - r)),
+                   ((-(-1) ** r, "te", r), (1, "h", n - r))],
+     lambda n: _ZERO),
+    (("(n+1) th_n convolution", "(n+1) te_n convolution"), 0,
+     lambda n, r: [((1, "p", r), (1, "th", n - r)), ((r + 1, "tp", r), (1, "h", n - r))],
+     lambda n: (n + 1, "th", n)),
+)
 
 
 def verify_recursions(n_max: int) -> dict:
     """Check the six generator recursions exactly at N = n_max + 2.
 
-    Bosonic, n >= 1:
+    Stated, bosonic for n >= 1 and mixed for n >= 0 (p_0 = 0):
       sum_r (-1)^r e_r h_{n-r} = 0
       n h_n = sum_{r>=1} p_r h_{n-r}
-      n e_n = sum_{r>=1} (-1)^{r+1} p_r e_{n-r}
-    Mixed, n >= 0 (p_0 = 0):
       sum_r (-1)^r (e_r th_{n-r} - te_r h_{n-r}) = 0
       (n+1) th_n = sum_r [p_r th_{n-r} + (r+1) tp_r h_{n-r}]
-      (n+1) te_n = sum_r (-1)^{r+1} [p_r te_{n-r} - (r+1) tp_r e_{n-r}]
+    and the omega images of the second and the fourth, "n e_n from p" and
+    "(n+1) te_n" (the first and the third are their own images up to sign).
     """
     if n_max < 1:
         raise ValueError(f"need n_max >= 1, got {n_max}")
     nv = n_max + 2
     params = {"n_max": n_max, "nvars": nv}
-    e, te, h, th, p, tp = _generators(n_max, nv)
-    zero = SuperPolynomial.zero(nv)
+    poly = _generators(n_max, nv)
     for n in range(n_max + 1):
-        checks = []
-        if n >= 1:
-            acc = zero
-            for r in range(n + 1):
-                acc = acc + (e[r] * h[n - r]).scale((-1) ** r)
-            checks.append(("alternating e-h convolution", acc == zero))
-            acc = zero
-            for r in range(1, n + 1):
-                acc = acc + p[r] * h[n - r]
-            checks.append(("n h_n from p convolution", acc == h[n].scale(n)))
-            acc = zero
-            for r in range(1, n + 1):
-                acc = acc + (p[r] * e[n - r]).scale((-1) ** (r + 1))
-            checks.append(("n e_n from p convolution", acc == e[n].scale(n)))
-        acc = zero
-        for r in range(n + 1):
-            acc = acc + (e[r] * th[n - r] - te[r] * h[n - r]).scale((-1) ** r)
-        checks.append(("alternating mixed e-h convolution", acc == zero))
-        acc = zero
-        for r in range(n + 1):
-            acc = acc + p[r] * th[n - r] + (tp[r] * h[n - r]).scale(r + 1)
-        checks.append(("(n+1) th_n convolution", acc == th[n].scale(n + 1)))
-        acc = zero
-        for r in range(n + 1):
-            acc = acc + (p[r] * te[n - r] - (tp[r] * e[n - r]).scale(r + 1)).scale((-1) ** (r + 1))
-        checks.append(("(n+1) te_n convolution", acc == te[n].scale(n + 1)))
-        for name, ok in checks:
-            if not ok:
-                return _report("recursions", params, f"n={n}: {name} fails at N={nv}")
+        for names, first_n, products, target in _RECURSIONS:
+            if n < first_n:
+                continue
+            for name, to in zip(names, _STATED_AND_IMAGE):
+                acc = poly(_ZERO)
+                for r in range(n + 1):
+                    for left, right in products(n, r):
+                        acc = acc + poly(to(left)) * poly(to(right))
+                if acc != poly(to(target(n))):
+                    return _report("recursions", params, f"n={n}: {name} fails at N={nv}")
     return _report("recursions", params, None)
 
 
@@ -210,91 +239,57 @@ def _hessenberg_det(size, row1, entry, subdiag, nvars) -> SuperPolynomial:
     return minors[size]
 
 
-DETERMINANT_KINDS = (
-    "e_in_h",
-    "etilde_in_h",
-    "p_in_e",
-    "ptilde_in_e",
-    "e_in_p",
-    "etilde_in_p",
-)
+# the smallest n of each kind; the fermionic kinds start at 0 with n + 1 rows
+_FIRST_N = {"e_in_h": 1, "etilde_in_h": 0, "p_in_e": 1, "ptilde_in_e": 0, "e_in_p": 1, "etilde_in_p": 0}
+DETERMINANT_KINDS = tuple(_FIRST_N)
+
+
+def _determinant_cases(which: str, n: int, nvars: int) -> list[tuple]:
+    """The primal determinant of one kind and its omega image, each as
+    (name, size, first row, entry(i, j), subdiag(l), target) over polynomials.
+
+    The primal is stated in generator terms: the first-row term at column j,
+    the band family and its weight at (i, j), the subdiagonal and the target.
+    """
+    f, one = math.factorial(n), lambda *_: 1
+    row1, band, weight, subdiag, target = {
+        "e_in_h": (lambda j: (1, "h", j), "h", one, one, (1, "e", n)),
+        "etilde_in_h": (lambda j: (1, "th", j - 1), "h", lambda i, j: n + j - 2 * i + 3,
+                        lambda l: n - l + 1, (f, "te", n)),
+        "p_in_e": (lambda j: (j, "e", j), "e", one, one, (1, "p", n)),
+        "ptilde_in_e": (lambda j: (1, "te", j - 1), "e", one, one, (1, "tp", n)),
+        "e_in_p": (lambda j: (1, "p", j), "p", one, lambda l: l, (f, "e", n)),
+        "etilde_in_p": (lambda j: (1, "tp", j - 1), "p", one, lambda l: n - l + 1, (f, "te", n)),
+    }[which]
+    size = n + 1 - _FIRST_N[which]
+    poly = _generators(size, nvars)
+    entry = lambda i, j: (weight(i, j), band, j - i + 1)
+    return [
+        (name, size, [poly(to(row1(j))) for j in range(1, size + 1)],
+         lambda i, j, to=to: poly(to(entry(i, j))), subdiag, poly(to(target)))
+        for name, to in zip(("primal", "image"), _STATED_AND_IMAGE)
+    ]
 
 
 def determinant_formulas(n: int, which: str, nvars: int | None = None) -> dict:
-    """Check one determinantal identity and its involution image, exactly.
+    """Check one determinantal identity and its image under omega, exactly.
 
-    kinds (primal determinant -> image determinant):
-      e_in_h:      e_n = det(h band)          ->  h_n = det(e band)
-      etilde_in_h: n! te_n = det(th, h band)  ->  n! th_n = det(te, e band)
-      p_in_e:      p_n = det(j e_j row)       ->  (-1)^(n-1) p_n = det(j h_j row)
-      ptilde_in_e: tp_n = det(te, e band)     ->  (-1)^n tp_n = det(th, h band)
-      e_in_p:      n! e_n = det(p band)       ->  n! h_n = det(signed p band)
-      etilde_in_p: n! te_n = det(tp, p band)  ->  n! th_n = det(signed tp, p band)
+    kinds (the primal determinant; _determinant_cases generates the image):
+      e_in_h:      e_n = det(h band)
+      etilde_in_h: n! te_n = det(th, h band)
+      p_in_e:      p_n = det(j e_j row)
+      ptilde_in_e: tp_n = det(te, e band)
+      e_in_p:      n! e_n = det(p band)
+      etilde_in_p: n! te_n = det(tp, p band)
     """
     if which not in DETERMINANT_KINDS:
         raise ValueError(f"which must be one of {DETERMINANT_KINDS}, got {which!r}")
-    fermionic = which.startswith(("etilde", "ptilde"))
-    if n < (0 if fermionic else 1):
-        raise ValueError(f"{which} needs n >= {0 if fermionic else 1}, got {n}")
+    if n < _FIRST_N[which]:
+        raise ValueError(f"{which} needs n >= {_FIRST_N[which]}, got {n}")
     nv = nvars if nvars is not None else n + 2
-    size = n + 1 if fermionic else n
-    e, te, h, th, p, tp = _generators(size, nv)
-    zero = SuperPolynomial.zero(nv)
-
-    def band(fam):
-        return lambda i, j: fam[j - i + 1] if j - i + 1 >= 0 else zero
-
-    def signed_band(fam):
-        return lambda i, j: (
-            fam[j - i + 1].scale((-1) ** (j - i)) if j - i + 1 >= 0 else zero
-        )
-
-    one_sd = lambda l: 1
-    fact = math.factorial(n)
-
-    if which == "e_in_h":
-        cases = [
-            ("primal", [h[j] for j in range(1, n + 1)], band(h), one_sd, e[n]),
-            ("image", [e[j] for j in range(1, n + 1)], band(e), one_sd, h[n]),
-        ]
-    elif which == "etilde_in_h":
-        def weighted(fam):
-            return lambda i, j: fam[j - i + 1].scale(n + j - 2 * i + 3) if j - i + 1 >= 0 else zero
-        sd = lambda l: n - l + 1
-        cases = [
-            ("primal", [th[j - 1] for j in range(1, n + 2)], weighted(h), sd, te[n].scale(fact)),
-            ("image", [te[j - 1] for j in range(1, n + 2)], weighted(e), sd, th[n].scale(fact)),
-        ]
-    elif which == "p_in_e":
-        cases = [
-            ("primal", [e[j].scale(j) for j in range(1, n + 1)], band(e), one_sd, p[n]),
-            ("image", [h[j].scale(j) for j in range(1, n + 1)], band(h), one_sd,
-             p[n].scale((-1) ** (n - 1))),
-        ]
-    elif which == "ptilde_in_e":
-        cases = [
-            ("primal", [te[j - 1] for j in range(1, n + 2)], band(e), one_sd, tp[n]),
-            ("image", [th[j - 1] for j in range(1, n + 2)], band(h), one_sd,
-             tp[n].scale((-1) ** n)),
-        ]
-    elif which == "e_in_p":
-        sd = lambda l: l
-        cases = [
-            ("primal", [p[j] for j in range(1, n + 1)], band(p), sd, e[n].scale(fact)),
-            ("image", [p[j].scale((-1) ** (j - 1)) for j in range(1, n + 1)],
-             signed_band(p), sd, h[n].scale(fact)),
-        ]
-    else:  # etilde_in_p
-        sd = lambda l: n - l + 1
-        cases = [
-            ("primal", [tp[j - 1] for j in range(1, n + 2)], band(p), sd, te[n].scale(fact)),
-            ("image", [tp[j - 1].scale((-1) ** (j - 1)) for j in range(1, n + 2)],
-             signed_band(p), sd, th[n].scale(fact)),
-        ]
-
     check, params = f"determinant-{which}", {"n": n, "nvars": nv}
-    for name, row1, entry, sd, want in cases:
-        if _hessenberg_det(size, row1, entry, sd, nv) != want:
+    for name, size, row1, entry, subdiag, want in _determinant_cases(which, n, nv):
+        if _hessenberg_det(size, row1, entry, subdiag, nv) != want:
             return _report(check, params, f"{which} {name} determinant differs at n={n}, N={nv}")
     return _report(check, params, None)
 

@@ -121,14 +121,26 @@ class SuperPartition(_Frozen):
         s = _int_parts(s, "symmetric side")
         while s and s[-1] == 0:
             s = s[:-1]
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "s", s)
         if any(v < 0 for v in a + s):
             raise SparError(f"negative part in ({a};{s})")
         if any(a[i] <= a[i + 1] for i in range(len(a) - 1)):
             raise SparError(f"fermionic parts not strictly decreasing: {a}")
         if any(s[i] < s[i + 1] for i in range(len(s) - 1)):
             raise SparError(f"symmetric parts not weakly decreasing: {s}")
+        self._set_parts(a, s)
+
+    @classmethod
+    def _canonical(cls, a: tuple[int, ...], s: tuple[int, ...]) -> SuperPartition:
+        """A superpartition from parts already in canonical form (int tuples,
+        ``a`` strictly decreasing and >= 0, ``s`` weakly decreasing and > 0),
+        without the checks of ``__init__``: for labels sorted by construction."""
+        sp = object.__new__(cls)
+        sp._set_parts(a, s)
+        return sp
+
+    def _set_parts(self, a: tuple[int, ...], s: tuple[int, ...]) -> None:
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "s", s)
         # Superpartitions key every cache and coefficient map, and every
         # expansion checks its labels' bidegree, so compute both once.
         object.__setattr__(self, "_hash", hash((a, s)))

@@ -269,7 +269,7 @@ def _p_mul(a: SuperPartition, b: SuperPartition) -> tuple[int, SuperPartition | 
                 return 0, None
             if y < x:
                 sign = -sign
-    return sign, SuperPartition(
+    return sign, SuperPartition._canonical(
         tuple(sorted(a.a + b.a, reverse=True)), tuple(sorted(a.s + b.s, reverse=True))
     )
 

@@ -194,6 +194,24 @@ def test_verify_suites_that_would_check_nothing_are_usage_errors(capsys):
         assert "n_max" in err
 
 
+@pytest.mark.parametrize(
+    "argv, unread",
+    [
+        (["orders", "--n-max", "2", "--degree", "9", "--nvars", "99"], "--nvars, --degree"),
+        (["orders", "--n-max", "2", "--degree", "3"], "--degree"),
+        (["kernel", "--n-max", "3"], "--n-max"),
+        (["generating", "--n-max", "2", "--degree", "2"], "--n-max"),
+        (["determinants", "--nvars", "3"], "--nvars"),
+        (["counting", "--n-max", "3", "--degree", "0"], "--degree"),
+    ],
+)
+def test_verify_an_option_the_suite_does_not_read_is_a_usage_error(capsys, argv, unread):
+    rc, out, err = run(capsys, "verify", "--suite", *argv)
+    assert rc == 2
+    assert out == ""
+    assert err.strip() == f"error: suite {argv[0]} does not read {unread}"
+
+
 def test_verify_counting_json(capsys):
     rc, out, _ = run(capsys, "verify", "--suite", "counting", "--n-max", "6", "--format", "json")
     assert rc == 0

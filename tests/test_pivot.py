@@ -106,6 +106,19 @@ def p_times(x, y):
     return {k: v for k, v in out.items() if v}
 
 
+def test_product_labels_are_canonical():
+    labels = [x for n in range(5) for m in range(3) for x in enumerate_superpartitions(n, m)]
+    for x in labels:
+        for y in labels:
+            sign, label = _p_mul(x, y)
+            if sign:
+                checked = SuperPartition(
+                    tuple(sorted(x.a + y.a, reverse=True)), tuple(sorted(x.s + y.s, reverse=True))
+                )
+                assert label == checked and hash(label) == hash(checked)
+                assert label.bidegree == checked.bidegree
+
+
 @given(superpartitions(), superpartitions())
 @example(SuperPartition((2,)), SuperPartition((0,)))  # tp_2 tp_0 = -tp_0 tp_2
 def test_product_is_graded_commutative(x, y):

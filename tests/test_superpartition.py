@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from supersym.superpartition import (
     SparError,
+    _blocks,
     SuperPartition,
     apply_move,
     bruhat_leq,
@@ -39,6 +40,16 @@ def test_normalised_equals_hash_alike():
     assert x == y and hash(x) == hash(y)
     assert {x: 1}[y] == 1
     assert repr(x) == "SuperPartition(a=(2, 0), s=(1,))"
+
+
+def test_canonical_constructor_matches_the_validating_one():
+    # product labels are built without validation; they must be the same objects
+    for _, _, block in _blocks(7):
+        for x in block:
+            fast, checked = SuperPartition._canonical(x.a, x.s), SuperPartition(x.a, x.s)
+            assert type(fast) is SuperPartition and fast == checked and checked == fast
+            assert hash(fast) == hash(checked) and repr(fast) == repr(checked)
+            assert (fast.degree, fast.bidegree) == (checked.degree, checked.bidegree)
 
 
 def test_zero_kept_on_antisymmetric_side():

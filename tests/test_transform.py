@@ -1,6 +1,7 @@
 """Monomial expansions, the signed filling rule, and basis conversions."""
 
 import json
+import math
 from fractions import Fraction
 from itertools import product
 
@@ -8,7 +9,17 @@ import pytest
 
 from supersym.superpartition import SuperPartition, bruhat_leq, enumerate_superpartitions
 from supersym.superpoly import SuperPolynomial
-from supersym.bases import basis_element, complete_tilde, elementary_tilde, monomial
+from supersym import engine_checks
+from supersym.bases import (
+    basis_element,
+    complete,
+    complete_tilde,
+    elementary,
+    elementary_tilde,
+    monomial,
+    powersum,
+    powersum_tilde,
+)
 from supersym.transform import (
     DETERMINANT_KINDS,
     BasisExpansion,
@@ -20,7 +31,15 @@ from supersym.transform import (
     triangularity,
     verify_recursions,
 )
-from supersym.engine_checks import _block_matrix, _det_fraction
+from supersym.engine_checks import (
+    _FIRST_N,
+    _RECURSIONS,
+    _block_matrix,
+    _det_fraction,
+    _determinant_cases,
+    _generators,
+    _omega,
+)
 
 
 def sp(text):
@@ -206,6 +225,138 @@ def test_determinants_match_constructions(which):
     for n in range(start, 4):
         rep = determinant_formulas(n, which)
         assert rep["pass"] is True, rep
+
+
+# -- the omega images, held against the statements written out by hand --------------
+
+
+def families(top, nv):
+    """e, te, h, th, p, tp at degrees 0..top, straight from the constructors."""
+    gens = (elementary, elementary_tilde, complete, complete_tilde, powersum, powersum_tilde)
+    return [[gen(k, nv) for k in range(top + 1)] for gen in gens]
+
+
+def image_by_hand(which, n, nv):
+    """The image determinant of each kind as written out by hand:
+    (first row, entry(i, j), subdiag(l), target)."""
+    size = n + 1 - _FIRST_N[which]
+    e, te, h, th, p, tp = families(size, nv)
+    zero = SuperPolynomial.zero(nv)
+    fact = math.factorial(n)
+
+    def band(fam):
+        return lambda i, j: fam[j - i + 1] if j - i + 1 >= 0 else zero
+
+    def signed_band(fam):
+        return lambda i, j: fam[j - i + 1].scale((-1) ** (j - i)) if j - i + 1 >= 0 else zero
+
+    def weighted(fam):
+        return lambda i, j: fam[j - i + 1].scale(n + j - 2 * i + 3) if j - i + 1 >= 0 else zero
+
+    one = lambda l: 1
+    return {
+        "e_in_h": ([e[j] for j in range(1, n + 1)], band(e), one, h[n]),
+        "etilde_in_h": (
+            [te[j - 1] for j in range(1, n + 2)], weighted(e), lambda l: n - l + 1,
+            th[n].scale(fact),
+        ),
+        "p_in_e": ([h[j].scale(j) for j in range(1, n + 1)], band(h), one, p[n].scale((-1) ** (n - 1))),
+        "ptilde_in_e": ([th[j - 1] for j in range(1, n + 2)], band(h), one, tp[n].scale((-1) ** n)),
+        "e_in_p": (
+            [p[j].scale((-1) ** (j - 1)) for j in range(1, n + 1)], signed_band(p), lambda l: l,
+            h[n].scale(fact),
+        ),
+        "etilde_in_p": (
+            [tp[j - 1].scale((-1) ** (j - 1)) for j in range(1, n + 2)], signed_band(p),
+            lambda l: n - l + 1, th[n].scale(fact),
+        ),
+    }[which]
+
+
+@pytest.mark.parametrize("which", DETERMINANT_KINDS)
+def test_determinant_images_match_the_hand_written_ones(which):
+    for n in range(_FIRST_N[which], 5):
+        nv = n + 2
+        (name, size, row1, entry, subdiag, target), = _determinant_cases(which, n, nv)[1:]
+        want_row1, want_entry, want_subdiag, want_target = image_by_hand(which, n, nv)
+        assert name == "image" and size == len(want_row1)
+        assert row1 == want_row1, (n, "row 1")
+        for i in range(2, size + 1):
+            for j in range(i - 1, size + 1):
+                assert entry(i, j) == want_entry(i, j), (n, i, j)
+        assert [subdiag(l) for l in range(1, size)] == [want_subdiag(l) for l in range(1, size)]
+        assert target == want_target, (n, "target")
+
+
+def recursion_images_by_hand(n, nv):
+    """The r-th summands and the target of the two image recursions as
+    written out by hand: n e_n from p and (n+1) te_n."""
+    e, te, h, th, p, tp = families(n, nv)
+    zero = SuperPolynomial.zero(nv)
+    return {
+        "n e_n from p convolution": (
+            [(p[r] * e[n - r]).scale((-1) ** (r + 1)) if r else zero for r in range(n + 1)],
+            e[n].scale(n),
+        ),
+        "(n+1) te_n convolution": (
+            [
+                (p[r] * te[n - r] - (tp[r] * e[n - r]).scale(r + 1)).scale((-1) ** (r + 1))
+                for r in range(n + 1)
+            ],
+            te[n].scale(n + 1),
+        ),
+    }
+
+
+def test_recursion_images_match_the_hand_written_ones():
+    images = [stated for stated in _RECURSIONS if len(stated[0]) == 2]
+    assert [names[1] for names, *_ in images] == list(recursion_images_by_hand(1, 3))
+    for n in range(5):
+        nv = n + 2
+        poly = _generators(n, nv)
+        by_hand = recursion_images_by_hand(n, nv)
+        for (_, image), first_n, products, target in images:
+            if n < first_n:
+                continue
+            summands, want_target = by_hand[image]
+            for r in range(n + 1):
+                got = SuperPolynomial.zero(nv)
+                for left, right in products(n, r):
+                    got = got + poly(_omega(left)) * poly(_omega(right))
+                assert got == summands[r], (image, n, r)
+            assert poly(_omega(target(n))) == want_target, (image, n)
+
+
+def flip_where(predicate):
+    real = engine_checks.omega_sign
+    return lambda label: -real(label) if predicate(label) else real(label)
+
+
+@pytest.mark.parametrize(
+    "flipped, failing",
+    [
+        (lambda label: label.a, {"ptilde_in_e", "etilde_in_p"}),
+        (lambda label: label.s, {"p_in_e", "e_in_p", "etilde_in_p"}),
+    ],
+    ids=["tilde power sums", "plain power sums"],
+)
+def test_a_wrong_omega_sign_fails_the_image_checks(monkeypatch, flipped, failing):
+    monkeypatch.setattr(engine_checks, "omega_sign", flip_where(flipped))
+    failed = set()
+    for which in DETERMINANT_KINDS:
+        for n in range(_FIRST_N[which], 5):
+            failure = determinant_formulas(n, which)["first_failure"]
+            if failure is not None:
+                assert failure == f"{which} image determinant differs at n={n}, N={n + 2}"
+                failed.add(which)
+    assert failed == failing
+
+
+def test_a_wrong_omega_sign_fails_the_image_recursions(monkeypatch):
+    monkeypatch.setattr(engine_checks, "omega_sign", lambda label: 1)
+    assert verify_recursions(3)["first_failure"] == "n=1: (n+1) te_n convolution fails at N=5"
+    monkeypatch.setattr(engine_checks, "omega_sign", flip_where(lambda label: label.s))
+    assert verify_recursions(3)["first_failure"] == "n=1: n e_n from p convolution fails at N=5"
 
 
 def test_determinant_kind_validation():
