@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import cache
 
 from .superpartition import SuperPartition, _blocks, _report, bruhat_leq, enumerate_superpartitions
-from .superpoly import SuperPolynomial
+from .superpoly import SuperPolynomial, _sector_sign
 from . import bases as _bases
 from .bases import _canonical_key
 from .transform import BasisExpansion, omega_sign
@@ -333,7 +333,7 @@ def triangularity(n_max: int) -> dict:
         return _report("triangularity", {"n_max": n_max}, failure, nonneg_surmise_holds=nonneg)
 
     for n, m, block in _blocks(n_max):
-        arrow_sign = -1 if (m * (m - 1) // 2) % 2 else 1
+        arrow_sign = _sector_sign(m)
         for sp in block:
             conj = sp.conjugate()
             for cand, c in _basis_in_monomials("e", sp):

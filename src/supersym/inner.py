@@ -42,7 +42,8 @@ _DUAL_BASES = ("m", "e", "h", "p", "p/z")
 
 
 def dual_bases_check(n: int, m: int, u: str, v: str) -> bool:
-    """True iff the Gram matrix <u_L, v_O> on block (n|m) is the identity."""
+    """True iff the Gram matrix <u_L, v_O> on block (n|m) is the identity;
+    an empty block raises, as it leaves nothing to check."""
     for name in (u, v):
         if name not in _DUAL_BASES:
             raise ValueError(f"basis must be one of {_DUAL_BASES}, got {name!r}")
@@ -53,6 +54,8 @@ def dual_bases_check(n: int, m: int, u: str, v: str) -> bool:
         return BasisExpansion.unit(name, sp)
 
     block = enumerate_superpartitions(n, m)
+    if not block:
+        raise ValueError(f"SPar({n}|{m}) is empty: nothing to check")
     for a in block:
         ua = unit(u, a)
         for b in block:

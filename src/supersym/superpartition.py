@@ -384,6 +384,8 @@ def enumerate_superpartitions(n: int, m: int, max_len: int | None = None) -> lis
     """
     if n < 0 or m < 0:
         raise ValueError(f"need n, m >= 0, got ({n}, {m})")
+    if max_len is not None and max_len < 0:
+        raise ValueError(f"need max_len >= 0, got {max_len}")
     block = _block(n, m)
     if max_len is None:
         return list(block)

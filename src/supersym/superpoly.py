@@ -40,6 +40,11 @@ def _exact(c) -> int | Fraction:
     return c.numerator if c.denominator == 1 else c
 
 
+def _sector_sign(m: int) -> int:
+    """The arrow sign (-1)^(m(m-1)/2): reversing m anticommuting letters."""
+    return -1 if (m * (m - 1) // 2) & 1 else 1
+
+
 def _sort_sign(seq: tuple[int, ...]) -> int | None:
     """Sign of sorting an anticommuting word; None when a letter repeats."""
     if len(set(seq)) != len(seq):
@@ -420,11 +425,10 @@ class SuperPolynomial:
         return SuperPolynomial(self.nvars, blocks)
 
     def arrow(self) -> SuperPolynomial:
-        """Scale each m-theta sector by (-1)^(m(m-1)/2), reversing theta words."""
+        """Scale each m-theta sector by _sector_sign(m), reversing theta words."""
         blocks = {}
         for mask, terms in self.blocks.items():
-            m = mask.bit_count()
-            if (m * (m - 1) // 2) & 1:
+            if _sector_sign(mask.bit_count()) < 0:
                 blocks[mask] = {k: -c for k, c in terms.items()}
             else:
                 blocks[mask] = terms

@@ -111,14 +111,13 @@ class BasisExpansion(_Frozen):
             out[sp] = out.get(sp, Fraction(0)) + c
         return BasisExpansion(self.basis, self.n, self.m, out)
 
-    def to_poly(self, nvars: int | None = None, arrowed: bool = False) -> SuperPolynomial:
+    def to_poly(self, nvars: int | None = None) -> SuperPolynomial:
         from .bases import basis_element
         from .superpoly import SuperPolynomial
         if nvars is None:
             nvars = self.n + self.m
         return SuperPolynomial.linear_combination(
-            nvars,
-            ((c, basis_element(self.basis, sp, nvars, arrowed)) for sp, c in self.coeffs.items()),
+            nvars, ((c, basis_element(self.basis, sp, nvars)) for sp, c in self.coeffs.items())
         )
 
     def to_json_dict(self) -> dict:
@@ -249,9 +248,15 @@ def z_weight(sp: SuperPartition) -> int:
 
 
 def omega_sign(sp: SuperPartition) -> int:
-    """(-1)^(degree + fermionic degree - length): the p-eigenvalue of the
-    e-h involution."""
-    return -1 if (sp.degree + sp.fermionic_degree - sp.length) % 2 else 1
+    """(-1)^(degree + fermionic degree - length) = (-1)^(degree - len(s)):
+    the p-eigenvalue of the e-h involution."""
+    return -1 if (sp.degree - len(sp.s)) & 1 else 1
+
+
+def _omega_p(pairs) -> dict:
+    """omega on power-sum coordinates given as (label, c) pairs: a sign on
+    each p_L.  The one place the pivot applies the involution."""
+    return {la: omega_sign(la) * c for la, c in pairs}
 
 
 def _p_mul(a: SuperPartition, b: SuperPartition) -> tuple[int, SuperPartition | None]:
@@ -287,18 +292,15 @@ def _generator_in_p(n: int, fermionic: bool) -> tuple[tuple[SuperPartition, Frac
 def eh_in_p(n: int, fermionic: bool, which: str) -> BasisExpansion:
     """Closed-form power-sum expansion of e_n/h_n (or their tilde versions).
 
-    h: sum over the block of p_L / z_L; e: the same with omega_sign(L).
+    h: sum over the block of p_L / z_L; e: its omega image.
     The block is (n|0), or (n|1) when fermionic.
     """
     if which not in ("e", "h"):
         raise ValueError(f"which must be 'e' or 'h', got {which!r}")
     if n < 0:
         raise ValueError(f"need n >= 0, got {n}")
-    coeffs = {
-        sp: omega_sign(sp) * c if which == "e" else c
-        for sp, c in _generator_in_p(n, fermionic)
-    }
-    return BasisExpansion("p", n, 1 if fermionic else 0, coeffs)
+    h = _generator_in_p(n, fermionic)
+    return BasisExpansion("p", n, 1 if fermionic else 0, _omega_p(h) if which == "e" else dict(h))
 
 
 @cache
@@ -307,9 +309,9 @@ def _h_in_p(sp: SuperPartition) -> tuple[tuple[SuperPartition, Fraction], ...]:
     tilde factors first in the order of the fermionic parts.  The last
     factor is peeled off, so elements share their cached prefixes."""
     if sp.s:
-        rest, last = SuperPartition(sp.a, sp.s[:-1]), _generator_in_p(sp.s[-1], False)
+        rest, last = SuperPartition._canonical(sp.a, sp.s[:-1]), _generator_in_p(sp.s[-1], False)
     elif sp.a:
-        rest, last = SuperPartition(sp.a[:-1]), _generator_in_p(sp.a[-1], True)
+        rest, last = SuperPartition._canonical(sp.a[:-1], ()), _generator_in_p(sp.a[-1], True)
     else:
         return ((sp, Fraction(1)),)
     out: dict[SuperPartition, Fraction] = {}
@@ -344,17 +346,14 @@ def _apply(coords: dict, columns) -> dict:
 
 
 @cache
-def _in_p_columns(basis: str, n: int, m: int) -> tuple[int, Mapping[SuperPartition, tuple]]:
-    """Power-sum coordinates of every e or h element of the block, as integer
-    numerators over one common denominator.  The e elements are the h ones
-    seen through omega, a sign on each p_L."""
+def _h_in_p_columns(n: int, m: int) -> tuple[int, Mapping[SuperPartition, tuple]]:
+    """Power-sum coordinates of every h element of the block, as integer
+    numerators over one common denominator.  The e elements are their omega
+    images (_omega_p), so the block keeps no second table."""
     cols = {sp: _h_in_p(sp) for sp in enumerate_superpartitions(n, m)}
     den = math.lcm(*(c.denominator for col in cols.values() for _, c in col))
     return den, MappingProxyType({
-        sp: tuple(
-            (la, (omega_sign(la) if basis == "e" else 1) * c.numerator * (den // c.denominator))
-            for la, c in col
-        )
+        sp: tuple((la, c.numerator * (den // c.denominator)) for la, c in col)
         for sp, col in cols.items()
     })
 
@@ -363,7 +362,7 @@ def _in_p_columns(basis: str, n: int, m: int) -> tuple[int, Mapping[SuperPartiti
 def _p_in_m(n: int, m: int) -> Mapping[SuperPartition, tuple[tuple[SuperPartition, int], ...]]:
     """Monomial coordinates of every p_L of the block, from h-m duality:
     [m_O] p_L = <h_O, p_L> = z_L [p_L] h_O, an integer."""
-    den, h_cols = _in_p_columns("h", n, m)
+    den, h_cols = _h_in_p_columns(n, m)
     cols: dict[SuperPartition, list] = {sp: [] for sp in h_cols}
     for om, col in h_cols.items():
         for la, c in col:
@@ -376,11 +375,11 @@ def _e_in_m(n: int, m: int) -> tuple[tuple[SuperPartition, SuperPartition, int, 
     """The e-in-m matrix as (pivot row L', column L, pivot, other entries),
     by decreasing pivot row.  Column L has the pivot +-1 (the sector sign)
     at L' and the rest of its support below L' (criterion 3)."""
-    den, e_cols = _in_p_columns("e", n, m)
+    den, h_cols = _h_in_p_columns(n, m)
     p_in_m = _p_in_m(n, m)
     cols = []
-    for sp, in_p in e_cols.items():
-        col = _apply(dict(in_p), p_in_m)
+    for sp, h_in_p in h_cols.items():
+        col = _apply(_omega_p(h_in_p), p_in_m)
         conj = sp.conjugate()
         pivot = _quotient(col.pop(conj, 0), den, f"[m_{conj}] e_{sp}")
         if pivot not in (1, -1):
@@ -434,11 +433,14 @@ def change_basis(x: BasisExpansion, to: str) -> BasisExpansion:
     if source == "m" and to != "m":
         v, source = _solve_in_e(n, m, v), "e"
     if source not in (to, "p"):
-        scale, columns = _in_p_columns(source, n, m)
-        v, den, source = _apply(v, columns), den * scale, "p"
+        scale, columns = _h_in_p_columns(n, m)
+        v, den = _apply(v, columns), den * scale
+        if source == "e":
+            v = _omega_p(v.items())
+        source = "p"
     if source != to:
         if to == "h":
-            v = {la: omega_sign(la) * c for la, c in v.items()}
+            v = _omega_p(v.items())
         v = _apply(v, _p_in_m(n, m))
         if to != "m":
             v = _solve_in_e(n, m, v)
@@ -452,10 +454,6 @@ def change_basis(x: BasisExpansion, to: str) -> BasisExpansion:
 # plain, which makes <p_L, p_O> = z_L delta.
 
 
-def _sector_sign(m: int) -> int:
-    return -1 if (m * (m - 1) // 2) % 2 else 1
-
-
 def _as_p_expansion(f) -> BasisExpansion:
     if not isinstance(f, BasisExpansion):
         from .engine_checks import expand_in_monomials
@@ -466,34 +464,25 @@ def _as_p_expansion(f) -> BasisExpansion:
     return change_basis(f, "p")
 
 
-def scalar_product(f, g, raw: bool = False) -> Fraction:
+def scalar_product(f, g) -> Fraction:
     """Bilinear form with <p_L, p_O> = z_L delta (left slot arrowed).
 
     f and g may be BasisExpansions or symmetric SuperPolynomials; different
-    bidegrees pair to 0.  With raw=True both arguments are read as literal
-    plain polynomials, which costs one sector sign (-1)^(m(m-1)/2) relative
-    to the slot convention.
+    bidegrees pair to 0.
     """
     fp = _as_p_expansion(f)
     gp = _as_p_expansion(g)
     if (fp.n, fp.m) != (gp.n, gp.m):
         return Fraction(0)
-    total = Fraction(0)
-    for sp, c in fp.coeffs.items():
-        d = gp.get(sp)
-        if d:
-            total += z_weight(sp) * c * d
-    return _sector_sign(fp.m) * total if raw else total
+    d = gp.coeffs
+    return sum((z_weight(sp) * c * d[sp] for sp, c in fp.coeffs.items() if sp in d), Fraction(0))
 
 
 def omega(x: BasisExpansion) -> BasisExpansion:
     """The involution fixing monomial-degree data: e_L <-> h_L, and on power
     sums p_L -> omega_sign(L) p_L.  Returned in the input basis."""
     p = change_basis(x, "p")
-    flipped = BasisExpansion(
-        "p", p.n, p.m, {sp: omega_sign(sp) * c for sp, c in p.coeffs.items()}
-    )
-    return change_basis(flipped, x.basis)
+    return change_basis(BasisExpansion("p", p.n, p.m, _omega_p(p.coeffs.items())), x.basis)
 
 
 def __getattr__(name: str):

@@ -61,6 +61,13 @@ def test_list_json(capsys):
     assert data["superpartitions"] == [{"a": [0], "s": []}]
 
 
+def test_list_negative_max_len_exits_2(capsys):
+    rc, out, err = run(capsys, "list", "--n", "3", "--m", "1", "--max-len", "-1")
+    assert rc == 2
+    assert out == ""
+    assert "max_len >= 0" in err
+
+
 def test_order_reports_both_orders(capsys):
     rc, out, _ = run(capsys, "order", "(4,3,0;5,3,2,1)", "(5,2,1;4,3,3)")
     assert rc == 0

@@ -184,6 +184,12 @@ def test_complete_monomial_duality_blocks():
             assert dual_bases_check(n, m, "h", "m") is True, (n, m)
 
 
+@pytest.mark.parametrize("n, m, u, v", [(2, 3, "h", "m"), (0, 9, "p", "p/z")])
+def test_dual_bases_check_refuses_an_empty_block(n, m, u, v):
+    with pytest.raises(ValueError, match="empty"):
+        dual_bases_check(n, m, u, v)
+
+
 def test_dual_bases_check_validates_names():
     with pytest.raises(ValueError):
         dual_bases_check(2, 0, "h", "q")

@@ -178,6 +178,13 @@ def test_max_len_filters_by_length():
     assert short == [x for x in full if x.length <= 2]
 
 
+def test_max_len_must_be_nonnegative():
+    assert enumerate_superpartitions(0, 0, max_len=0) == [SuperPartition()]
+    assert enumerate_superpartitions(3, 1, max_len=0) == []
+    with pytest.raises(ValueError, match="max_len >= 0"):
+        enumerate_superpartitions(3, 1, max_len=-1)
+
+
 def test_enumeration_is_duplicate_free():
     for n in range(6):
         for m in range(4):

@@ -221,8 +221,7 @@ def test_recursions_pass():
 
 @pytest.mark.parametrize("which", DETERMINANT_KINDS)
 def test_determinants_match_constructions(which):
-    start = 0 if which.startswith(("etilde", "ptilde")) else 1
-    for n in range(start, 4):
+    for n in range(_FIRST_N[which], 4):
         rep = determinant_formulas(n, which)
         assert rep["pass"] is True, rep
 
