@@ -2,11 +2,12 @@
 
 Everything here moves between the four bases.  Conversions pivot through
 power sums and never build a polynomial: power sums multiply freely
-(p_L p_O = +-p_(L u O)), the generators have closed forms in them, h-m
-duality reads off monomial coordinates, and the arrowed e basis is
-unitriangular over m, so reaching e is one back substitution.  The scalar
-product and the e-h involution are diagonal on power sums, so they live here
-too.
+(p_L p_O = +-p_(L u O)), the generators have closed forms in them, and h-m
+duality reads off monomial coordinates.  Each block keeps two tables, h in
+p and its z-weighted transpose p in m; both are triangular by length, so
+every conversion is at most one apply or solve into p and one out of it.
+The scalar product and the e-h involution are diagonal on power sums, so
+they live here too.
 
 The combinatorial product rule for two monomial elements (signed fillings of
 the target diagram by the source rows) lives here as well, kept independent
@@ -329,9 +330,12 @@ def _numerators(coeffs) -> tuple[dict, int]:
     return {la: c.numerator * (den // c.denominator) for la, c in coeffs.items()}, den
 
 
-def _quotient(num: int, den: int, what: str) -> int:
+def _quotient(num: int, den: int, what: str, *labels) -> int:
+    """num / den, which must be exact; `what` names it, with the labels
+    formatted in only when the division fails."""
     q, r = divmod(num, den)
     if r:
+        what = what.format(*labels)
         raise ArithmeticError(f"{what} should be an integer, got {Fraction(num, den)}")
     return q
 
@@ -345,105 +349,98 @@ def _apply(coords: dict, columns) -> dict:
     return out
 
 
+def _solve(v: dict, scale: int, columns) -> dict:
+    """The integer coordinates x with _apply(x, columns) == scale * v.
+
+    The columns come in elimination order, each with its diagonal entry
+    first and the rest of its support on rows of later columns, so one pass
+    reads each coordinate off its pivot row.  An inexact pivot division and
+    a nonzero residue left at the end both raise, so a wrong order or a
+    column with an entry above its pivot never returns a wrong answer.
+    """
+    v = {la: scale * c for la, c in v.items()}
+    out = {}
+    for la, col in columns.items():
+        c = v.pop(la, 0)
+        if c:
+            c = out[la] = _quotient(c, col[0][1], "the coordinate at {}", la)
+            for om, d in col[1:]:
+                v[om] = v.get(om, 0) - c * d
+    if any(v.values()):
+        raise ArithmeticError("triangular solve left a residue")
+    return out
+
+
 @cache
 def _h_in_p_columns(n: int, m: int) -> tuple[int, Mapping[SuperPartition, tuple]]:
     """Power-sum coordinates of every h element of the block, as integer
-    numerators over one common denominator.  The e elements are their omega
-    images (_omega_p), so the block keeps no second table."""
-    cols = {sp: _h_in_p(sp) for sp in enumerate_superpartitions(n, m)}
-    den = math.lcm(*(c.denominator for col in cols.values() for _, c in col))
-    return den, MappingProxyType({
-        sp: tuple((la, c.numerator * (den // c.denominator)) for la, c in col)
-        for sp, col in cols.items()
-    })
+    numerators over one common denominator; e is their omega image.
 
-
-@cache
-def _p_in_m(n: int, m: int) -> Mapping[SuperPartition, tuple[tuple[SuperPartition, int], ...]]:
-    """Monomial coordinates of every p_L of the block, from h-m duality:
-    [m_O] p_L = <h_O, p_L> = z_L [p_L] h_O, an integer."""
-    den, h_cols = _h_in_p_columns(n, m)
-    cols: dict[SuperPartition, list] = {sp: [] for sp in h_cols}
-    for om, col in h_cols.items():
-        for la, c in col:
-            cols[la].append((om, _quotient(z_weight(la) * c, den, f"[m_{om}] p_{la}")))
-    return MappingProxyType({la: tuple(col) for la, col in cols.items()})
-
-
-@cache
-def _e_in_m(n: int, m: int) -> tuple[tuple[SuperPartition, SuperPartition, int, tuple], ...]:
-    """The e-in-m matrix as (pivot row L', column L, pivot, other entries),
-    by decreasing pivot row.  Column L has the pivot +-1 (the sector sign)
-    at L' and the rest of its support below L' (criterion 3)."""
-    den, h_cols = _h_in_p_columns(n, m)
-    p_in_m = _p_in_m(n, m)
-    cols = []
-    for sp, h_in_p in h_cols.items():
-        col = _apply(_omega_p(h_in_p), p_in_m)
-        conj = sp.conjugate()
-        pivot = _quotient(col.pop(conj, 0), den, f"[m_{conj}] e_{sp}")
-        if pivot not in (1, -1):
-            raise ArithmeticError(f"e_{sp} has coefficient {pivot} on m_{conj}, not +-1")
-        rest = tuple((om, _quotient(c, den, f"[m_{om}] e_{sp}")) for om, c in col.items() if c)
-        cols.append((conj, sp, pivot, rest))
-    # lexicographic (star, circled shape) extends the Bruhat-style order,
-    # since dominance implies lexicographic order on equal sizes
-    cols.sort(key=lambda col: (col[0].star(), col[0].shape_circled()), reverse=True)
-    return tuple(cols)
-
-
-def _solve_in_e(n: int, m: int, v: dict) -> dict:
-    """e-coordinates of the element with monomial coordinates v.
-
-    One pass down the pivot rows of the triangular e-in-m matrix.  A nonzero
-    residue left at the end raises, so a wrong elimination order or a
-    non-triangular column can never return a wrong answer.
+    h_L is supported on the refinements of L (each generator expands over
+    the partitions of its own part), so the columns go by increasing length,
+    each with its diagonal entry p_L first: _solve's elimination order.
     """
-    v = dict(v)
+    block = sorted(enumerate_superpartitions(n, m), key=lambda sp: sp.length)
+    cols = {sp: _h_in_p(sp) for sp in block}
+    den = math.lcm(*(c.denominator for col in cols.values() for _, c in col))
     out = {}
-    for row, sp, pivot, rest in _e_in_m(n, m):
-        c = v.pop(row, 0)
-        if c:
-            c *= pivot
-            out[sp] = c
-            for om, d in rest:
-                v[om] = v.get(om, 0) - c * d
-    if any(v.values()):
-        raise ArithmeticError(f"triangular solve on block ({n}|{m}) left a residue")
-    return out
+    for sp, col in cols.items():
+        ints = {la: c.numerator * (den // c.denominator) for la, c in col}
+        out[sp] = ((sp, ints.pop(sp)), *ints.items())
+    return den, MappingProxyType(out)
+
+
+@cache
+def _p_in_m(n: int, m: int) -> tuple[int, Mapping[SuperPartition, tuple]]:
+    """Monomial coordinates of every p_L of the block, from h-m duality:
+    [m_O] p_L = <h_O, p_L> = z_L [p_L] h_O, an integer; and the lcm of the
+    z_L, which clears the denominators of m in power sums.
+
+    p_L is supported on the coarsenings of L (parts merge on one variable,
+    and two fermionic parts never do, because theta^2 = 0), so the columns
+    go by decreasing length, each with its diagonal entry m_L first.
+    """
+    den, h_cols = _h_in_p_columns(n, m)
+    order = list(h_cols)[::-1]
+    z = {la: z_weight(la) for la in order}
+    cols: dict[SuperPartition, list] = {la: [] for la in order}
+    for om in order:
+        for la, c in h_cols[om]:
+            cols[la].append((om, _quotient(z[la] * c, den, "[m_{}] p_{}", om, la)))
+    return math.lcm(*z.values()), MappingProxyType({la: tuple(col) for la, col in cols.items()})
 
 
 def change_basis(x: BasisExpansion, to: str) -> BasisExpansion:
     """Exact conversion between any two bases, pivoting through power sums.
 
-    e and h elements are products in the p algebra of the generators'
-    closed forms; p-coordinates become monomial ones by h-m duality;
-    monomial coordinates become e ones by back substitution on the
-    unitriangular e-in-m matrix; h-coordinates are the e-coordinates of the
-    omega image, and omega is a sign on each p_L.  The arithmetic is on
-    integer numerators over one denominator.  No polynomial is built: the
-    polynomial engine (engine_checks._block_matrix) is the oracle the tests
-    hold this against.
+    Each conversion reaches p in at most one step and leaves it in at most
+    one, on the two tables each block caches.  e and h elements are products
+    in the p algebra of the generators' closed forms (an apply of the h
+    table; e is its omega image, and omega is a sign on each p_L).  p
+    becomes m by h-m duality (an apply of the p-in-m table), and m becomes p
+    by a triangular solve on that table.  p becomes h by a triangular solve
+    on the h table, and e the same way from the omega image.  The arithmetic
+    is on integer numerators over one denominator.  No polynomial is built:
+    the polynomial engine (engine_checks._block_matrix) is the oracle the
+    tests hold this against.
     """
     if to not in BASIS_NAMES:
         raise ValueError(f"unknown basis {to!r}")
     n, m = x.n, x.m
     v, den = _numerators(x.coeffs)
-    source = x.basis
-    if source == "m" and to != "m":
-        v, source = _solve_in_e(n, m, v), "e"
-    if source not in (to, "p"):
-        scale, columns = _h_in_p_columns(n, m)
-        v, den = _apply(v, columns), den * scale
-        if source == "e":
-            v = _omega_p(v.items())
-        source = "p"
-    if source != to:
-        if to == "h":
-            v = _omega_p(v.items())
-        v = _apply(v, _p_in_m(n, m))
-        if to != "m":
-            v = _solve_in_e(n, m, v)
+    if x.basis != to:
+        if x.basis == "m":
+            scale, columns = _p_in_m(n, m)
+            v, den = _solve(v, scale, columns), den * scale
+        elif x.basis != "p":
+            scale, columns = _h_in_p_columns(n, m)
+            v, den = _apply(v, columns), den * scale
+            if x.basis == "e":
+                v = _omega_p(v.items())
+        if to == "m":
+            v = _apply(v, _p_in_m(n, m)[1])
+        elif to != "p":
+            v = _solve(_omega_p(v.items()) if to == "e" else v, *_h_in_p_columns(n, m))
     return BasisExpansion(to, n, m, {la: Fraction(c, den) for la, c in v.items()})
 
 

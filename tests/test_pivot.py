@@ -74,15 +74,80 @@ def test_round_trips_at_degree_ten(text):
         )
 
 
-def test_solve_raises_on_a_residue(monkeypatch):
-    # an entry above its column's pivot breaks back substitution; the
-    # residue check must catch it rather than return a wrong answer
-    good = transform._e_in_m(3, 1)
-    row, la, pivot, rest = good[-1]
-    broken = good[:-1] + ((row, la, pivot, rest + ((good[0][0], 1),)),)
-    monkeypatch.setattr(transform, "_e_in_m", lambda n, m: broken)
+def test_solve_raises_on_a_residue():
+    # an entry above its column's pivot, the columns out of elimination
+    # order, or a pivot that does not divide breaks the solve; it must raise
+    # rather than return an answer
+    _, good = transform._p_in_m(3, 1)
+    labels = list(good)
+    first, last = labels[0], labels[-1]
+    pivot = good[last][0][1]
+    above = dict(good)
+    above[last] = good[last] + ((first, 1),)
     with pytest.raises(ArithmeticError):
-        transform._solve_in_e(3, 1, {row: Fraction(1)})
+        transform._solve({last: pivot}, 1, above)
+    doubled = dict(good)
+    doubled[last] = ((last, 2 * pivot), *good[last][1:])
+    with pytest.raises(ArithmeticError):
+        transform._solve({last: pivot}, 1, doubled)
+    reversed_order = {la: good[la] for la in reversed(labels)}
+    with pytest.raises(ArithmeticError):
+        transform._solve(dict(good[first]), 1, reversed_order)
+
+
+# -- the composite e-in-m oracle ---------------------------------------------------------
+#
+# The e-in-m matrix, built as omega(h-in-p) times p-in-m and solved by one back
+# substitution down its pivot rows: a route from m to e that shares no solve
+# with change_basis's two triangular solves on the block's own tables.
+
+
+def e_in_m(n, m):
+    """The e-in-m matrix as (pivot row L', column L, pivot, other entries),
+    by decreasing pivot row.  Column L has the pivot +-1 (the sector sign)
+    at L' and the rest of its support below L' (criterion 3)."""
+    den, h_cols = transform._h_in_p_columns(n, m)
+    _, p_in_m = transform._p_in_m(n, m)
+    cols = []
+    for la, h_in_p in h_cols.items():
+        col = transform._apply(transform._omega_p(h_in_p), p_in_m)
+        conj = la.conjugate()
+        pivot = transform._quotient(col.pop(conj, 0), den, "[m_{}] e_{}", conj, la)
+        assert pivot in (1, -1), (la, pivot)
+        rest = tuple(
+            (om, transform._quotient(c, den, "[m_{}] e_{}", om, la)) for om, c in col.items() if c
+        )
+        cols.append((conj, la, pivot, rest))
+    # lexicographic (star, circled shape) extends the Bruhat-style order,
+    # since dominance implies lexicographic order on equal sizes
+    cols.sort(key=lambda col: (col[0].star(), col[0].shape_circled()), reverse=True)
+    return tuple(cols)
+
+
+def solve_in_e(table, v):
+    """e-coordinates of the element with monomial coordinates v."""
+    v = dict(v)
+    out = {}
+    for row, la, pivot, rest in table:
+        c = v.pop(row, 0)
+        if c:
+            c *= pivot
+            out[la] = c
+            for om, d in rest:
+                v[om] = v.get(om, 0) - c * d
+    assert not any(v.values())
+    return out
+
+
+def test_monomials_to_e_match_the_composite_oracle():
+    conversions = 0
+    for n, m in blocks(9):
+        table = e_in_m(n, m)
+        for la in enumerate_superpartitions(n, m):
+            want = BasisExpansion("e", n, m, solve_in_e(table, {la: 1}))
+            assert change_basis(BasisExpansion.unit("m", la), "e") == want, la
+            conversions += 1
+    assert conversions == 822
 
 
 # -- the p-algebra product -------------------------------------------------------------

@@ -36,7 +36,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 
-# one call per subcommand, on inputs of the size the cli workload uses
+# one call per subcommand, on inputs of the size the cli workload uses, and a
+# cold m -> e conversion on the 365-element block (12|2)
 COLD_CLI = (
     ("list", "--n", "6", "--m", "2"),
     ("conj", "(3,1,0;4,3,2,1)"),
@@ -44,6 +45,7 @@ COLD_CLI = (
     ("build", "--basis", "e", "(2,0;2)"),
     ("mult", "--basis", "m", "(1,0;1)", "(0;2,1,1)"),
     ("convert", "--from", "h", "--to", "m", "(3,0;4,1)"),
+    ("convert", "--from", "m", "--to", "e", "(3,0;5,4)"),
     ("inner", "h:(2,0;2,1)", "m:(2,0;2,1)"),
     ("omega", "--basis", "e", "(3,0;2,1)"),
     ("verify", "--suite", "kernel", "--nvars", "3", "--degree", "2"),
