@@ -57,14 +57,11 @@ def _symmetric_keys(nslots: int, groups) -> list[int]:
     return [key for key, _ in placed]
 
 
-def _canonical_key(sp: SuperPartition, offset: int = 0) -> int:
+def _canonical_key(sp: SuperPartition) -> int:
     """Packed exponents of the canonical term of sp, the one monomial()
     normalises to +1: the parts of sp.as_composition() on the variables
-    offset+1.., whose first fermionic_degree variables carry the thetas."""
-    key = 0
-    for i, e in enumerate(sp.as_composition(), start=offset):
-        key += e << (_FIELD_BITS * i)
-    return key
+    1.., whose first fermionic_degree variables carry the thetas."""
+    return sum(e << (_FIELD_BITS * i) for i, e in enumerate(sp.as_composition()))
 
 
 def monomial(sp: SuperPartition, nvars: int, strict: bool = True) -> SuperPolynomial:

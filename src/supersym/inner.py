@@ -12,9 +12,10 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .superpartition import SuperPartition, _blocks, _report, enumerate_superpartitions
-from .superpoly import SuperPolynomial, _FIELD_BITS, _FIELD_MASK
+from .superpoly import SuperPolynomial, _sector_sign
 from .transform import (  # noqa: F401  (change_basis is re-exported)
     BasisExpansion,
+    _peel,
     change_basis,
     eh_in_p,
     omega,
@@ -94,71 +95,17 @@ def _canonical_index(nvars: int, degree: int):
     )
 
 
-def _kernel_factors(nvars: int, degree: int, inverse: bool):
-    """Bosonic and fermionic factors of prod_{i,j} (1 - x_i y_j - t_i f_j)^(-1)
-    (or of the product of (1 + x_i y_j + t_i f_j) when inverse), each
-    expanded to total x-degree <= degree.
-
-    Each factor splits as b * (1 + psi b) with b the bosonic geometric series
-    and psi the (even) theta pair.  Theta supports only grow under products,
-    so a canonical term with k <= K fermions per alphabet never sees a pair
-    t_i f_j with i or j - N above K; the fermionic factor keeps only the
-    cells i, j - N <= K, where K is the largest k <= N with k(k-1)/2 <= degree.
-    """
-    big = 2 * nvars
-    xvars = tuple(range(1, nvars + 1))
-    top_k = max(k for k in range(nvars + 1) if k * (k - 1) // 2 <= degree)
-    term = SuperPolynomial.term
-    top = 1 if inverse else degree
-    sign = -1 if inverse else 1
-    bos = SuperPolynomial.one(big)
-    fer = SuperPolynomial.one(big)
-    for i in range(1, nvars + 1):
-        for j in range(nvars + 1, big + 1):
-            cell_b = SuperPolynomial.linear_combination(
-                big, [(1, term(big, 1, {i: k, j: k})) for k in range(top + 1)]
-            )
-            bos = bos.mul_truncated(cell_b, degree, vars=xvars)
-            if i > top_k or j - nvars > top_k:
-                continue
-            cell_f = SuperPolynomial.linear_combination(
-                big,
-                [(1, term(big, 1))]
-                + [(sign**k, term(big, 1, {i: k, j: k}, (i, j))) for k in range(degree + 1)],
-            )
-            fer = fer.mul_truncated(cell_f, degree, vars=xvars)
-    return bos, fer
-
-
-def _product_table(nvars: int, degree: int, index, inverse: bool) -> dict:
-    """Canonical coefficients of the kernel product (nonzero entries only).
-
-    The product B * F is never formed: B lives on the empty theta support,
-    so an entry is sum_{f in F[target support]} c_f B[target - f] with merge
-    sign +1, over the f whose exponents fit under the target's.
-    """
-    bos, fer = _kernel_factors(nvars, degree, inverse)
-    b_terms = bos.blocks.get(0, {})
-    offsets = tuple(_FIELD_BITS * v for v in range(2 * nvars))
-    table = {}
-    for _, k, labels in index:
-        mask = (1 << k) - 1
-        f_terms = [
-            (kf, cf, tuple((kf >> off) & _FIELD_MASK for off in offsets))
-            for kf, cf in fer.blocks.get(mask | mask << nvars, {}).items()
-        ]
-        for la in labels:
-            kx = _canonical_key(la)
-            for om in labels:
-                target = kx + _canonical_key(om, nvars)
-                fields = tuple((target >> off) & _FIELD_MASK for off in offsets)
-                c = 0
-                for kf, cf, f_fields in f_terms:
-                    if all(e <= t for e, t in zip(f_fields, fields)):
-                        c += cf * b_terms.get(target - kf, 0)
-                if c:
-                    table[la, om] = c
-    return table
+def _counted_table(nvars: int, index, inverse: bool) -> dict:
+    """Canonical coefficients of the kernel product (nonzero entries only):
+    sector(k) [m_O] h_L, or [m_O] e_L when inverse.  A canonical term picks
+    the pairs t_i f_sigma(i) (i <= k) at the sign sector(k) sgn(sigma) and a
+    matrix of x-y exponents with row sums L and column sums O; a picked cell
+    weighs its exponent plus one, or must be empty when inverse (_peel)."""
+    return {
+        pair: _sector_sign(k) * c
+        for n, k, _ in index
+        for pair, c in _peel("e" if inverse else "h", n, k, nvars).items()
+    }
 
 
 def _sum_table(index, summand) -> dict:
@@ -184,9 +131,10 @@ def _sum_table(index, summand) -> dict:
                 a = xs.get(key, 0)
                 if not a:
                     continue
+                wa = w * a
                 for om, b in zip(labels, cy):
                     if b:
-                        table[la, om] = table.get((la, om), 0) + w * a * b
+                        table[la, om] = table.get((la, om), 0) + wa * b
     return {pair: c for pair, c in table.items() if c}
 
 
@@ -234,12 +182,12 @@ def kernel_check(nvars: int, degree: int) -> dict:
         raise ValueError(f"need nvars >= 1 and degree >= 0, got ({nvars}, {degree})")
     params = {"nvars": nvars, "degree": degree}
     index = _canonical_index(nvars, degree)
-    direct = _product_table(nvars, degree, index, inverse=False)
+    direct = _counted_table(nvars, index, inverse=False)
     if direct != _sum_table(index, _pp_summand(nvars, with_omega=False)):
         return _report("kernel", params, "product expansion differs from the weighted p-p sum")
     if direct != _sum_table(index, _mh_summand(nvars)):
         return _report("kernel", params, "product expansion differs from the m-h sum")
-    inverse = _product_table(nvars, degree, index, inverse=True)
+    inverse = _counted_table(nvars, index, inverse=True)
     if inverse != _sum_table(index, _pp_summand(nvars, with_omega=True)):
         return _report("kernel", params, "inverse product differs from the omega-signed p-p sum")
     return _report("kernel", params, None)
@@ -251,28 +199,23 @@ def reproducing_check(nvars: int, max_degree: int) -> dict:
     kernel_check establishes K = sum z_O^(-1) (arrowed p_O)(x) p_O(y); in
     the slot convention the x-part of each summand is already the arrowed
     left argument, so pairing with m_L contracts <arrowed p_O, m_L> =
-    z_O * (p-coefficient of m_L at O), and the y-side reassembles m_L.
+    z_O * (p-coefficient of m_L at O), and the y-side, taken in its own N
+    variables, reassembles m_L.
     """
     if nvars < 1 or max_degree < 0:
         raise ValueError(f"need nvars >= 1 and max_degree >= 0, got ({nvars}, {max_degree})")
     params = {"nvars": nvars, "max_degree": max_degree}
-    big = 2 * nvars
     for n, m, block in _blocks(max_degree, max_m=nvars):
-        if m > 0 and n >= nvars:
-            continue  # power sums only span the block below nvars
         for sp in block:
             if sp.length > nvars:
                 continue
-            pairs = []
             unit_m = BasisExpansion.unit("m", sp)
+            pairs = []
             for om in block:
                 c = scalar_product(BasisExpansion.unit("p", om), unit_m)
                 if c:
-                    py = _bases.multiplicative("p", om, nvars).shift_alphabet(nvars, big)
-                    pairs.append((Fraction(c, z_weight(om)), py))
-            paired = SuperPolynomial.linear_combination(big, pairs)
-            want = _bases.monomial(sp, nvars).shift_alphabet(nvars, big)
-            if paired != want:
+                    pairs.append((Fraction(c, z_weight(om)), _bases.multiplicative("p", om, nvars)))
+            if SuperPolynomial.linear_combination(nvars, pairs) != _bases.monomial(sp, nvars):
                 failure = f"kernel pairing with m_{sp} does not reproduce it"
                 return _report("kernel-reproducing", params, failure)
     return _report("kernel-reproducing", params, None)

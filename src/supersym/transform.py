@@ -9,9 +9,9 @@ every conversion is at most one apply or solve into p and one out of it.
 The scalar product and the e-h involution are diagonal on power sums, so
 they live here too.
 
-The combinatorial product rule for two monomial elements (signed fillings of
-the target diagram by the source rows) lives here as well, kept independent
-of the polynomial engine so the two can check each other.
+Two combinatorial m-basis rules live here as well, independent of the
+polynomial engine and of p so that each can check the others: the product
+of two monomials by signed fillings, and h and e over m by counting matrices.
 
 Nothing here loads the polynomial engine.  Its oracle (expand_in_monomials
 and the identity checks) is in engine_checks, loaded here on first use.
@@ -19,6 +19,7 @@ and the identity checks) is in engine_checks, loaded here on first use.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections.abc import Mapping
 from fractions import Fraction
@@ -229,6 +230,63 @@ def mono_product(a: SuperPartition, b: SuperPartition) -> BasisExpansion:
         if c:
             coeffs[g] = c
     return BasisExpansion("m", n, m, coeffs)
+
+
+# -- the matrix-counting peel ----------------------------------------------------
+
+
+def _peel(which: str, n: int, m: int, nvars: int) -> dict:
+    """[m_O] u_L (u = h or e) for the labels L, O of length <= nvars of the
+    block (n|m): signed counts of matrices with row sums L and column sums O,
+    fermionic parts first, entries in N (h) or {0, 1} (e).  Fermionic row i
+    picks fermionic column sigma(i) at the sign sgn(sigma); for h the picked
+    cell weighs its entry plus one, for e it must be empty.  Rows are peeled
+    off one at a time, fermionic ones first, memoised on the rows and column
+    sums left; bosonic columns permute freely, so their sums are kept sorted.
+    """
+
+    @cache
+    def takes(total: int, bounds: tuple) -> tuple:
+        # the compositions of total bounded entrywise by bounds (and 1 for e)
+        if not bounds:
+            return () if total else ((),)
+        top = min(total, bounds[0], 1 if which == "e" else total)
+        return tuple((v, *rest) for v in range(top + 1) for rest in takes(total - v, bounds[1:]))
+
+    @cache
+    def bosonic(total: int, sums: tuple) -> tuple:
+        # (sums left, ways) over the rows that take total from the bosonic sums
+        ways: dict = {}
+        for row in takes(total, sums):
+            left = tuple(sorted((c - v for c, v in zip(sums, row) if c > v), reverse=True))
+            ways[left] = ways.get(left, 0) + 1
+        return tuple(ways.items())
+
+    @cache
+    def count(rows: tuple, fer: tuple, bos: tuple) -> int:
+        # rows are (value, picked column or None); the last is peeled first
+        if not rows:
+            return 1
+        (value, j), total = rows[-1], 0
+        for part in range(min(value, sum(fer)) + 1):
+            spread = bosonic(value - part, bos)
+            for row in takes(part, fer) if spread else ():
+                w = 1 if j is None else row[j] + 1 if which == "h" else int(not row[j])
+                if w:
+                    left = tuple(c - v for c, v in zip(fer, row))
+                    total += w * sum(ways * count(rows[:-1], left, rest) for rest, ways in spread)
+        return total
+
+    labels = [sp for sp in enumerate_superpartitions(n, m) if sp.length <= nvars]
+    table: dict = {}
+    for sigma in itertools.permutations(range(m)):
+        sign = -1 if sum(x > y for i, x in enumerate(sigma) for y in sigma[i + 1 :]) & 1 else 1
+        for i, la in enumerate(labels):
+            rows = tuple((v, None) for v in la.s) + tuple(zip(la.a, sigma))
+            for om in labels[i:]:  # transposing swaps L and O and inverts sigma
+                c = table.get((la, om), 0) + sign * count(rows, om.a, om.s)
+                table[la, om] = table[om, la] = c
+    return {pair: c for pair, c in table.items() if c}
 
 
 # -- the power-sum algebra ------------------------------------------------------

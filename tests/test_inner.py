@@ -219,6 +219,26 @@ def test_reproducing_small():
     assert rep["pass"] is True, rep
 
 
+@pytest.mark.parametrize("nvars, max_degree", [(1, 3), (2, 3), (2, 4), (3, 4)])
+def test_reproducing_blocks_at_and_above_nvars(nvars, max_degree):
+    # restriction to nvars variables is a ring map, so blocks (n|m) with
+    # n >= nvars reproduce too
+    rep = reproducing_check(nvars, max_degree)
+    assert rep["pass"] is True, rep
+
+
+def test_reproducing_check_fails_on_a_scaled_monomial(monkeypatch):
+    # (1;1) lies in the block (2|1), at n = nvars
+    target = sp("(1;1)")
+    real = bases.monomial
+    monkeypatch.setattr(
+        bases, "monomial", lambda g, nvars: real(g, nvars).scale(3) if g == target else real(g, nvars)
+    )
+    rep = reproducing_check(2, 2)
+    assert rep["pass"] is False
+    assert rep["first_failure"] == "kernel pairing with m_(1;1) does not reproduce it"
+
+
 # -- kernel oracles: the full doubled alphabet and matrix counting -----------------
 
 
@@ -286,7 +306,7 @@ def test_full_alphabet_oracle(nvars, degree):
         for i in (*range(1, nvars), *range(nvars + 1, 2 * nvars)):
             assert full.apply_exchange(i) == full, (inverse, i)
         table = canonical_coefficients(full, nvars, index)
-        assert table == inner._product_table(nvars, degree, index, inverse)
+        assert table == inner._counted_table(nvars, index, inverse)
         for summand in sums:
             assert full_sum(nvars, degree, summand) == full
             assert inner._sum_table(index, summand) == table
@@ -345,11 +365,12 @@ def counted_entry(la, om, nvars, inverse):
 
 @pytest.mark.parametrize("nvars, degree, inverse", [
     (3, 4, False), (3, 4, True), (4, 4, False), (4, 4, True),
-    (2, 5, False), (2, 5, True), (3, 6, True),
+    (2, 5, False), (2, 5, True), (3, 6, False), (3, 6, True),
+    (4, 5, False), (4, 5, True),
 ])
 def test_kernel_tables_match_matrix_counts(nvars, degree, inverse):
     index = inner._canonical_index(nvars, degree)
-    table = inner._product_table(nvars, degree, index, inverse)
+    table = inner._counted_table(nvars, index, inverse)
     counted = {}
     for _, _, labels in index:
         for la in labels:
@@ -367,7 +388,7 @@ def test_canonical_index_covers_every_block():
     index = inner._canonical_index(nvars, degree)
     want = {(n, k) for n in range(degree + 1) for k in range(nvars + 1) if k * (k - 1) // 2 <= n}
     assert {(n, k) for n, k, labels in index if labels} == want
-    table = inner._product_table(nvars, degree, index, inverse=False)
+    table = inner._counted_table(nvars, index, inverse=False)
     assert {(la.degree, la.fermionic_degree) for la, _ in table} == want
 
 

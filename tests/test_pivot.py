@@ -52,6 +52,25 @@ def test_pivot_matches_engine_block_matrices():
     assert columns == 558
 
 
+# -- the matrix-counting oracle -------------------------------------------------------
+#
+# [m_O] h_L and [m_O] e_L counted as signed superspace matrices by transform._peel:
+# neither the engine nor the power-sum algebra.
+
+
+def test_generators_in_m_match_the_matrix_counts():
+    conversions = 0
+    for n, m in blocks(7):
+        block = enumerate_superpartitions(n, m)
+        for basis in ("e", "h"):
+            counts = transform._peel(basis, n, m, n + m)
+            for la in block:
+                want = BasisExpansion("m", n, m, {om: counts.get((la, om), 0) for om in block})
+                assert change_basis(BasisExpansion.unit(basis, la), "m") == want, (basis, la)
+                conversions += 1
+    assert conversions == 628
+
+
 # -- round trips and the triangular solve -------------------------------------------
 
 

@@ -36,8 +36,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 
-# one call per subcommand, on inputs of the size the cli workload uses, and a
-# cold m -> e conversion on the 365-element block (12|2)
+# one call per subcommand, on inputs of the size the cli workload uses, a
+# cold m -> e conversion on the 365-element block (12|2), and the kernel suite
+# at the size the CI runs it
 COLD_CLI = (
     ("list", "--n", "6", "--m", "2"),
     ("conj", "(3,1,0;4,3,2,1)"),
@@ -49,6 +50,7 @@ COLD_CLI = (
     ("inner", "h:(2,0;2,1)", "m:(2,0;2,1)"),
     ("omega", "--basis", "e", "(3,0;2,1)"),
     ("verify", "--suite", "kernel", "--nvars", "3", "--degree", "2"),
+    ("verify", "--suite", "kernel", "--nvars", "6", "--degree", "6"),
 )
 
 
