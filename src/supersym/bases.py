@@ -217,13 +217,21 @@ def multiplicative(basis: str, sp: SuperPartition, nvars: int, arrowed: bool = F
     With arrowed=True each m-fermion sector is scaled by (-1)^(m(m-1)/2),
     which reverses the order of the theta factors.
     """
+    out = _generator_product(basis, sp, nvars, nvars)
+    return out.arrow() if arrowed else out
+
+
+@cache
+def _generator_product(basis: str, sp: SuperPartition, nvars: int, thetas: int) -> SuperPolynomial:
+    """The product of multiplicative() keeping only theta supports inside
+    t_1..t_thetas.  Supports only grow, so with thetas = sp's fermionic
+    degree each factor keeps one sector: the block whose canonical
+    coefficients the kernel sums and the engine oracle read."""
     plain, tilde = generator_functions(basis)
     out = SuperPolynomial.one(nvars)
-    for a in sp.a:
-        out = out * tilde(a, nvars)
-    for s in sp.s:
-        out = out * plain(s, nvars)
-    return out.arrow() if arrowed else out
+    for f in [tilde(a, nvars) for a in sp.a] + [plain(s, nvars) for s in sp.s]:
+        out = out.mul_restricted(f, range(1, thetas + 1))
+    return out
 
 
 def basis_element(basis: str, sp: SuperPartition, nvars: int | None = None, arrowed: bool = False) -> SuperPolynomial:

@@ -81,28 +81,17 @@ def _basis_in_monomials(basis: str, sp: SuperPartition) -> tuple[tuple[SuperPart
     polynomial engine at stable N: the slow reference for change_basis and
     for triangularity.
 
-    Only the t_1..t_m sector is ever probed, so the generator product is
-    built with that restriction (sound: theta supports only grow).  Inputs
-    are symmetric by construction, so the probe alone is exact; the
-    engine-versus-rule tests cover the reconstruction separately.
+    Only the t_1..t_m sector is ever probed, so only that block of the
+    generator product is built.  Inputs are symmetric by construction, so
+    the probe alone is exact; the engine-versus-rule tests cover the
+    reconstruction separately.
     """
     n, m = sp.bidegree
     # probe monomials live on the first l(cand) variables, and their
     # coefficients are stable once nvars covers the longest candidate
-    nvars = max(sp.length, m + n - m * (m - 1) // 2)
-    sector = tuple(range(1, m + 1))
-    plain, tilde = _bases.generator_functions(basis)
-    poly = SuperPolynomial.one(nvars)
-    for a in sp.a:
-        poly = poly.mul_restricted(tilde(a, nvars), sector)
-    for s in sp.s:
-        poly = poly.mul_restricted(plain(s, nvars), sector)
-    out = []
-    for cand in enumerate_superpartitions(n, m):
-        c = _probe_coefficient(poly, cand)
-        if c:
-            out.append((cand, c))
-    return tuple(out)
+    poly = _bases._generator_product(basis, sp, max(sp.length, m + n - m * (m - 1) // 2), m)
+    coeffs = ((cand, _probe_coefficient(poly, cand)) for cand in enumerate_superpartitions(n, m))
+    return tuple((cand, c) for cand, c in coeffs if c)
 
 
 @cache

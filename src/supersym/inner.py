@@ -9,6 +9,7 @@ makes <p_L, p_O> = z_L delta exactly as displayed everywhere below.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .superpartition import SuperPartition, _blocks, _report, enumerate_superpartitions
@@ -109,42 +110,43 @@ def _counted_table(nvars: int, index, inverse: bool) -> dict:
 
 
 def _sum_table(index, summand) -> dict:
-    """Canonical coefficients of sum_G w_G x_G y_G (nonzero entries only).
+    """Canonical coefficients of sum_G w_G (arrowed x_G) y_G, nonzero only.
 
-    summand(G) gives w_G and the N-variable polynomials x_G, y_G (None to
-    skip G); y_G stands in the second alphabet.  The x thetas precede the y
-    thetas, so each entry is w_G [L]x_G [O]y_G with no merge sign.
+    summand(G) gives w_G (int or Fraction) and the N-variable polynomials
+    x_G, y_G (None to skip G), read on their t_1..t_k block only; y_G stands
+    in the second alphabet.  There the arrow is the sign sector(k) and the x
+    thetas precede the y thetas, so an entry is sector(k) w_G [L]x_G [O]y_G.
+    Each block sums integers over the lcm of its weights' denominators.
     """
     table = {}
     for n, k, labels in index:
         mask = (1 << k) - 1
         keys = [_canonical_key(la) for la in labels]
-        for g in enumerate_superpartitions(n, k):
-            term = summand(g)
-            if term is None:
-                continue
-            w, xg, yg = term
+        terms = [t for t in map(summand, enumerate_superpartitions(n, k)) if t is not None]
+        scale = math.lcm(*(w.denominator for w, _, _ in terms))
+        block = {}
+        for w, xg, yg in terms:
+            w = _sector_sign(k) * w.numerator * (scale // w.denominator)
             xs = xg.blocks.get(mask, {})
             ys = yg.blocks.get(mask, {})
-            cy = [ys.get(key, 0) for key in keys]
-            for la, key in zip(labels, keys):
-                a = xs.get(key, 0)
-                if not a:
-                    continue
-                wa = w * a
-                for om, b in zip(labels, cy):
-                    if b:
-                        table[la, om] = table.get((la, om), 0) + wa * b
-    return {pair: c for pair, c in table.items() if c}
+            cy = [(j, ys[key]) for j, key in enumerate(keys) if key in ys]
+            for i, key in enumerate(keys):
+                if key in xs:
+                    wa = w * xs[key]
+                    for j, b in cy:
+                        block[i, j] = block.get((i, j), 0) + wa * b
+        for (i, j), c in block.items():
+            if c:
+                table[labels[i], labels[j]] = Fraction(c, scale) if c % scale else c // scale
+    return table
 
 
 def _pp_summand(nvars: int, with_omega: bool):
     """z_G^(-1) (arrowed p_G)(x) p_G(y), with an extra omega_sign when with_omega."""
 
     def summand(g: SuperPartition):
-        p = _bases.multiplicative("p", g, nvars)
-        w = Fraction(omega_sign(g) if with_omega else 1, z_weight(g))
-        return w, p.arrow(), p
+        p = _bases._generator_product("p", g, nvars, g.fermionic_degree)
+        return Fraction(omega_sign(g) if with_omega else 1, z_weight(g)), p, p
 
     return summand
 
@@ -155,7 +157,7 @@ def _mh_summand(nvars: int):
     def summand(g: SuperPartition):
         if g.length > nvars:
             return None
-        return 1, _bases.monomial(g, nvars).arrow(), _bases.multiplicative("h", g, nvars)
+        return 1, _bases.monomial(g, nvars), _bases._generator_product("h", g, nvars, g.fermionic_degree)
 
     return summand
 
@@ -200,7 +202,7 @@ def reproducing_check(nvars: int, max_degree: int) -> dict:
     the slot convention the x-part of each summand is already the arrowed
     left argument, so pairing with m_L contracts <arrowed p_O, m_L> =
     z_O * (p-coefficient of m_L at O), and the y-side, taken in its own N
-    variables, reassembles m_L.
+    variables, reassembles m_L.  Each m_L is converted to p once.
     """
     if nvars < 1 or max_degree < 0:
         raise ValueError(f"need nvars >= 1 and max_degree >= 0, got ({nvars}, {max_degree})")
@@ -209,10 +211,10 @@ def reproducing_check(nvars: int, max_degree: int) -> dict:
         for sp in block:
             if sp.length > nvars:
                 continue
-            unit_m = BasisExpansion.unit("m", sp)
+            in_p = change_basis(BasisExpansion.unit("m", sp), "p")
             pairs = []
             for om in block:
-                c = scalar_product(BasisExpansion.unit("p", om), unit_m)
+                c = scalar_product(BasisExpansion.unit("p", om), in_p)
                 if c:
                     pairs.append((Fraction(c, z_weight(om)), _bases.multiplicative("p", om, nvars)))
             if SuperPolynomial.linear_combination(nvars, pairs) != _bases.monomial(sp, nvars):

@@ -339,13 +339,12 @@ def _p_mul(a: SuperPartition, b: SuperPartition) -> tuple[int, SuperPartition | 
 
 
 @cache
-def _generator_in_p(n: int, fermionic: bool) -> tuple[tuple[SuperPartition, Fraction], ...]:
+def _generator_in_p(n: int, fermionic: bool) -> tuple[tuple[SuperPartition, int], ...]:
     """h_n (th_n when fermionic) in power sums: the sum of p_L / z_L over
-    the block (n|0), or (n|1), from the H generating series."""
-    return tuple(
-        (sp, Fraction(1, z_weight(sp)))
-        for sp in enumerate_superpartitions(n, 1 if fermionic else 0)
-    )
+    the block (n|0), or (n|1), from the H generating series, as the integer
+    numerators n!/z_L over n!."""
+    f = math.factorial(n)
+    return tuple((sp, f // z_weight(sp)) for sp in enumerate_superpartitions(n, 1 if fermionic else 0))
 
 
 def eh_in_p(n: int, fermionic: bool, which: str) -> BasisExpansion:
@@ -358,27 +357,30 @@ def eh_in_p(n: int, fermionic: bool, which: str) -> BasisExpansion:
         raise ValueError(f"which must be 'e' or 'h', got {which!r}")
     if n < 0:
         raise ValueError(f"need n >= 0, got {n}")
-    h = _generator_in_p(n, fermionic)
-    return BasisExpansion("p", n, 1 if fermionic else 0, _omega_p(h) if which == "e" else dict(h))
+    h = {sp: Fraction(c, math.factorial(n)) for sp, c in _generator_in_p(n, fermionic)}
+    return BasisExpansion("p", n, 1 if fermionic else 0, _omega_p(h.items()) if which == "e" else h)
 
 
 @cache
-def _h_in_p(sp: SuperPartition) -> tuple[tuple[SuperPartition, Fraction], ...]:
-    """h_sp in power sums: the closed forms multiplied in the p algebra,
-    tilde factors first in the order of the fermionic parts.  The last
-    factor is peeled off, so elements share their cached prefixes."""
+def _h_in_p(sp: SuperPartition) -> tuple[tuple[SuperPartition, int], ...]:
+    """h_sp in power sums as integer numerators over n!, n = |sp|: the
+    closed forms multiplied in the p algebra, tilde factors first in the
+    order of the fermionic parts.  The last factor (over part!) is peeled
+    off, so elements share their cached prefixes (over (n - part)!), and the
+    binomial C(n, part) puts their product over n!."""
     if sp.s:
-        rest, last = SuperPartition._canonical(sp.a, sp.s[:-1]), _generator_in_p(sp.s[-1], False)
+        rest, part, fermionic = SuperPartition._canonical(sp.a, sp.s[:-1]), sp.s[-1], False
     elif sp.a:
-        rest, last = SuperPartition._canonical(sp.a[:-1], ()), _generator_in_p(sp.a[-1], True)
+        rest, part, fermionic = SuperPartition._canonical(sp.a[:-1], ()), sp.a[-1], True
     else:
-        return ((sp, Fraction(1)),)
-    out: dict[SuperPartition, Fraction] = {}
+        return ((sp, 1),)
+    binom = math.comb(sp.degree, part)
+    out: dict[SuperPartition, int] = {}
     for la, c in _h_in_p(rest):
-        for om, d in last:
+        for om, d in _generator_in_p(part, fermionic):
             sign, lo = _p_mul(la, om)
             if sign:
-                out[lo] = out.get(lo, 0) + sign * c * d
+                out[lo] = out.get(lo, 0) + sign * binom * c * d
     return tuple((lo, c) for lo, c in out.items() if c)
 
 
@@ -432,20 +434,17 @@ def _solve(v: dict, scale: int, columns) -> dict:
 @cache
 def _h_in_p_columns(n: int, m: int) -> tuple[int, Mapping[SuperPartition, tuple]]:
     """Power-sum coordinates of every h element of the block, as integer
-    numerators over one common denominator; e is their omega image.
+    numerators over n! (_h_in_p); e is their omega image.
 
     h_L is supported on the refinements of L (each generator expands over
     the partitions of its own part), so the columns go by increasing length,
     each with its diagonal entry p_L first: _solve's elimination order.
     """
-    block = sorted(enumerate_superpartitions(n, m), key=lambda sp: sp.length)
-    cols = {sp: _h_in_p(sp) for sp in block}
-    den = math.lcm(*(c.denominator for col in cols.values() for _, c in col))
     out = {}
-    for sp, col in cols.items():
-        ints = {la: c.numerator * (den // c.denominator) for la, c in col}
+    for sp in sorted(enumerate_superpartitions(n, m), key=lambda sp: sp.length):
+        ints = dict(_h_in_p(sp))
         out[sp] = ((sp, ints.pop(sp)), *ints.items())
-    return den, MappingProxyType(out)
+    return math.factorial(n), MappingProxyType(out)
 
 
 @cache

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from supersym import bases, inner
-from supersym.superpartition import SuperPartition, enumerate_superpartitions
+from supersym.superpartition import SuperPartition, _blocks, enumerate_superpartitions
 from supersym.superpoly import SuperPolynomial
 from supersym.bases import basis_element, powersum
 from supersym.transform import BasisExpansion, change_basis
@@ -239,6 +239,23 @@ def test_reproducing_check_fails_on_a_scaled_monomial(monkeypatch):
     assert rep["first_failure"] == "kernel pairing with m_(1;1) does not reproduce it"
 
 
+def test_reproducing_converts_each_monomial_to_p_once(monkeypatch):
+    conversions = []
+    real = inner.change_basis
+
+    def counting(x, to):
+        conversions.append((x.basis, to))
+        return real(x, to)
+
+    monkeypatch.setattr(inner, "change_basis", counting)
+    nvars, max_degree = 4, 4
+    assert reproducing_check(nvars, max_degree)["pass"] is True
+    labels = sum(
+        1 for _, _, block in _blocks(max_degree, max_m=nvars) for g in block if g.length <= nvars
+    )
+    assert conversions == [("m", "p")] * labels
+
+
 # -- kernel oracles: the full doubled alphabet and matrix counting -----------------
 
 
@@ -264,6 +281,20 @@ def full_kernel_product(nvars, degree, inverse):
                     cell = cell + SuperPolynomial.term(big, k + 1, {i: k, j: k}, thetas=(i, j))
             out = out.mul_truncated(cell, degree, vars=xvars)
     return out
+
+
+def full_summand(summand, basis, nvars):
+    """summand's weight with whole polynomials in every theta sector:
+    arrowed p_G (or m_G when basis is "h") and the multiplicative element."""
+
+    def full(g):
+        term = summand(g)
+        if term is None:
+            return None
+        x = bases.monomial(g, nvars) if basis == "h" else bases.multiplicative("p", g, nvars)
+        return term[0], x.arrow(), bases.multiplicative(basis, g, nvars)
+
+    return full
 
 
 def full_sum(nvars, degree, summand):
@@ -300,16 +331,40 @@ def test_full_alphabet_oracle(nvars, degree):
     pp = inner._pp_summand(nvars, with_omega=False)
     pp_omega = inner._pp_summand(nvars, with_omega=True)
     mh = inner._mh_summand(nvars)
-    for inverse, sums in ((False, (pp, mh)), (True, (pp_omega,))):
+    for inverse, sums in ((False, ((pp, "p"), (mh, "h"))), (True, ((pp_omega, "p"),))):
         full = full_kernel_product(nvars, degree, inverse)
         # separate symmetry in each alphabet is what licenses the reduction
         for i in (*range(1, nvars), *range(nvars + 1, 2 * nvars)):
             assert full.apply_exchange(i) == full, (inverse, i)
         table = canonical_coefficients(full, nvars, index)
         assert table == inner._counted_table(nvars, index, inverse)
-        for summand in sums:
-            assert full_sum(nvars, degree, summand) == full
+        for summand, basis in sums:
+            assert full_sum(nvars, degree, full_summand(summand, basis, nvars)) == full
             assert inner._sum_table(index, summand) == table
+
+
+def test_sector_product_is_the_sector_block_of_the_full_product():
+    for nvars in range(1, 5):
+        for n, k, block in _blocks(6):
+            mask = (1 << k) - 1
+            for g in block:
+                for basis in ("p", "h"):
+                    got = bases._generator_product(basis, g, nvars, k).blocks
+                    full = bases.multiplicative(basis, g, nvars).blocks
+                    want = {mask: full[mask]} if full.get(mask) else {}
+                    assert {b: t for b, t in got.items() if t} == want, (basis, g, nvars)
+
+
+@pytest.mark.parametrize("nvars", [1, 2, 3, 4])
+def test_sum_tables_hold_integers(nvars):
+    index = inner._canonical_index(nvars, 6)
+    for summand in (
+        inner._pp_summand(nvars, with_omega=False),
+        inner._pp_summand(nvars, with_omega=True),
+        inner._mh_summand(nvars),
+    ):
+        table = inner._sum_table(index, summand)
+        assert table and all(type(c) is int for c in table.values())
 
 
 def _perm_sign(perm):
@@ -404,6 +459,17 @@ def test_kernel_check_fails_on_a_wrong_z_weight(monkeypatch):
     real = inner.z_weight
     monkeypatch.setattr(inner, "z_weight", lambda g: 2 * real(g) if g == target else real(g))
     rep = kernel_check(2, 4)
+    assert rep["pass"] is False
+    assert rep["first_failure"] == "product expansion differs from the weighted p-p sum"
+
+
+@pytest.mark.parametrize("text", ["(;1,1,1,1)", "(0;2,2)", "(1,0;1,1,1)"])
+def test_kernel_check_fails_when_a_z_weight_raises_the_lcm(monkeypatch, text):
+    # doubling z_G here doubles the lcm of the block's weight denominators
+    target = sp(text)
+    real = inner.z_weight
+    monkeypatch.setattr(inner, "z_weight", lambda g: 2 * real(g) if g == target else real(g))
+    rep = kernel_check(2, 5)
     assert rep["pass"] is False
     assert rep["first_failure"] == "product expansion differs from the weighted p-p sum"
 

@@ -1,5 +1,6 @@
 """The power-sum pivot of change_basis, held against the polynomial engine."""
 
+import functools
 from fractions import Fraction
 
 import pytest
@@ -16,6 +17,7 @@ from supersym.transform import (
     change_basis,
     eh_in_p,
     expand_in_monomials,
+    z_weight,
 )
 from supersym.inner import omega, scalar_product
 
@@ -167,6 +169,48 @@ def test_monomials_to_e_match_the_composite_oracle():
             assert change_basis(BasisExpansion.unit("m", la), "e") == want, la
             conversions += 1
     assert conversions == 822
+
+
+# -- the Fraction h-in-p oracle ----------------------------------------------------------
+#
+# h_L in power sums multiplied out on Fraction weights 1/z: the build that the
+# integer columns of transform._h_in_p_columns replace.
+
+
+@functools.cache
+def h_in_p_fractions(la):
+    """h_la in power sums: the closed forms sum p_O / z_O multiplied in the
+    p algebra, tilde factors first, the last factor peeled off."""
+    if la.s:
+        rest, last, fermionic = SuperPartition._canonical(la.a, la.s[:-1]), la.s[-1], False
+    elif la.a:
+        rest, last, fermionic = SuperPartition._canonical(la.a[:-1], ()), la.a[-1], True
+    else:
+        return {la: Fraction(1)}
+    out = {}
+    for om, c in h_in_p_fractions(rest).items():
+        for gen in enumerate_superpartitions(last, 1 if fermionic else 0):
+            sign, lo = _p_mul(om, gen)
+            if sign:
+                out[lo] = out.get(lo, 0) + sign * c * Fraction(1, z_weight(gen))
+    return {lo: c for lo, c in out.items() if c}
+
+
+def test_integer_h_in_p_columns_match_the_fraction_build():
+    columns = 0
+    for n, m in blocks(9):
+        den, cols = transform._h_in_p_columns(n, m)
+        assert set(cols) == set(enumerate_superpartitions(n, m))
+        for la, col in cols.items():
+            assert col[0][0] == la
+            assert {om: Fraction(c, den) for om, c in col} == h_in_p_fractions(la), la
+            columns += 1
+    assert columns == 822
+    for k in range(10):
+        for fermionic in (False, True):
+            block = enumerate_superpartitions(k, 1 if fermionic else 0)
+            want = {g: Fraction(1, z_weight(g)) for g in block}
+            assert eh_in_p(k, fermionic, "h").coeffs == want, (k, fermionic)
 
 
 # -- the p-algebra product -------------------------------------------------------------

@@ -11,7 +11,8 @@ A workload run is `perfbench/run.py --workload W --seed S --seconds 15
 the head first when it is odd.  `--cold-cli N` times N fresh
 `python -m supersym.cli` calls per subcommand and side, first with no
 bytecode cache and then after compiling the export's sources (the .pyc files
-stay in the temporary directory).
+stay in the temporary directory), and records each call's peak RSS from
+`os.wait4`.
 
 Each call adds its results to BENCH_<label>.json at the repository root
 under its own key (`<workload>/seed<S>` or `cli_cold_ms`), keeping earlier
@@ -37,8 +38,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 # one call per subcommand, on inputs of the size the cli workload uses, a
-# cold m -> e conversion on the 365-element block (12|2), and the kernel suite
-# at the size the CI runs it
+# cold m -> e conversion on the 365-element block (12|2), a cold h -> m
+# conversion on the 525-element block (13|2), and the kernel suite at the
+# sizes the CI runs it
 COLD_CLI = (
     ("list", "--n", "6", "--m", "2"),
     ("conj", "(3,1,0;4,3,2,1)"),
@@ -50,7 +52,9 @@ COLD_CLI = (
     ("inner", "h:(2,0;2,1)", "m:(2,0;2,1)"),
     ("omega", "--basis", "e", "(3,0;2,1)"),
     ("verify", "--suite", "kernel", "--nvars", "3", "--degree", "2"),
+    ("convert", "--from", "h", "--to", "m", "(5,0;3,1,1,1,1,1)"),
     ("verify", "--suite", "kernel", "--nvars", "6", "--degree", "6"),
+    ("verify", "--suite", "kernel", "--nvars", "5", "--degree", "8"),
 )
 
 
@@ -114,6 +118,21 @@ def record_pairs(trees: dict[str, Path], workload: str, seed: int, pairs: int) -
     }
 
 
+def _cold_call(tree: Path, argv) -> tuple[float, float]:
+    """Wall milliseconds and peak RSS in MB of one fresh CLI call."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
+    env.pop("SUPERSYM_FORMAT", None)
+    cmd = [sys.executable, "-m", "supersym.cli", *argv]
+    t0 = time.perf_counter()
+    proc = subprocess.Popen(cmd, cwd=tree, env=env, stdout=subprocess.DEVNULL)
+    _, status, usage = os.wait4(proc.pid, 0)
+    elapsed = (time.perf_counter() - t0) * 1000
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    if proc.returncode:
+        raise subprocess.CalledProcessError(proc.returncode, cmd)
+    return elapsed, usage.ru_maxrss / 1024
+
+
 def record_cold_cli(trees: dict[str, Path], calls: int) -> dict:
     def timings() -> dict:
         out = {}
@@ -121,14 +140,11 @@ def record_cold_cli(trees: dict[str, Path], calls: int) -> dict:
             samples = {"base": [], "head": []}
             for i in range(calls):
                 for side in (("base", "head") if i % 2 == 0 else ("head", "base")):
-                    env = dict(os.environ, PYTHONPATH=str(trees[side] / "src"),
-                               PYTHONDONTWRITEBYTECODE="1")
-                    env.pop("SUPERSYM_FORMAT", None)
-                    t0 = time.perf_counter()
-                    subprocess.run([sys.executable, "-m", "supersym.cli", *argv],
-                                   cwd=trees[side], env=env, check=True, capture_output=True)
-                    samples[side].append((time.perf_counter() - t0) * 1000)
-            out[" ".join(argv)] = {side: _spread(v) for side, v in samples.items()}
+                    samples[side].append(_cold_call(trees[side], argv))
+            out[" ".join(argv)] = {side: _spread([ms for ms, _ in v]) for side, v in samples.items()}
+            out[" ".join(argv)]["peak_rss_mb"] = {
+                side: _spread([mb for _, mb in v]) for side, v in samples.items()
+            }
         return out
 
     bare = []
