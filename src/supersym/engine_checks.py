@@ -56,6 +56,8 @@ def expand_in_monomials(f: SuperPolynomial, bidegree: tuple[int, int] | None = N
     re-assembled and compared with the input, so a non-symmetric polynomial
     (or one outside the span at this number of variables) raises.
     """
+    if not isinstance(f, SuperPolynomial):
+        raise TypeError(f"expected a SuperPolynomial, got {type(f)!r}")
     n, m = bidegree if bidegree is not None else _infer_bidegree(f)
     coeffs: dict[SuperPartition, Fraction] = {}
     summands = []

@@ -4,10 +4,18 @@ Everything here moves between the four bases.  Conversions pivot through
 power sums and never build a polynomial: power sums multiply freely
 (p_L p_O = +-p_(L u O)), the generators have closed forms in them, and h-m
 duality reads off monomial coordinates.  Each block keeps two tables, h in
-p and its z-weighted transpose p in m; both are triangular by length, so
-every conversion is at most one apply or solve into p and one out of it.
-The scalar product and the e-h involution are diagonal on power sums, so
-they live here too.
+p and its z-weighted transpose p in m; both are triangular in the block's
+enumeration order, so every conversion is at most one apply or solve into
+p and one out of it.
+
+The pivot runs on block indices, the labels' positions in the block's
+enumeration.  The tables are built on (a, s) part tuples and kept as sparse
+columns of (index, int) pairs, diagonal entry first; a coordinate vector is
+a dense list of integer numerators over one denominator.  _to_p takes an
+expansion to (p numerators, den) and _from_p takes that pair to any basis:
+change_basis is the two halves, omega puts a sign vector between them, and
+scalar_product pairs two p vectors.  SuperPartitions and Fractions appear
+only at the BasisExpansion boundary.
 
 Two combinatorial m-basis rules live here as well, independent of the
 polynomial engine and of p so that each can check the others: the product
@@ -21,12 +29,10 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Mapping
 from fractions import Fraction
 from functools import cache
-from types import MappingProxyType
 
-from .superpartition import BASIS_NAMES, SuperPartition, _Frozen, enumerate_superpartitions
+from .superpartition import BASIS_NAMES, SuperPartition, _Frozen, _block
 
 __all__ = [
     "BasisExpansion",
@@ -47,9 +53,8 @@ __all__ = [
 
 
 def format_rational(c) -> str:
-    """Render an int or Fraction as 'p' or 'p/q'."""
-    f = Fraction(c)
-    return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
+    """Render an int or Fraction as 'p' or 'p/q' (a Fraction's own str)."""
+    return str(Fraction(c))
 
 
 def parse_rational(text: str) -> Fraction:
@@ -222,14 +227,8 @@ def _remove_once(rem: tuple, item) -> tuple:
 
 def mono_product(a: SuperPartition, b: SuperPartition) -> BasisExpansion:
     """Monomial times monomial, expanded over monomials via the filling rule."""
-    n = a.degree + b.degree
-    m = a.fermionic_degree + b.fermionic_degree
-    coeffs = {}
-    for g in enumerate_superpartitions(n, m):
-        c = mono_product_fillings(a, b, g)
-        if c:
-            coeffs[g] = c
-    return BasisExpansion("m", n, m, coeffs)
+    n, m = a.degree + b.degree, a.fermionic_degree + b.fermionic_degree
+    return BasisExpansion("m", n, m, {g: mono_product_fillings(a, b, g) for g in _block(n, m)})
 
 
 # -- the matrix-counting peel ----------------------------------------------------
@@ -277,7 +276,7 @@ def _peel(which: str, n: int, m: int, nvars: int) -> dict:
                     total += w * sum(ways * count(rows[:-1], left, rest) for rest, ways in spread)
         return total
 
-    labels = [sp for sp in enumerate_superpartitions(n, m) if sp.length <= nvars]
+    labels = [sp for sp in _block(n, m) if sp.length <= nvars]
     table: dict = {}
     for sigma in itertools.permutations(range(m)):
         sign = -1 if sum(x > y for i, x in enumerate(sigma) for y in sigma[i + 1 :]) & 1 else 1
@@ -295,14 +294,9 @@ def _peel(which: str, n: int, m: int, nvars: int) -> dict:
 def z_weight(sp: SuperPartition) -> int:
     """z_L = prod_k k^(mult of k) (mult of k)! over the symmetric parts."""
     out = 1
-    mult: dict[int, int] = {}
-    for v in sp.s:
-        mult[v] = mult.get(v, 0) + 1
-    for k, n_k in mult.items():
-        f = 1
-        for i in range(1, n_k + 1):
-            f *= i
-        out *= k**n_k * f
+    for k in set(sp.s):
+        n_k = sp.s.count(k)
+        out *= k**n_k * math.factorial(n_k)
     return out
 
 
@@ -312,39 +306,47 @@ def omega_sign(sp: SuperPartition) -> int:
     return -1 if (sp.degree - len(sp.s)) & 1 else 1
 
 
-def _omega_p(pairs) -> dict:
-    """omega on power-sum coordinates given as (label, c) pairs: a sign on
-    each p_L.  The one place the pivot applies the involution."""
-    return {la: omega_sign(la) * c for la, c in pairs}
+@cache
+def _block_index(n: int, m: int) -> tuple:
+    """The block's labels by index, the index of each by its (a, s) parts,
+    and z_L and omega_sign(L) by index (both forms are diagonal on p)."""
+    labels = _block(n, m)
+    index = {(sp.a, sp.s): i for i, sp in enumerate(labels)}
+    return labels, index, tuple(map(z_weight, labels)), tuple(map(omega_sign, labels))
 
 
-def _p_mul(a: SuperPartition, b: SuperPartition) -> tuple[int, SuperPartition | None]:
-    """p_a p_b = sign * p_(a u b), as (sign, label); (0, None) when it vanishes.
+def _omega_p(v: list, n: int, m: int) -> list:
+    """omega on power-sum coordinates: a sign on each p_L."""
+    return [s * c for s, c in zip(_block_index(n, m)[3], v)]
 
-    The tilde factors of b move left past the commuting plain factors of a
-    and into place among the tilde factors of a, so the sign is that of
+
+def _p_mul(x: tuple, y: tuple) -> tuple:
+    """p_x p_y = sign * p_(x u y) on (a, s) part tuples, as (sign, parts);
+    (0, None) when it vanishes.
+
+    The tilde factors of y move left past the commuting plain factors of x
+    and into place among the tilde factors of x, so the sign is that of
     sorting the joined fermionic parts decreasingly.  A repeated fermionic
     part gives 0, because each tilde power sum squares to zero.
     """
     sign = 1
-    for x in b.a:
-        for y in a.a:
-            if y == x:
+    for b in y[0]:
+        for a in x[0]:
+            if a == b:
                 return 0, None
-            if y < x:
+            if a < b:
                 sign = -sign
-    return sign, SuperPartition._canonical(
-        tuple(sorted(a.a + b.a, reverse=True)), tuple(sorted(a.s + b.s, reverse=True))
-    )
+    a = tuple(sorted(x[0] + y[0], reverse=True)) if y[0] else x[0]
+    return sign, (a, tuple(sorted(x[1] + y[1], reverse=True)))
 
 
 @cache
-def _generator_in_p(n: int, fermionic: bool) -> tuple[tuple[SuperPartition, int], ...]:
+def _generator_in_p(n: int, fermionic: bool) -> tuple:
     """h_n (th_n when fermionic) in power sums: the sum of p_L / z_L over
     the block (n|0), or (n|1), from the H generating series, as the integer
-    numerators n!/z_L over n!."""
+    numerators n!/z_L over n!, in enumeration order."""
     f = math.factorial(n)
-    return tuple((sp, f // z_weight(sp)) for sp in enumerate_superpartitions(n, 1 if fermionic else 0))
+    return tuple(((sp.a, sp.s), f // z_weight(sp)) for sp in _block(n, 1 if fermionic else 0))
 
 
 def eh_in_p(n: int, fermionic: bool, which: str) -> BasisExpansion:
@@ -357,37 +359,33 @@ def eh_in_p(n: int, fermionic: bool, which: str) -> BasisExpansion:
         raise ValueError(f"which must be 'e' or 'h', got {which!r}")
     if n < 0:
         raise ValueError(f"need n >= 0, got {n}")
-    h = {sp: Fraction(c, math.factorial(n)) for sp, c in _generator_in_p(n, fermionic)}
-    return BasisExpansion("p", n, 1 if fermionic else 0, _omega_p(h.items()) if which == "e" else h)
+    m = 1 if fermionic else 0
+    v = [c for _, c in _generator_in_p(n, fermionic)]
+    return _from_p(_omega_p(v, n, m) if which == "e" else v, math.factorial(n), "p", n, m)
 
 
 @cache
-def _h_in_p(sp: SuperPartition) -> tuple[tuple[SuperPartition, int], ...]:
-    """h_sp in power sums as integer numerators over n!, n = |sp|: the
-    closed forms multiplied in the p algebra, tilde factors first in the
-    order of the fermionic parts.  The last factor (over part!) is peeled
-    off, so elements share their cached prefixes (over (n - part)!), and the
-    binomial C(n, part) puts their product over n!."""
-    if sp.s:
-        rest, part, fermionic = SuperPartition._canonical(sp.a, sp.s[:-1]), sp.s[-1], False
-    elif sp.a:
-        rest, part, fermionic = SuperPartition._canonical(sp.a[:-1], ()), sp.a[-1], True
+def _h_in_p(parts: tuple) -> tuple:
+    """h_(a;s) in power sums, parts = (a, s), as integer numerators over n!,
+    n = |parts|: the closed forms multiplied in the p algebra, tilde factors
+    first in the order of the fermionic parts.  The last factor (over
+    part!) is peeled off, so elements share their cached prefixes (over
+    (n - part)!), and the binomial C(n, part) puts their product over n!."""
+    a, s = parts
+    if s:
+        rest, part, fermionic = (a, s[:-1]), s[-1], False
+    elif a:
+        rest, part, fermionic = (a[:-1], ()), a[-1], True
     else:
-        return ((sp, 1),)
-    binom = math.comb(sp.degree, part)
-    out: dict[SuperPartition, int] = {}
+        return ((parts, 1),)
+    binom = math.comb(sum(a) + sum(s), part)
+    out = {}
     for la, c in _h_in_p(rest):
         for om, d in _generator_in_p(part, fermionic):
             sign, lo = _p_mul(la, om)
             if sign:
                 out[lo] = out.get(lo, 0) + sign * binom * c * d
     return tuple((lo, c) for lo, c in out.items() if c)
-
-
-def _numerators(coeffs) -> tuple[dict, int]:
-    """Integer numerators over one common denominator."""
-    den = math.lcm(*(c.denominator for c in coeffs.values()))
-    return {la: c.numerator * (den // c.denominator) for la, c in coeffs.items()}, den
 
 
 def _quotient(num: int, den: int, what: str, *labels) -> int:
@@ -400,105 +398,108 @@ def _quotient(num: int, den: int, what: str, *labels) -> int:
     return q
 
 
-def _apply(coords: dict, columns) -> dict:
-    """sum_L coords[L] * columns[L], for sparse (label, coefficient) columns."""
-    out: dict = {}
-    for la, c in coords.items():
-        for om, d in columns[la]:
-            out[om] = out.get(om, 0) + c * d
+def _apply(v: list, columns) -> list:
+    """sum_i v[i] * columns[i], for sparse (index, coefficient) columns."""
+    out = [0] * len(v)
+    for c, col in zip(v, columns):
+        if c:
+            for j, d in col:
+                out[j] += c * d
     return out
 
 
-def _solve(v: dict, scale: int, columns) -> dict:
+def _solve(v: list, scale: int, order, columns, labels) -> list:
     """The integer coordinates x with _apply(x, columns) == scale * v.
 
-    The columns come in elimination order, each with its diagonal entry
-    first and the rest of its support on rows of later columns, so one pass
-    reads each coordinate off its pivot row.  An inexact pivot division and
-    a nonzero residue left at the end both raise, so a wrong order or a
-    column with an entry above its pivot never returns a wrong answer.
+    Each column has its diagonal entry first and the rest of its support on
+    rows of columns later in `order`, so one pass reads each coordinate off
+    its pivot row.  An inexact division and a residue left at the end both
+    raise, so a wrong order or an entry above a pivot never answers wrongly.
     """
-    v = {la: scale * c for la, c in v.items()}
-    out = {}
-    for la, col in columns.items():
-        c = v.pop(la, 0)
+    v = [scale * c for c in v]
+    out = [0] * len(v)
+    for i in order:
+        c = v[i]
         if c:
-            c = out[la] = _quotient(c, col[0][1], "the coordinate at {}", la)
-            for om, d in col[1:]:
-                v[om] = v.get(om, 0) - c * d
-    if any(v.values()):
+            col = columns[i]
+            c = out[i] = _quotient(c, col[0][1], "the coordinate at {}", labels[i])
+            for j, d in col:
+                v[j] -= c * d
+    if any(v):
         raise ArithmeticError("triangular solve left a residue")
     return out
 
 
 @cache
-def _h_in_p_columns(n: int, m: int) -> tuple[int, Mapping[SuperPartition, tuple]]:
-    """Power-sum coordinates of every h element of the block, as integer
-    numerators over n! (_h_in_p); e is their omega image.
-
-    h_L is supported on the refinements of L (each generator expands over
-    the partitions of its own part), so the columns go by increasing length,
-    each with its diagonal entry p_L first: _solve's elimination order.
-    """
-    out = {}
-    for sp in sorted(enumerate_superpartitions(n, m), key=lambda sp: sp.length):
-        ints = dict(_h_in_p(sp))
-        out[sp] = ((sp, ints.pop(sp)), *ints.items())
-    return math.factorial(n), MappingProxyType(out)
+def _h_in_p_columns(n: int, m: int) -> tuple:
+    """(n!, elimination order, the p-columns of every h_L over n!); e is
+    their omega image.  h_L is supported on the refinements of L (each
+    generator expands over the partitions of its part), which replace rows
+    of L by smaller ones and so come later in the enumeration order."""
+    index = _block_index(n, m)[1]
+    columns = []
+    for parts, i in index.items():
+        col = {index[la]: c for la, c in _h_in_p(parts)}
+        columns.append(((i, col.pop(i)), *col.items()))
+    return math.factorial(n), range(len(index)), tuple(columns)
 
 
 @cache
-def _p_in_m(n: int, m: int) -> tuple[int, Mapping[SuperPartition, tuple]]:
-    """Monomial coordinates of every p_L of the block, from h-m duality:
-    [m_O] p_L = <h_O, p_L> = z_L [p_L] h_O, an integer; and the lcm of the
-    z_L, which clears the denominators of m in power sums.
+def _p_in_m(n: int, m: int) -> tuple:
+    """(lcm of the z_L, elimination order, the m-columns of every p_L), by
+    h-m duality: [m_O] p_L = <h_O, p_L> = z_L [p_L] h_O, an integer, and
+    the lcm clears the denominators of m in p.  p_L is supported on the
+    coarsenings of L (two fermionic parts never merge, as theta^2 = 0), so
+    the elimination runs through the enumeration backwards."""
+    den, order, h_cols = _h_in_p_columns(n, m)
+    labels, _, z, _ = _block_index(n, m)
+    cols = [[] for _ in labels]
+    order = order[::-1]
+    for j in order:
+        for i, c in h_cols[j]:
+            cols[i].append((j, _quotient(z[i] * c, den, "[m_{}] p_{}", labels[j], labels[i])))
+    return math.lcm(*z), order, tuple(map(tuple, cols))
 
-    p_L is supported on the coarsenings of L (parts merge on one variable,
-    and two fermionic parts never do, because theta^2 = 0), so the columns
-    go by decreasing length, each with its diagonal entry m_L first.
-    """
-    den, h_cols = _h_in_p_columns(n, m)
-    order = list(h_cols)[::-1]
-    z = {la: z_weight(la) for la in order}
-    cols: dict[SuperPartition, list] = {la: [] for la in order}
-    for om in order:
-        for la, c in h_cols[om]:
-            cols[la].append((om, _quotient(z[la] * c, den, "[m_{}] p_{}", om, la)))
-    return math.lcm(*z.values()), MappingProxyType({la: tuple(col) for la, col in cols.items()})
+
+def _to_p(x: BasisExpansion) -> tuple[list, int]:
+    """x as (p numerators by index, den): e and h apply the h table (e then
+    takes omega), and m is a triangular solve on the p-in-m table."""
+    n, m = x.n, x.m
+    labels, index = _block_index(n, m)[:2]
+    den = math.lcm(*(c.denominator for c in x.coeffs.values()))
+    v = [0] * len(labels)
+    for sp, c in x.coeffs.items():
+        v[index[sp.a, sp.s]] = c.numerator * (den // c.denominator)
+    if x.basis == "m":
+        table = _p_in_m(n, m)
+        return _solve(v, *table, labels), den * table[0]
+    if x.basis != "p":
+        scale, _, columns = _h_in_p_columns(n, m)
+        v, den = _apply(v, columns), den * scale
+        if x.basis == "e":
+            v = _omega_p(v, n, m)
+    return v, den
+
+
+def _from_p(v: list, den: int, to: str, n: int, m: int) -> BasisExpansion:
+    """The element with p numerators v over den in the basis `to`: m applies
+    the p-in-m table, and h (e, after omega) is a solve on the h table."""
+    labels = _block(n, m)
+    if to == "m":
+        v = _apply(v, _p_in_m(n, m)[2])
+    elif to != "p":
+        v = _solve(_omega_p(v, n, m) if to == "e" else v, *_h_in_p_columns(n, m), labels)
+    return BasisExpansion(to, n, m, {labels[i]: Fraction(c, den) for i, c in enumerate(v) if c})
 
 
 def change_basis(x: BasisExpansion, to: str) -> BasisExpansion:
-    """Exact conversion between any two bases, pivoting through power sums.
-
-    Each conversion reaches p in at most one step and leaves it in at most
-    one, on the two tables each block caches.  e and h elements are products
-    in the p algebra of the generators' closed forms (an apply of the h
-    table; e is its omega image, and omega is a sign on each p_L).  p
-    becomes m by h-m duality (an apply of the p-in-m table), and m becomes p
-    by a triangular solve on that table.  p becomes h by a triangular solve
-    on the h table, and e the same way from the omega image.  The arithmetic
-    is on integer numerators over one denominator.  No polynomial is built:
-    the polynomial engine (engine_checks._block_matrix) is the oracle the
-    tests hold this against.
-    """
+    """Exact conversion between any two bases, pivoting through power sums:
+    at most one step into p (_to_p) and one out (_from_p), on integers.  No
+    polynomial is built; the engine (engine_checks._block_matrix) is the
+    oracle the tests hold this against."""
     if to not in BASIS_NAMES:
         raise ValueError(f"unknown basis {to!r}")
-    n, m = x.n, x.m
-    v, den = _numerators(x.coeffs)
-    if x.basis != to:
-        if x.basis == "m":
-            scale, columns = _p_in_m(n, m)
-            v, den = _solve(v, scale, columns), den * scale
-        elif x.basis != "p":
-            scale, columns = _h_in_p_columns(n, m)
-            v, den = _apply(v, columns), den * scale
-            if x.basis == "e":
-                v = _omega_p(v.items())
-        if to == "m":
-            v = _apply(v, _p_in_m(n, m)[1])
-        elif to != "p":
-            v = _solve(_omega_p(v.items()) if to == "e" else v, *_h_in_p_columns(n, m))
-    return BasisExpansion(to, n, m, {la: Fraction(c, den) for la, c in v.items()})
+    return _from_p(*_to_p(x), to, x.n, x.m)
 
 
 # -- the scalar product and the involution ---------------------------------------
@@ -508,35 +509,30 @@ def change_basis(x: BasisExpansion, to: str) -> BasisExpansion:
 # plain, which makes <p_L, p_O> = z_L delta.
 
 
-def _as_p_expansion(f) -> BasisExpansion:
-    if not isinstance(f, BasisExpansion):
-        from .engine_checks import expand_in_monomials
-        from .superpoly import SuperPolynomial
-        if not isinstance(f, SuperPolynomial):
-            raise TypeError(f"expected BasisExpansion or SuperPolynomial, got {type(f)!r}")
-        f = expand_in_monomials(f)
-    return change_basis(f, "p")
-
-
 def scalar_product(f, g) -> Fraction:
     """Bilinear form with <p_L, p_O> = z_L delta (left slot arrowed).
 
-    f and g may be BasisExpansions or symmetric SuperPolynomials; different
-    bidegrees pair to 0.
+    f and g may be BasisExpansions or symmetric SuperPolynomials (expanded
+    in monomials first); different bidegrees pair to 0.
     """
-    fp = _as_p_expansion(f)
-    gp = _as_p_expansion(g)
-    if (fp.n, fp.m) != (gp.n, gp.m):
+    sides = []
+    for x in (f, g):
+        if not isinstance(x, BasisExpansion):
+            from .engine_checks import expand_in_monomials
+            x = expand_in_monomials(x)
+        sides.append(((x.n, x.m), *_to_p(x)))
+    (block, u, du), (other, w, dw) = sides
+    if block != other:
         return Fraction(0)
-    d = gp.coeffs
-    return sum((z_weight(sp) * c * d[sp] for sp, c in fp.coeffs.items() if sp in d), Fraction(0))
+    z = _block_index(*block)[2]
+    return Fraction(sum(zi * a * b for zi, a, b in zip(z, u, w) if a), du * dw)
 
 
 def omega(x: BasisExpansion) -> BasisExpansion:
     """The involution fixing monomial-degree data: e_L <-> h_L, and on power
     sums p_L -> omega_sign(L) p_L.  Returned in the input basis."""
-    p = change_basis(x, "p")
-    return change_basis(BasisExpansion("p", p.n, p.m, _omega_p(p.coeffs.items())), x.basis)
+    v, den = _to_p(x)
+    return _from_p(_omega_p(v, x.n, x.m), den, x.basis, x.n, x.m)
 
 
 def __getattr__(name: str):

@@ -78,6 +78,9 @@ def test_power_sums_are_orthogonal_with_z_norms():
 def test_scalar_product_accepts_polynomials():
     f = powersum(2, 4)
     assert scalar_product(f, f) == 2
+    assert scalar_product(f, unit("h", "(;2)")) == 1 and scalar_product(unit("p", "(;2)"), f) == 2
+    with pytest.raises(TypeError):
+        scalar_product(f, {sp("(;2)"): 1})
 
 
 def test_mixed_bidegrees_pair_to_zero():
@@ -240,20 +243,41 @@ def test_reproducing_check_fails_on_a_scaled_monomial(monkeypatch):
 
 
 def test_reproducing_converts_each_monomial_to_p_once(monkeypatch):
+    # change_basis is wrapped where inner and transform both look it up:
+    # the scalar products read power sums without calling it again
+    from supersym import transform
+
     conversions = []
-    real = inner.change_basis
+    real = transform.change_basis
 
     def counting(x, to):
         conversions.append((x.basis, to))
         return real(x, to)
 
     monkeypatch.setattr(inner, "change_basis", counting)
+    monkeypatch.setattr(transform, "change_basis", counting)
     nvars, max_degree = 4, 4
     assert reproducing_check(nvars, max_degree)["pass"] is True
     labels = sum(
         1 for _, _, block in _blocks(max_degree, max_m=nvars) for g in block if g.length <= nvars
     )
-    assert conversions == [("m", "p")] * labels
+    assert labels == 56 and conversions == [("m", "p")] * labels
+
+
+def test_scalar_product_of_power_sums_builds_no_expansion(monkeypatch):
+    left = unit("p", "(2,0;2,1)").scale(Fraction(3, 4)) + unit("p", "(2,1;1,1)")
+    right = unit("p", "(2,0;2,1)").scale(Fraction(-1, 6)) + unit("p", "(3,0;1,1)")
+    built = []
+    init = BasisExpansion.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(BasisExpansion, "__init__", counting_init)
+    # z of (2,0;2,1) is 2, so the pairing is 2 * 3/4 * -1/6
+    assert scalar_product(left, right) == Fraction(-1, 4)
+    assert built == []
 
 
 # -- kernel oracles: the full doubled alphabet and matrix counting -----------------

@@ -95,25 +95,47 @@ def test_round_trips_at_degree_ten(text):
         )
 
 
+def vector(pairs, size):
+    """A dense coordinate vector from sparse (index, value) pairs."""
+    v = [0] * size
+    for i, c in pairs:
+        v[i] = c
+    return v
+
+
 def test_solve_raises_on_a_residue():
     # an entry above its column's pivot, the columns out of elimination
     # order, or a pivot that does not divide breaks the solve; it must raise
     # rather than return an answer
-    _, good = transform._p_in_m(3, 1)
-    labels = list(good)
-    first, last = labels[0], labels[-1]
+    _, order, good = transform._p_in_m(3, 1)
+    labels = transform._block_index(3, 1)[0]
+    size = len(labels)
+    first, last = order[0], order[-1]
     pivot = good[last][0][1]
-    above = dict(good)
+    above = list(good)
     above[last] = good[last] + ((first, 1),)
     with pytest.raises(ArithmeticError):
-        transform._solve({last: pivot}, 1, above)
-    doubled = dict(good)
+        transform._solve(vector([(last, pivot)], size), 1, order, above, labels)
+    doubled = list(good)
     doubled[last] = ((last, 2 * pivot), *good[last][1:])
     with pytest.raises(ArithmeticError):
-        transform._solve({last: pivot}, 1, doubled)
-    reversed_order = {la: good[la] for la in reversed(labels)}
+        transform._solve(vector([(last, pivot)], size), 1, order, doubled, labels)
     with pytest.raises(ArithmeticError):
-        transform._solve(dict(good[first]), 1, reversed_order)
+        transform._solve(vector(good[first], size), 1, order[::-1], good, labels)
+
+
+def test_a_failed_division_names_its_superpartition(monkeypatch):
+    # a pivot of the p-in-m table that does not divide: the error names the
+    # label of its coordinate, not its index in the block
+    scale, order, columns = transform._p_in_m(5, 2)
+    labels = transform._block_index(5, 2)[0]
+    i = len(labels) // 2
+    broken = list(columns)
+    broken[i] = ((i, scale + 1), *columns[i][1:])
+    monkeypatch.setattr(transform, "_p_in_m", lambda n, m: (scale, order, tuple(broken)))
+    with pytest.raises(ArithmeticError, match=r"\(\d+(,\d+)*;(\d+(,\d+)*)?\)") as err:
+        change_basis(BasisExpansion.unit("m", labels[i]), "p")
+    assert str(labels[i]) in str(err.value) and f" {i} " not in f" {err.value} "
 
 
 # -- the composite e-in-m oracle ---------------------------------------------------------
@@ -127,11 +149,13 @@ def e_in_m(n, m):
     """The e-in-m matrix as (pivot row L', column L, pivot, other entries),
     by decreasing pivot row.  Column L has the pivot +-1 (the sector sign)
     at L' and the rest of its support below L' (criterion 3)."""
-    den, h_cols = transform._h_in_p_columns(n, m)
-    _, p_in_m = transform._p_in_m(n, m)
+    den, _, h_cols = transform._h_in_p_columns(n, m)
+    p_in_m = transform._p_in_m(n, m)[2]
+    labels = transform._block_index(n, m)[0]
     cols = []
-    for la, h_in_p in h_cols.items():
-        col = transform._apply(transform._omega_p(h_in_p), p_in_m)
+    for la, h_in_p in zip(labels, h_cols):
+        in_m = transform._apply(transform._omega_p(vector(h_in_p, len(labels)), n, m), p_in_m)
+        col = {om: c for om, c in zip(labels, in_m) if c}
         conj = la.conjugate()
         pivot = transform._quotient(col.pop(conj, 0), den, "[m_{}] e_{}", conj, la)
         assert pivot in (1, -1), (la, pivot)
@@ -190,8 +214,9 @@ def h_in_p_fractions(la):
     out = {}
     for om, c in h_in_p_fractions(rest).items():
         for gen in enumerate_superpartitions(last, 1 if fermionic else 0):
-            sign, lo = _p_mul(om, gen)
+            sign, lo = _p_mul((om.a, om.s), (gen.a, gen.s))
             if sign:
+                lo = SuperPartition(*lo)
                 out[lo] = out.get(lo, 0) + sign * c * Fraction(1, z_weight(gen))
     return {lo: c for lo, c in out.items() if c}
 
@@ -199,11 +224,13 @@ def h_in_p_fractions(la):
 def test_integer_h_in_p_columns_match_the_fraction_build():
     columns = 0
     for n, m in blocks(9):
-        den, cols = transform._h_in_p_columns(n, m)
-        assert set(cols) == set(enumerate_superpartitions(n, m))
-        for la, col in cols.items():
-            assert col[0][0] == la
-            assert {om: Fraction(c, den) for om, c in col} == h_in_p_fractions(la), la
+        den, order, cols = transform._h_in_p_columns(n, m)
+        labels = transform._block_index(n, m)[0]
+        assert labels == tuple(enumerate_superpartitions(n, m))
+        assert len(cols) == len(labels) and sorted(order) == list(range(len(labels)))
+        for i, (la, col) in enumerate(zip(labels, cols)):
+            assert col[0][0] == i
+            assert {labels[j]: Fraction(c, den) for j, c in col} == h_in_p_fractions(la), la
             columns += 1
     assert columns == 822
     for k in range(10):
@@ -223,8 +250,12 @@ def superpartitions(draw, max_part=3, max_len=3):
     return SuperPartition(tuple(sorted(a, reverse=True)), tuple(sorted(s, reverse=True)))
 
 
+def parts(x):
+    return x.a, x.s
+
+
 def p_times(x, y):
-    """Product of two sparse p-expansions given as dicts."""
+    """Product of two sparse p-expansions given as dicts keyed by parts."""
     out = {}
     for la, c in x.items():
         for om, d in y.items():
@@ -238,38 +269,41 @@ def test_product_labels_are_canonical():
     labels = [x for n in range(5) for m in range(3) for x in enumerate_superpartitions(n, m)]
     for x in labels:
         for y in labels:
-            sign, label = _p_mul(x, y)
+            sign, label = _p_mul(parts(x), parts(y))
             if sign:
                 checked = SuperPartition(
                     tuple(sorted(x.a + y.a, reverse=True)), tuple(sorted(x.s + y.s, reverse=True))
                 )
-                assert label == checked and hash(label) == hash(checked)
-                assert label.bidegree == checked.bidegree
+                made = SuperPartition._canonical(*label)
+                assert label == parts(checked) and made == checked and hash(made) == hash(checked)
+                assert made.bidegree == checked.bidegree
 
 
 @given(superpartitions(), superpartitions())
 @example(SuperPartition((2,)), SuperPartition((0,)))  # tp_2 tp_0 = -tp_0 tp_2
 def test_product_is_graded_commutative(x, y):
-    sx, lx = _p_mul(x, y)
-    sy, ly = _p_mul(y, x)
+    sx, lx = _p_mul(parts(x), parts(y))
+    sy, ly = _p_mul(parts(y), parts(x))
     assert lx == ly
     assert sx == (-1) ** (x.fermionic_degree * y.fermionic_degree) * sy
 
 
 @given(superpartitions(), superpartitions())
 def test_product_vanishes_on_a_repeated_fermionic_part(x, y):
-    sign, label = _p_mul(x, y)
+    sign, label = _p_mul(parts(x), parts(y))
     if set(x.a) & set(y.a):
         assert (sign, label) == (0, None)
     else:
         assert sign in (1, -1)
-        assert label.bidegree == (x.degree + y.degree, x.fermionic_degree + y.fermionic_degree)
+        assert SuperPartition(*label).bidegree == (
+            x.degree + y.degree, x.fermionic_degree + y.fermionic_degree
+        )
 
 
 @given(superpartitions(), superpartitions(), superpartitions())
 def test_product_is_associative(x, y, z):
-    one = {x: 1}
-    assert p_times(p_times(one, {y: 1}), {z: 1}) == p_times(one, p_times({y: 1}, {z: 1}))
+    one, y, z = {parts(x): 1}, {parts(y): 1}, {parts(z): 1}
+    assert p_times(p_times(one, y), z) == p_times(one, p_times(y, z))
 
 
 @settings(max_examples=40, deadline=None)
@@ -281,8 +315,8 @@ def test_product_agrees_with_engine(x, y):
     engine = expand_in_monomials(
         multiplicative("p", x, nvars) * multiplicative("p", y, nvars), (n, m)
     )
-    sign, label = _p_mul(x, y)
-    product = BasisExpansion("p", n, m, {label: sign} if sign else {})
+    sign, label = _p_mul(parts(x), parts(y))
+    product = BasisExpansion("p", n, m, {SuperPartition(*label): sign} if sign else {})
     assert change_basis(product, "m") == engine
 
 

@@ -38,9 +38,10 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 # one call per subcommand, on inputs of the size the cli workload uses, a
-# cold m -> e conversion on the 365-element block (12|2), a cold h -> m
-# conversion on the 525-element block (13|2), and the kernel suite at the
-# sizes the CI runs it
+# cold m -> e conversion on the 365-element block (12|2), cold h -> m
+# conversions on the middle elements of the blocks (10|2), (13|2) and (16|2)
+# (170, 525 and 1,422 elements), and the kernel suite at the sizes the CI
+# runs it
 COLD_CLI = (
     ("list", "--n", "6", "--m", "2"),
     ("conj", "(3,1,0;4,3,2,1)"),
@@ -52,7 +53,9 @@ COLD_CLI = (
     ("inner", "h:(2,0;2,1)", "m:(2,0;2,1)"),
     ("omega", "--basis", "e", "(3,0;2,1)"),
     ("verify", "--suite", "kernel", "--nvars", "3", "--degree", "2"),
+    ("convert", "--from", "h", "--to", "m", "(4,2;3,1)"),
     ("convert", "--from", "h", "--to", "m", "(5,0;3,1,1,1,1,1)"),
+    ("convert", "--from", "h", "--to", "m", "(1,0;6,5,3,1)"),
     ("verify", "--suite", "kernel", "--nvars", "6", "--degree", "6"),
     ("verify", "--suite", "kernel", "--nvars", "5", "--degree", "8"),
 )
