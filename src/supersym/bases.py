@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import cache
 
 from .superpartition import BASIS_NAMES, SuperPartition, _report, enumerate_superpartitions  # noqa: F401
-from .superpoly import SuperPolynomial, _FIELD_BITS, _FIELD_MASK, _sort_sign
+from .superpoly import SuperPolynomial, _FIELD_BITS, _FIELD_MASK, _merge_sign, _sort_sign
 
 __all__ = [
     "monomial",
@@ -221,17 +221,47 @@ def multiplicative(basis: str, sp: SuperPartition, nvars: int, arrowed: bool = F
     return out.arrow() if arrowed else out
 
 
+def _last_factor(basis: str, sp: SuperPartition, nvars: int):
+    """(prefix, factor), sp's element being the prefix's times the generator of
+    sp's last symmetric part, or else of its last fermionic part; None if empty."""
+    plain, tilde = generator_functions(basis)
+    if sp.s:
+        return SuperPartition._canonical(sp.a, sp.s[:-1]), plain(sp.s[-1], nvars)
+    if sp.a:
+        return SuperPartition._canonical(sp.a[:-1], ()), tilde(sp.a[-1], nvars)
+    return None
+
+
 @cache
 def _generator_product(basis: str, sp: SuperPartition, nvars: int, thetas: int) -> SuperPolynomial:
     """The product of multiplicative() keeping only theta supports inside
-    t_1..t_thetas.  Supports only grow, so with thetas = sp's fermionic
-    degree each factor keeps one sector: the block whose canonical
-    coefficients the kernel sums and the engine oracle read."""
-    plain, tilde = generator_functions(basis)
-    out = SuperPolynomial.one(nvars)
-    for f in [tilde(a, nvars) for a in sp.a] + [plain(s, nvars) for s in sp.s]:
-        out = out.mul_restricted(f, range(1, thetas + 1))
-    return out
+    t_1..t_thetas, as the cached product of sp's prefix times its last
+    factor.  Supports only grow, so with thetas = sp's fermionic degree each
+    factor keeps one sector: the block the engine oracle reads."""
+    split = _last_factor(basis, sp, nvars)
+    if split is None:
+        return SuperPolynomial.one(nvars)
+    prefix, factor = split
+    return _generator_product(basis, prefix, nvars, thetas).mul_restricted(factor, range(1, thetas + 1))
+
+
+def _canonical_read(basis: str, sp: SuperPartition, nvars: int, keys) -> list:
+    """[t_1..t_k x^K] of sp's element (k its fermionic degree) at packed keys
+    K of its degree, never building it: sign c c' over the splits of K into
+    terms of the cached prefix and the last factor, walking the smaller.  As
+    kernel_check keeps exponents below 2^15, a difference that borrows across
+    a field has a digit outside [0, 2^15) and matches no key of either side."""
+    split = _last_factor(basis, sp, nvars)
+    if split is None:
+        return [int(key == 0) for key in keys]
+    mask = (1 << sp.fermionic_degree) - 1
+    pre = _generator_product(basis, split[0], nvars, sp.fermionic_degree).blocks
+    parts = [
+        (_merge_sign(mask ^ mb, mb), *sorted((pre[mask ^ mb], terms), key=len))
+        for mb, terms in split[1].blocks.items()
+        if not mb & ~mask and mask ^ mb in pre
+    ]
+    return [sum(s * c * big.get(key - k, 0) for s, few, big in parts for k, c in few.items()) for key in keys]
 
 
 def basis_element(basis: str, sp: SuperPartition, nvars: int | None = None, arrowed: bool = False) -> SuperPolynomial:

@@ -13,7 +13,7 @@ import math
 from fractions import Fraction
 
 from .superpartition import SuperPartition, _blocks, _report, enumerate_superpartitions
-from .superpoly import SuperPolynomial, _sector_sign
+from .superpoly import SuperPolynomial, _FIELD_MASK, _sector_sign
 from .transform import (  # noqa: F401  (change_basis is re-exported)
     BasisExpansion,
     _peel,
@@ -97,42 +97,34 @@ def _canonical_index(nvars: int, degree: int):
 
 
 def _counted_table(nvars: int, index, inverse: bool) -> dict:
-    """Canonical coefficients of the kernel product (nonzero entries only):
-    sector(k) [m_O] h_L, or [m_O] e_L when inverse.  A canonical term picks
-    the pairs t_i f_sigma(i) (i <= k) at the sign sector(k) sgn(sigma) and a
-    matrix of x-y exponents with row sums L and column sums O; a picked cell
-    weighs its exponent plus one, or must be empty when inverse (_peel)."""
-    return {
-        pair: _sector_sign(k) * c
-        for n, k, _ in index
-        for pair, c in _peel("e" if inverse else "h", n, k, nvars).items()
-    }
+    """Canonical coefficients of the kernel product, nonzero only: sector(k)
+    [m_O] h_L, or [m_O] e_L when inverse, counted by _peel as signed matrices
+    with row sums L and column sums O over every block of the index at once."""
+    table = _peel("e" if inverse else "h", [(n, k) for n, k, _ in index], nvars)
+    return {pair: _sector_sign(pair[0].fermionic_degree) * c for pair, c in table.items()}
 
 
 def _sum_table(index, summand) -> dict:
     """Canonical coefficients of sum_G w_G (arrowed x_G) y_G, nonzero only.
 
-    summand(G) gives w_G (int or Fraction) and the N-variable polynomials
-    x_G, y_G (None to skip G), read on their t_1..t_k block only; y_G stands
-    in the second alphabet.  There the arrow is the sign sector(k) and the x
-    thetas precede the y thetas, so an entry is sector(k) w_G [L]x_G [O]y_G.
-    Each block sums integers over the lcm of its weights' denominators.
+    summand(G, keys) gives w_G (int or Fraction) and the lists [K]x_G, [K]y_G
+    of N-variable x_G, y_G over the block's canonical keys K (None to skip G).
+    y_G stands in the second alphabet, where the arrow is the sign sector(k)
+    and the x thetas precede the y thetas: an entry is sector(k) w_G [L]x_G
+    [O]y_G.  Each block sums integers over the lcm of its weights' denominators.
     """
     table = {}
     for n, k, labels in index:
-        mask = (1 << k) - 1
         keys = [_canonical_key(la) for la in labels]
-        terms = [t for t in map(summand, enumerate_superpartitions(n, k)) if t is not None]
+        terms = [t for g in enumerate_superpartitions(n, k) if (t := summand(g, keys)) is not None]
         scale = math.lcm(*(w.denominator for w, _, _ in terms))
         block = {}
-        for w, xg, yg in terms:
+        for w, xs, ys in terms:
             w = _sector_sign(k) * w.numerator * (scale // w.denominator)
-            xs = xg.blocks.get(mask, {})
-            ys = yg.blocks.get(mask, {})
-            cy = [(j, ys[key]) for j, key in enumerate(keys) if key in ys]
-            for i, key in enumerate(keys):
-                if key in xs:
-                    wa = w * xs[key]
+            cy = [(j, b) for j, b in enumerate(ys) if b]
+            for i, a in enumerate(xs):
+                if a:
+                    wa = w * a
                     for j, b in cy:
                         block[i, j] = block.get((i, j), 0) + wa * b
         for (i, j), c in block.items():
@@ -144,20 +136,21 @@ def _sum_table(index, summand) -> dict:
 def _pp_summand(nvars: int, with_omega: bool):
     """z_G^(-1) (arrowed p_G)(x) p_G(y), with an extra omega_sign when with_omega."""
 
-    def summand(g: SuperPartition):
-        p = _bases._generator_product("p", g, nvars, g.fermionic_degree)
+    def summand(g: SuperPartition, keys):
+        p = _bases._canonical_read("p", g, nvars, keys)
         return Fraction(omega_sign(g) if with_omega else 1, z_weight(g)), p, p
 
     return summand
 
 
 def _mh_summand(nvars: int):
-    """(arrowed m_G)(x) h_G(y); m_G vanishes on fewer variables than parts."""
+    """(arrowed m_G)(x) h_G(y); [L]m_G = delta_(L, G) as monomial() normalises it, 0 past N parts."""
 
-    def summand(g: SuperPartition):
+    def summand(g: SuperPartition, keys):
         if g.length > nvars:
             return None
-        return 1, _bases.monomial(g, nvars), _bases._generator_product("h", g, nvars, g.fermionic_degree)
+        gkey = _canonical_key(g)
+        return 1, [int(key == gkey) for key in keys], _bases._canonical_read("h", g, nvars, keys)
 
     return summand
 
@@ -180,8 +173,8 @@ def kernel_check(nvars: int, degree: int) -> dict:
     length <= N.  Both alphabets carry equal degree and fermion number, so
     only pairs from one block (n|k) can be nonzero.
     """
-    if nvars < 1 or degree < 0:
-        raise ValueError(f"need nvars >= 1 and degree >= 0, got ({nvars}, {degree})")
+    if nvars < 1 or not 0 <= degree <= _FIELD_MASK >> 1:  # see _canonical_read
+        raise ValueError(f"need nvars >= 1 and 0 <= degree < 2^15, got ({nvars}, {degree})")
     params = {"nvars": nvars, "degree": degree}
     index = _canonical_index(nvars, degree)
     direct = _counted_table(nvars, index, inverse=False)

@@ -234,14 +234,15 @@ def mono_product(a: SuperPartition, b: SuperPartition) -> BasisExpansion:
 # -- the matrix-counting peel ----------------------------------------------------
 
 
-def _peel(which: str, n: int, m: int, nvars: int) -> dict:
-    """[m_O] u_L (u = h or e) for the labels L, O of length <= nvars of the
-    block (n|m): signed counts of matrices with row sums L and column sums O,
-    fermionic parts first, entries in N (h) or {0, 1} (e).  Fermionic row i
-    picks fermionic column sigma(i) at the sign sgn(sigma); for h the picked
-    cell weighs its entry plus one, for e it must be empty.  Rows are peeled
-    off one at a time, fermionic ones first, memoised on the rows and column
-    sums left; bosonic columns permute freely, so their sums are kept sorted.
+def _peel(which: str, blocks, nvars: int) -> dict:
+    """[m_O] u_L (u = h or e) for the labels L, O of length <= nvars of each
+    block (n|m) in blocks: signed counts of matrices with row sums L and
+    column sums O, fermionic parts first, entries in N (h) or {0, 1} (e).
+    Fermionic row i picks fermionic column sigma(i) at the sign sgn(sigma);
+    for h the picked cell weighs its entry plus one, for e it must be empty.
+    Rows are peeled off one at a time, fermionic ones first, memoised on the
+    rows and column sums left (for every block of the call at once); bosonic
+    columns permute freely, so their sums are kept sorted.
     """
 
     @cache
@@ -276,16 +277,17 @@ def _peel(which: str, n: int, m: int, nvars: int) -> dict:
                     total += w * sum(ways * count(rows[:-1], left, rest) for rest, ways in spread)
         return total
 
-    labels = [sp for sp in _block(n, m) if sp.length <= nvars]
-    table: dict = {}
-    for sigma in itertools.permutations(range(m)):
-        sign = -1 if sum(x > y for i, x in enumerate(sigma) for y in sigma[i + 1 :]) & 1 else 1
+    table = {}
+    for n, m in blocks:
+        labels = [sp for sp in _block(n, m) if sp.length <= nvars]
+        perms = list(itertools.permutations(range(m)))
+        signs = [-1 if sum(x > y for i, x in enumerate(s) for y in s[i + 1 :]) & 1 else 1 for s in perms]
         for i, la in enumerate(labels):
-            rows = tuple((v, None) for v in la.s) + tuple(zip(la.a, sigma))
+            rows = [tuple((v, None) for v in la.s) + tuple(zip(la.a, sigma)) for sigma in perms]
             for om in labels[i:]:  # transposing swaps L and O and inverts sigma
-                c = table.get((la, om), 0) + sign * count(rows, om.a, om.s)
-                table[la, om] = table[om, la] = c
-    return {pair: c for pair, c in table.items() if c}
+                if c := sum(sign * count(r, om.a, om.s) for sign, r in zip(signs, rows)):
+                    table[la, om] = table[om, la] = c
+    return table
 
 
 # -- the power-sum algebra ------------------------------------------------------

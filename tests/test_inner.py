@@ -1,15 +1,17 @@
 """Scalar product, the e-h involution, duality, and kernel checks."""
 
+import functools
 import itertools
 import math
 import random
 from fractions import Fraction
+from types import MappingProxyType
 
 import pytest
 
 from supersym import bases, inner
 from supersym.superpartition import SuperPartition, _blocks, enumerate_superpartitions
-from supersym.superpoly import SuperPolynomial
+from supersym.superpoly import SuperPolynomial, _FIELD_MASK
 from supersym.bases import basis_element, powersum
 from supersym.transform import BasisExpansion, change_basis
 from supersym.inner import (
@@ -312,7 +314,7 @@ def full_summand(summand, basis, nvars):
     arrowed p_G (or m_G when basis is "h") and the multiplicative element."""
 
     def full(g):
-        term = summand(g)
+        term = summand(g, [])
         if term is None:
             return None
         x = bases.monomial(g, nvars) if basis == "h" else bases.multiplicative("p", g, nvars)
@@ -377,6 +379,71 @@ def test_sector_product_is_the_sector_block_of_the_full_product():
                     full = bases.multiplicative(basis, g, nvars).blocks
                     want = {mask: full[mask]} if full.get(mask) else {}
                     assert {b: t for b, t in got.items() if t} == want, (basis, g, nvars)
+
+
+def test_canonical_read_is_the_sector_block_of_the_product():
+    for nvars in range(1, 5):
+        for n, k, block in _blocks(6):
+            mask = (1 << k) - 1
+            keys = [bases._canonical_key(g) for g in block if g.length <= nvars]
+            for g in block:
+                for basis in ("p", "h"):
+                    built = bases._generator_product(basis, g, nvars, k).blocks.get(mask, {})
+                    probe = keys + [key for key in built if key not in keys]
+                    want = [built.get(key, 0) for key in probe]
+                    assert bases._canonical_read(basis, g, nvars, probe) == want, (basis, g, nvars)
+
+
+def test_canonical_read_matches_no_borrowed_key():
+    # t1 x2 is the canonical term of (0;1) = tp_0 p_1, with p_1 = x1 + x2:
+    # x2 - x1 borrows from the x2 field and packs as x1^65535, which the
+    # prefix tp_0 = t1 (on t1 only) does not hold; x2 - x2 reads its t1
+    g, nvars = sp("(0;1)"), 2
+    key = bases._canonical_key(g)
+    assert [key - kb for kb in bases.powersum(1, nvars).blocks[0]] == [_FIELD_MASK, 0]
+    assert bases._generator_product("p", sp("(0;)"), nvars, 1).blocks == {1: {0: 1}}
+    assert bases._canonical_read("p", g, nvars, [key, 1]) == [1, 1]
+    # the key arithmetic needs every exponent below 2^15
+    with pytest.raises(ValueError, match="degree < 2"):
+        kernel_check(1, 1 << 15)
+    assert kernel_check(1, 3)["pass"] is True
+
+
+def read_only(poly):
+    """poly with its blocks and their terms behind read-only views."""
+    frozen = object.__new__(SuperPolynomial)
+    frozen.nvars = poly.nvars
+    frozen.blocks = MappingProxyType({m: MappingProxyType(t) for m, t in poly.blocks.items()})
+    return frozen
+
+
+@pytest.fixture
+def read_only_caches(monkeypatch):
+    """Every cached generator, product element and prefix product is handed
+    out read-only, so a caller that writes into a shared block raises."""
+
+    def wrap(f):
+        return functools.wraps(f)(lambda *args, **kwargs: read_only(f(*args, **kwargs)))
+
+    for plain, tilde in bases._GENERATORS.values():
+        for f in (plain, tilde):
+            monkeypatch.setattr(bases, f.__name__, wrap(f))
+    for basis, (plain, tilde) in list(bases._GENERATORS.items()):
+        monkeypatch.setitem(
+            bases._GENERATORS, basis, (getattr(bases, plain.__name__), getattr(bases, tilde.__name__))
+        )
+    for name in ("multiplicative", "_generator_product"):
+        monkeypatch.setattr(bases, name, wrap(getattr(bases, name)))
+
+
+def test_kernel_checks_write_into_no_cached_block(read_only_caches):
+    with pytest.raises(TypeError):
+        bases.complete(2, 2).blocks[0][0] = 1
+    with pytest.raises(TypeError):
+        bases._generator_product("h", sp("(1;1)"), 2, 1).blocks[1] = {}
+    assert kernel_check(3, 4)["pass"] is True
+    assert kernel_check(2, 5)["pass"] is True
+    assert reproducing_check(3, 3)["pass"] is True
 
 
 @pytest.mark.parametrize("nvars", [1, 2, 3, 4])
@@ -462,6 +529,24 @@ def test_kernel_tables_match_matrix_counts(nvars, degree, inverse):
     assert inner._sum_table(index, summand) == counted
 
 
+def test_sum_sides_use_neither_the_peel_nor_the_pivot(monkeypatch):
+    from supersym import transform
+
+    nvars, degree = 3, 5
+    index = inner._canonical_index(nvars, degree)
+    direct, inverse = (inner._counted_table(nvars, index, inv) for inv in (False, True))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a sum side reached the product side's machinery")
+
+    for module in (inner, transform):
+        monkeypatch.setattr(module, "_peel", refuse)
+        monkeypatch.setattr(module, "change_basis", refuse)
+    assert inner._sum_table(index, inner._pp_summand(nvars, with_omega=False)) == direct
+    assert inner._sum_table(index, inner._mh_summand(nvars)) == direct
+    assert inner._sum_table(index, inner._pp_summand(nvars, with_omega=True)) == inverse
+
+
 def test_canonical_index_covers_every_block():
     nvars, degree = 3, 5
     index = inner._canonical_index(nvars, degree)
@@ -499,11 +584,23 @@ def test_kernel_check_fails_when_a_z_weight_raises_the_lcm(monkeypatch, text):
 
 
 def test_kernel_check_fails_on_a_scaled_monomial(monkeypatch):
+    # the m-h sum builds no m_G: scale the canonical coefficients it reads
     target = sp("(1;2)")
-    real = bases.monomial
-    monkeypatch.setattr(
-        bases, "monomial", lambda g, nvars: real(g, nvars).scale(3) if g == target else real(g, nvars)
-    )
+    real = inner._mh_summand
+
+    def scaled(nvars):
+        summand = real(nvars)
+
+        def read(g, keys):
+            term = summand(g, keys)
+            if g != target:
+                return term
+            w, xs, ys = term
+            return w, [3 * a for a in xs], ys
+
+        return read
+
+    monkeypatch.setattr(inner, "_mh_summand", scaled)
     rep = kernel_check(2, 3)
     assert rep["pass"] is False
     assert rep["first_failure"] == "product expansion differs from the m-h sum"

@@ -65,12 +65,23 @@ def test_generators_in_m_match_the_matrix_counts():
     for n, m in blocks(7):
         block = enumerate_superpartitions(n, m)
         for basis in ("e", "h"):
-            counts = transform._peel(basis, n, m, n + m)
+            counts = transform._peel(basis, [(n, m)], n + m)
             for la in block:
                 want = BasisExpansion("m", n, m, {om: counts.get((la, om), 0) for om in block})
                 assert change_basis(BasisExpansion.unit(basis, la), "m") == want, (basis, la)
                 conversions += 1
     assert conversions == 628
+
+
+@pytest.mark.parametrize("nvars, degree", [(3, 6), (4, 5)])
+@pytest.mark.parametrize("basis", ["h", "e"])
+def test_one_peel_over_many_blocks_is_the_union_of_single_block_peels(basis, nvars, degree):
+    # the peel's memos are shared by every block of one call
+    shared = [(n, m) for n, m in blocks(degree) if m <= nvars]
+    union = {}
+    for block in shared:
+        union.update(transform._peel(basis, [block], nvars))
+    assert transform._peel(basis, shared, nvars) == union
 
 
 # -- round trips and the triangular solve -------------------------------------------

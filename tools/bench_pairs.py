@@ -52,7 +52,7 @@ COLD_CLI = (
     ("convert", "--from", "m", "--to", "e", "(3,0;5,4)"),
     ("inner", "h:(2,0;2,1)", "m:(2,0;2,1)"),
     ("omega", "--basis", "e", "(3,0;2,1)"),
-    ("verify", "--suite", "kernel", "--nvars", "3", "--degree", "2"),
+    ("verify", "--suite", "kernel", "--nvars", "3", "--degree", "3"),
     ("convert", "--from", "h", "--to", "m", "(4,2;3,1)"),
     ("convert", "--from", "h", "--to", "m", "(5,0;3,1,1,1,1,1)"),
     ("convert", "--from", "h", "--to", "m", "(1,0;6,5,3,1)"),
