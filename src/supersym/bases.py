@@ -113,11 +113,16 @@ def _packed_key(combo) -> int:
     return key
 
 
+def _check_degree(n: int) -> None:
+    """A generator's degree must be a single exponent: 0 <= n <= _FIELD_MASK."""
+    if not 0 <= n <= _FIELD_MASK:
+        raise ValueError(f"need 0 <= n <= {_FIELD_MASK} (the exponent field), got {n}")
+
+
 @cache
 def elementary(n: int, nvars: int) -> SuperPolynomial:
     """e_n: sum of squarefree degree-n monomials."""
-    if n < 0:
-        raise ValueError(f"need n >= 0, got {n}")
+    _check_degree(n)
     body = {
         _packed_key(combo): 1
         for combo in itertools.combinations(range(1, nvars + 1), n)
@@ -128,8 +133,7 @@ def elementary(n: int, nvars: int) -> SuperPolynomial:
 @cache
 def elementary_tilde(n: int, nvars: int) -> SuperPolynomial:
     """te_n: sum of t_i times squarefree monomials avoiding x_i."""
-    if n < 0:
-        raise ValueError(f"need n >= 0, got {n}")
+    _check_degree(n)
     blocks = {}
     for i in range(1, nvars + 1):
         others = [v for v in range(1, nvars + 1) if v != i]
@@ -143,8 +147,7 @@ def elementary_tilde(n: int, nvars: int) -> SuperPolynomial:
 @cache
 def complete(n: int, nvars: int) -> SuperPolynomial:
     """h_n: sum of all degree-n monomials."""
-    if n < 0:
-        raise ValueError(f"need n >= 0, got {n}")
+    _check_degree(n)
     body = {
         _packed_key(combo): 1
         for combo in itertools.combinations_with_replacement(range(1, nvars + 1), n)
@@ -160,8 +163,7 @@ def complete_tilde(n: int, nvars: int) -> SuperPolynomial:
     choices for the split, so th_n = sum_i t_i sum_{|v|=n} (v_i + 1) x^v.
     Equivalently th_n weights the one-fermion monomial basis by a + 1.
     """
-    if n < 0:
-        raise ValueError(f"need n >= 0, got {n}")
+    _check_degree(n)
     blocks: dict[int, dict[int, int]] = {1 << i: {} for i in range(nvars)}
     for combo in itertools.combinations_with_replacement(range(1, nvars + 1), n):
         key = _packed_key(combo)
@@ -176,8 +178,7 @@ def complete_tilde(n: int, nvars: int) -> SuperPolynomial:
 @cache
 def powersum(n: int, nvars: int) -> SuperPolynomial:
     """p_n: sum of n-th powers; p_0 is zero by convention."""
-    if n < 0:
-        raise ValueError(f"need n >= 0, got {n}")
+    _check_degree(n)
     if n == 0:
         return SuperPolynomial.zero(nvars)
     body = {_packed_key([i] * n): 1 for i in range(1, nvars + 1)}
@@ -187,8 +188,7 @@ def powersum(n: int, nvars: int) -> SuperPolynomial:
 @cache
 def powersum_tilde(n: int, nvars: int) -> SuperPolynomial:
     """tp_n: sum of t_i x_i^n."""
-    if n < 0:
-        raise ValueError(f"need n >= 0, got {n}")
+    _check_degree(n)
     blocks = {
         1 << (i - 1): {_packed_key([i] * n): 1} for i in range(1, nvars + 1)
     }

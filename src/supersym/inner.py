@@ -104,55 +104,42 @@ def _counted_table(nvars: int, index, inverse: bool) -> dict:
     return {pair: _sector_sign(pair[0].fermionic_degree) * c for pair, c in table.items()}
 
 
-def _sum_table(index, summand) -> dict:
-    """Canonical coefficients of sum_G w_G (arrowed x_G) y_G, nonzero only.
+def _sum_tables(nvars: int, index):
+    """Canonical coefficients of the three sum sides, nonzero only: (pp, pp_omega, mh).
 
-    summand(G, keys) gives w_G (int or Fraction) and the lists [K]x_G, [K]y_G
-    of N-variable x_G, y_G over the block's canonical keys K (None to skip G).
-    y_G stands in the second alphabet, where the arrow is the sign sector(k)
-    and the x thetas precede the y thetas: an entry is sector(k) w_G [L]x_G
-    [O]y_G.  Each block sums integers over the lcm of its weights' denominators.
+    pp[(L, O)] = sector(k) sum_G z_G^(-1) [L]p_G [O]p_G over the G of the
+    block (n|k), and pp_omega weights each G by omega_sign(G) as well: the
+    arrow on the x-side is the sign sector(k), as the x thetas precede the y
+    thetas.  Each p_G is read once; the G of either omega sign accumulate
+    apart, as integers over the lcm of the block's z_G, and the two sums are
+    their sum and difference.  [L]m_G = delta_(L, G) as monomial() normalises
+    it, so mh[(L, O)] = sector(k) [O]h_L.
     """
-    table = {}
+    pp, pp_omega, mh = {}, {}, {}
     for n, k, labels in index:
+        sign = _sector_sign(k)
         keys = [_canonical_key(la) for la in labels]
-        terms = [t for g in enumerate_superpartitions(n, k) if (t := summand(g, keys)) is not None]
-        scale = math.lcm(*(w.denominator for w, _, _ in terms))
-        block = {}
-        for w, xs, ys in terms:
-            w = _sector_sign(k) * w.numerator * (scale // w.denominator)
-            cy = [(j, b) for j, b in enumerate(ys) if b]
-            for i, a in enumerate(xs):
-                if a:
-                    wa = w * a
-                    for j, b in cy:
-                        block[i, j] = block.get((i, j), 0) + wa * b
-        for (i, j), c in block.items():
-            if c:
-                table[labels[i], labels[j]] = Fraction(c, scale) if c % scale else c // scale
-    return table
-
-
-def _pp_summand(nvars: int, with_omega: bool):
-    """z_G^(-1) (arrowed p_G)(x) p_G(y), with an extra omega_sign when with_omega."""
-
-    def summand(g: SuperPartition, keys):
-        p = _bases._canonical_read("p", g, nvars, keys)
-        return Fraction(omega_sign(g) if with_omega else 1, z_weight(g)), p, p
-
-    return summand
-
-
-def _mh_summand(nvars: int):
-    """(arrowed m_G)(x) h_G(y); [L]m_G = delta_(L, G) as monomial() normalises it, 0 past N parts."""
-
-    def summand(g: SuperPartition, keys):
-        if g.length > nvars:
-            return None
-        gkey = _canonical_key(g)
-        return 1, [int(key == gkey) for key in keys], _bases._canonical_read("h", g, nvars, keys)
-
-    return summand
+        block = enumerate_superpartitions(n, k)
+        scale = math.lcm(*(z_weight(g) for g in block))
+        even, odd = {}, {}
+        for g in block:
+            acc = even if omega_sign(g) > 0 else odd
+            w = scale // z_weight(g)
+            ps = [(i, a) for i, a in enumerate(_bases._canonical_read("p", g, nvars, keys)) if a]
+            for i, a in ps:
+                wa = w * a
+                for j, b in ps:
+                    acc[i, j] = acc.get((i, j), 0) + wa * b
+        for i, j in even.keys() | odd.keys():
+            e, o = even.get((i, j), 0), odd.get((i, j), 0)
+            for table, c in ((pp, sign * (e + o)), (pp_omega, sign * (e - o))):
+                if c:
+                    table[labels[i], labels[j]] = Fraction(c, scale) if c % scale else c // scale
+        for la in labels:
+            for om, c in zip(labels, _bases._canonical_read("h", la, nvars, keys)):
+                if c:
+                    mh[la, om] = sign * c
+    return pp, pp_omega, mh
 
 
 def kernel_check(nvars: int, degree: int) -> dict:
@@ -177,13 +164,13 @@ def kernel_check(nvars: int, degree: int) -> dict:
         raise ValueError(f"need nvars >= 1 and 0 <= degree < 2^15, got ({nvars}, {degree})")
     params = {"nvars": nvars, "degree": degree}
     index = _canonical_index(nvars, degree)
+    pp, pp_omega, mh = _sum_tables(nvars, index)
     direct = _counted_table(nvars, index, inverse=False)
-    if direct != _sum_table(index, _pp_summand(nvars, with_omega=False)):
+    if direct != pp:
         return _report("kernel", params, "product expansion differs from the weighted p-p sum")
-    if direct != _sum_table(index, _mh_summand(nvars)):
+    if direct != mh:
         return _report("kernel", params, "product expansion differs from the m-h sum")
-    inverse = _counted_table(nvars, index, inverse=True)
-    if inverse != _sum_table(index, _pp_summand(nvars, with_omega=True)):
+    if _counted_table(nvars, index, inverse=True) != pp_omega:
         return _report("kernel", params, "inverse product differs from the omega-signed p-p sum")
     return _report("kernel", params, None)
 

@@ -138,6 +138,13 @@ def test_monomial_rejects_parts_beyond_the_exponent_field():
     with pytest.raises(ValueError):
         monomial(SuperPartition(a=(), s=(65536,)), 2)
     assert monomial(SuperPartition(a=(), s=(65535,)), 1) == P.term(1, 1, {1: 65535})
+    # the generators pack x^n into the same field
+    for fn, coefficient, thetas in (
+        (complete, 1, ()), (complete_tilde, 65536, (1,)), (powersum, 1, ()), (powersum_tilde, 1, (1,)),
+    ):
+        with pytest.raises(ValueError, match="exponent field"):
+            fn(65536, 1)
+        assert fn(65535, 1) == P.term(1, coefficient, {1: 65535}, thetas), fn
 
 
 def test_default_variable_count():

@@ -99,6 +99,14 @@ def test_build_default_nvars_in_header(capsys):
     assert out.splitlines()[0] == "# nvars=2"
 
 
+@pytest.mark.parametrize("basis, text, nvars", [("p", "(;65536)", "2"), ("h", "(;70000)", "1")])
+def test_build_past_the_exponent_field_exits_2(capsys, basis, text, nvars):
+    # x^65536 does not fit its 16-bit field and would wrap into the next variable
+    rc, out, err = run(capsys, "build", "--basis", basis, text, "--nvars", nvars)
+    assert rc == 2 and out == ""
+    assert "exponent field" in err
+
+
 def test_build_arrow_flag(capsys):
     rc, plain, _ = run(capsys, "build", "--basis", "p", "(1,0;)", "--nvars", "2")
     rc2, arrowed, _ = run(capsys, "build", "--basis", "p", "(1,0;)", "--nvars", "2", "--arrow")

@@ -1,6 +1,7 @@
 """Scalar product, the e-h involution, duality, and kernel checks."""
 
 import functools
+import importlib
 import itertools
 import math
 import random
@@ -9,7 +10,7 @@ from types import MappingProxyType
 
 import pytest
 
-from supersym import bases, inner
+from supersym import bases, cli, inner
 from supersym.superpartition import SuperPartition, _blocks, enumerate_superpartitions
 from supersym.superpoly import SuperPolynomial, _FIELD_MASK
 from supersym.bases import basis_element, powersum
@@ -309,16 +310,16 @@ def full_kernel_product(nvars, degree, inverse):
     return out
 
 
-def full_summand(summand, basis, nvars):
-    """summand's weight with whole polynomials in every theta sector:
-    arrowed p_G (or m_G when basis is "h") and the multiplicative element."""
+def full_summand(weight, basis, nvars):
+    """weight(G) with whole polynomials in every theta sector: arrowed p_G
+    (or m_G when basis is "h") and the multiplicative element; None skips G."""
 
     def full(g):
-        term = summand(g, [])
-        if term is None:
+        w = weight(g)
+        if w is None:
             return None
         x = bases.monomial(g, nvars) if basis == "h" else bases.multiplicative("p", g, nvars)
-        return term[0], x.arrow(), bases.multiplicative(basis, g, nvars)
+        return w, x.arrow(), bases.multiplicative(basis, g, nvars)
 
     return full
 
@@ -354,19 +355,24 @@ def canonical_coefficients(poly, nvars, index):
 @pytest.mark.parametrize("nvars, degree", [(3, 3), (2, 4)])
 def test_full_alphabet_oracle(nvars, degree):
     index = inner._canonical_index(nvars, degree)
-    pp = inner._pp_summand(nvars, with_omega=False)
-    pp_omega = inner._pp_summand(nvars, with_omega=True)
-    mh = inner._mh_summand(nvars)
-    for inverse, sums in ((False, ((pp, "p"), (mh, "h"))), (True, ((pp_omega, "p"),))):
+    pp, pp_omega, mh = inner._sum_tables(nvars, index)
+    # the weights 1/z_G, omega_G/z_G and 1; m_G is 0 past N parts
+    for inverse, sums in (
+        (False, (
+            (pp, lambda g: Fraction(1, z_weight(g)), "p"),
+            (mh, lambda g: 1 if g.length <= nvars else None, "h"),
+        )),
+        (True, ((pp_omega, lambda g: Fraction(omega_sign(g), z_weight(g)), "p"),)),
+    ):
         full = full_kernel_product(nvars, degree, inverse)
         # separate symmetry in each alphabet is what licenses the reduction
         for i in (*range(1, nvars), *range(nvars + 1, 2 * nvars)):
             assert full.apply_exchange(i) == full, (inverse, i)
         table = canonical_coefficients(full, nvars, index)
         assert table == inner._counted_table(nvars, index, inverse)
-        for summand, basis in sums:
-            assert full_sum(nvars, degree, full_summand(summand, basis, nvars)) == full
-            assert inner._sum_table(index, summand) == table
+        for got, weight, basis in sums:
+            assert full_sum(nvars, degree, full_summand(weight, basis, nvars)) == full
+            assert got == table
 
 
 def test_sector_product_is_the_sector_block_of_the_full_product():
@@ -446,15 +452,29 @@ def test_kernel_checks_write_into_no_cached_block(read_only_caches):
     assert reproducing_check(3, 3)["pass"] is True
 
 
+# every verify suite besides the kernel, at the sizes CI runs it
+CI_SIZES = {
+    "recursions": {"n_max": 3},
+    "determinants": {"n_max": 3},
+    "generating": {"degree": 3, "nvars": 3},
+    "duality": {"n_max": 3},
+    "orders": {"n_max": 4},
+    "counting": {"n_max": 8},
+}
+
+
+@pytest.mark.parametrize("suite", CI_SIZES)
+def test_verify_suites_write_into_no_cached_block(read_only_caches, suite):
+    sizes = CI_SIZES[suite]
+    module, reads, run = cli._SUITES[suite]
+    assert sizes.keys() == reads.keys()
+    reports = run(importlib.import_module(f"supersym.{module}"), **sizes)
+    assert reports and all(r["pass"] for r in reports), reports
+
+
 @pytest.mark.parametrize("nvars", [1, 2, 3, 4])
 def test_sum_tables_hold_integers(nvars):
-    index = inner._canonical_index(nvars, 6)
-    for summand in (
-        inner._pp_summand(nvars, with_omega=False),
-        inner._pp_summand(nvars, with_omega=True),
-        inner._mh_summand(nvars),
-    ):
-        table = inner._sum_table(index, summand)
+    for table in inner._sum_tables(nvars, inner._canonical_index(nvars, 6)):
         assert table and all(type(c) is int for c in table.values())
 
 
@@ -525,8 +545,10 @@ def test_kernel_tables_match_matrix_counts(nvars, degree, inverse):
                 if c:
                     counted[la, om] = c
     assert table == counted
-    summand = inner._pp_summand(nvars, with_omega=inverse)
-    assert inner._sum_table(index, summand) == counted
+    pp, pp_omega, mh = inner._sum_tables(nvars, index)
+    assert (pp_omega if inverse else pp) == counted
+    if not inverse:
+        assert mh == counted
 
 
 def test_sum_sides_use_neither_the_peel_nor_the_pivot(monkeypatch):
@@ -542,9 +564,28 @@ def test_sum_sides_use_neither_the_peel_nor_the_pivot(monkeypatch):
     for module in (inner, transform):
         monkeypatch.setattr(module, "_peel", refuse)
         monkeypatch.setattr(module, "change_basis", refuse)
-    assert inner._sum_table(index, inner._pp_summand(nvars, with_omega=False)) == direct
-    assert inner._sum_table(index, inner._mh_summand(nvars)) == direct
-    assert inner._sum_table(index, inner._pp_summand(nvars, with_omega=True)) == inverse
+    assert inner._sum_tables(nvars, index) == (direct, inverse, direct)
+
+
+def test_sum_tables_read_each_element_once(monkeypatch):
+    # one p read per G of every block feeds both p-p sums, and the m-h side
+    # is one h read per label: [L]m_G = delta_(L, G) needs no read
+    nvars, degree = 3, 5
+    reads = []
+    real = bases._canonical_read
+
+    def counting(basis, g, nv, keys):
+        reads.append((basis, g))
+        return real(basis, g, nv, keys)
+
+    monkeypatch.setattr(bases, "_canonical_read", counting)
+    assert kernel_check(nvars, degree)["pass"] is True
+    want = []
+    for n, k, labels in inner._canonical_index(nvars, degree):
+        want += [("p", g) for g in enumerate_superpartitions(n, k)]
+        want += [("h", la) for la in labels]
+    assert len(set(want)) == len(want) == 182
+    assert len(reads) == len(want) and set(reads) == set(want)
 
 
 def test_canonical_index_covers_every_block():
@@ -584,23 +625,16 @@ def test_kernel_check_fails_when_a_z_weight_raises_the_lcm(monkeypatch, text):
 
 
 def test_kernel_check_fails_on_a_scaled_monomial(monkeypatch):
-    # the m-h sum builds no m_G: scale the canonical coefficients it reads
+    # the m-h sum builds no m_G, and its m side is delta by construction:
+    # scale the h_G row it reads instead
     target = sp("(1;2)")
-    real = inner._mh_summand
+    real = bases._canonical_read
 
-    def scaled(nvars):
-        summand = real(nvars)
+    def scaled(basis, g, nvars, keys):
+        row = real(basis, g, nvars, keys)
+        return [3 * c for c in row] if (basis, g) == ("h", target) else row
 
-        def read(g, keys):
-            term = summand(g, keys)
-            if g != target:
-                return term
-            w, xs, ys = term
-            return w, [3 * a for a in xs], ys
-
-        return read
-
-    monkeypatch.setattr(inner, "_mh_summand", scaled)
+    monkeypatch.setattr(bases, "_canonical_read", scaled)
     rep = kernel_check(2, 3)
     assert rep["pass"] is False
     assert rep["first_failure"] == "product expansion differs from the m-h sum"

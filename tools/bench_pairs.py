@@ -70,7 +70,7 @@ def _git(*args: str) -> str:
 def _export(sha: str, dest: Path) -> Path:
     tar = subprocess.run(["git", "archive", sha], cwd=ROOT, check=True, capture_output=True)
     with tarfile.open(fileobj=io.BytesIO(tar.stdout)) as archive:
-        archive.extractall(dest)
+        archive.extractall(dest, filter="data")
     return dest
 
 
