@@ -164,13 +164,14 @@ def kernel_check(nvars: int, degree: int) -> dict:
         raise ValueError(f"need nvars >= 1 and 0 <= degree < 2^15, got ({nvars}, {degree})")
     params = {"nvars": nvars, "degree": degree}
     index = _canonical_index(nvars, degree)
+    # the peels first: their memos are freed before the sums fill the generator caches
+    direct, inverse = (_counted_table(nvars, index, inv) for inv in (False, True))
     pp, pp_omega, mh = _sum_tables(nvars, index)
-    direct = _counted_table(nvars, index, inverse=False)
     if direct != pp:
         return _report("kernel", params, "product expansion differs from the weighted p-p sum")
     if direct != mh:
         return _report("kernel", params, "product expansion differs from the m-h sum")
-    if _counted_table(nvars, index, inverse=True) != pp_omega:
+    if inverse != pp_omega:
         return _report("kernel", params, "inverse product differs from the omega-signed p-p sum")
     return _report("kernel", params, None)
 
