@@ -123,11 +123,8 @@ def _check_degree(n: int) -> None:
 def elementary(n: int, nvars: int) -> SuperPolynomial:
     """e_n: sum of squarefree degree-n monomials."""
     _check_degree(n)
-    body = {
-        _packed_key(combo): 1
-        for combo in itertools.combinations(range(1, nvars + 1), n)
-    }
-    return SuperPolynomial(nvars, {0: body})
+    combos = itertools.combinations(range(1, nvars + 1), n)
+    return SuperPolynomial(nvars, {0: {_packed_key(combo): 1 for combo in combos}})
 
 
 @cache
@@ -137,10 +134,7 @@ def elementary_tilde(n: int, nvars: int) -> SuperPolynomial:
     blocks = {}
     for i in range(1, nvars + 1):
         others = [v for v in range(1, nvars + 1) if v != i]
-        body = {
-            _packed_key(combo): 1 for combo in itertools.combinations(others, n)
-        }
-        blocks[1 << (i - 1)] = body
+        blocks[1 << (i - 1)] = {_packed_key(combo): 1 for combo in itertools.combinations(others, n)}
     return SuperPolynomial(nvars, blocks)
 
 
@@ -148,11 +142,8 @@ def elementary_tilde(n: int, nvars: int) -> SuperPolynomial:
 def complete(n: int, nvars: int) -> SuperPolynomial:
     """h_n: sum of all degree-n monomials."""
     _check_degree(n)
-    body = {
-        _packed_key(combo): 1
-        for combo in itertools.combinations_with_replacement(range(1, nvars + 1), n)
-    }
-    return SuperPolynomial(nvars, {0: body})
+    combos = itertools.combinations_with_replacement(range(1, nvars + 1), n)
+    return SuperPolynomial(nvars, {0: {_packed_key(combo): 1 for combo in combos}})
 
 
 @cache
@@ -167,11 +158,10 @@ def complete_tilde(n: int, nvars: int) -> SuperPolynomial:
     blocks: dict[int, dict[int, int]] = {1 << i: {} for i in range(nvars)}
     for combo in itertools.combinations_with_replacement(range(1, nvars + 1), n):
         key = _packed_key(combo)
-        counts: dict[int, int] = {}
+        for i in range(nvars):
+            blocks[1 << i][key] = 1
         for v in combo:
-            counts[v] = counts.get(v, 0) + 1
-        for i in range(1, nvars + 1):
-            blocks[1 << (i - 1)][key] = counts.get(i, 0) + 1
+            blocks[1 << (v - 1)][key] += 1
     return SuperPolynomial(nvars, blocks)
 
 
@@ -189,10 +179,7 @@ def powersum(n: int, nvars: int) -> SuperPolynomial:
 def powersum_tilde(n: int, nvars: int) -> SuperPolynomial:
     """tp_n: sum of t_i x_i^n."""
     _check_degree(n)
-    blocks = {
-        1 << (i - 1): {_packed_key([i] * n): 1} for i in range(1, nvars + 1)
-    }
-    return SuperPolynomial(nvars, blocks)
+    return SuperPolynomial(nvars, {1 << (i - 1): {_packed_key([i] * n): 1} for i in range(1, nvars + 1)})
 
 
 _GENERATORS = {

@@ -49,29 +49,40 @@ def _monomial_polys(n: int, m: int, nvars: int) -> tuple[tuple[SuperPartition, S
     )
 
 
+def _within(c, terms: dict, have: dict) -> bool:
+    """Whether every term of c times one block of terms is in `have`."""
+    if c == 1:
+        return terms.items() <= have.items()
+    return all(have.get(k) == c * v for k, v in terms.items())
+
+
 def expand_in_monomials(f: SuperPolynomial, bidegree: tuple[int, int] | None = None) -> BasisExpansion:
     """Expand a symmetric homogeneous polynomial over the monomial basis.
 
-    Coefficients are read off the defining monomials; the result is then
-    re-assembled and compared with the input, so a non-symmetric polynomial
-    (or one outside the span at this number of variables) raises.
+    Coefficients are read off the defining monomials.  Distinct m_L have
+    disjoint supports, so f is their combination exactly when each c_L m_L
+    read with c_L != 0 lies within f and f has no other term; a
+    non-symmetric polynomial (or one outside the span at this number of
+    variables) raises.  No combination is built.
     """
     if not isinstance(f, SuperPolynomial):
         raise TypeError(f"expected a SuperPolynomial, got {type(f)!r}")
     n, m = bidegree if bidegree is not None else _infer_bidegree(f)
-    coeffs: dict[SuperPartition, Fraction] = {}
-    summands = []
+    coeffs, covered = {}, 0  # the labels read, and how many terms of f they cover
     for sp, poly in _monomial_polys(n, m, f.nvars):
         c = _probe_coefficient(f, sp)
         if c:
+            if not all(_within(c, terms, f.blocks.get(mask, {})) for mask, terms in poly.blocks.items()):
+                break
             coeffs[sp] = c
-            summands.append((c, poly))
-    if SuperPolynomial.linear_combination(f.nvars, summands) != f:
-        raise ValueError(
-            "polynomial is not symmetric (or not in the monomial span at "
-            f"{f.nvars} variables)"
-        )
-    return BasisExpansion("m", n, m, coeffs)
+            covered += poly.num_terms()
+    else:
+        if covered == f.num_terms():
+            return BasisExpansion("m", n, m, coeffs)
+    raise ValueError(
+        "polynomial is not symmetric (or not in the monomial span at "
+        f"{f.nvars} variables)"
+    )
 
 
 # -- the engine oracle for basis changes --------------------------------------------
@@ -195,11 +206,12 @@ def verify_recursions(n_max: int) -> dict:
             if n < first_n:
                 continue
             for name, to in zip(names, _STATED_AND_IMAGE):
-                acc = poly(_ZERO)
-                for r in range(n + 1):
-                    for left, right in products(n, r):
-                        acc = acc + poly(to(left)) * poly(to(right))
-                if acc != poly(to(target(n))):
+                total = SuperPolynomial.linear_combination(nv, (
+                    (1, poly(to(left)) * poly(to(right)))
+                    for r in range(n + 1)
+                    for left, right in products(n, r)
+                ))
+                if total != poly(to(target(n))):
                     return _report("recursions", params, f"n={n}: {name} fails at N={nv}")
     return _report("recursions", params, None)
 

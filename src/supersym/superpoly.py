@@ -15,6 +15,7 @@ rendered names x1, t1.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from fractions import Fraction
 from functools import reduce
 from operator import or_
@@ -179,12 +180,7 @@ class SuperPolynomial:
 
     def mask_vars(self, mask: int) -> tuple[int, ...]:
         """1-based theta indices of a block mask, increasing."""
-        out = []
-        while mask:
-            low = mask & -mask
-            out.append(low.bit_length())
-            mask ^= low
-        return tuple(out)
+        return tuple(v + 1 for v in range(mask.bit_length()) if mask >> v & 1)
 
     def coefficient(self, powers=None, thetas=()) -> int | Fraction:
         """Coefficient of the monomial with the thetas in the given order."""
@@ -252,44 +248,51 @@ class SuperPolynomial:
         """The one product loop behind __mul__, mul_restricted and mul_truncated.
 
         Blocks whose theta mask leaves `allowed` are skipped in both factors
-        (masks only grow under multiplication).  With a degree bound the
-        right factor is bucketed by its degree in `vars`, so each left term
-        stops at the first bucket over its budget; without one there is a
-        single bucket and no degree is computed.
+        (masks only grow under multiplication).  Each block's terms are listed
+        once, and the shorter block of each pair drives the outer loop; a new
+        output block is seeded from its first outer term in one pass.  With a
+        degree bound both lists are sorted by degree in `vars`, so each outer
+        term reads the inner prefix that fits its budget; without one no
+        degree is computed.
         """
         self._check_factor(other)
-        fields = None if max_degree is None else self._field_offsets(vars)
-        right = []
-        for mb, tb in other.blocks.items():
-            if mb & ~allowed:
-                continue
-            if fields is None:
-                right.append((mb, ((0, tb.items()),)))
-                continue
-            by_deg: dict[int, list[tuple[int, Fraction]]] = {}
-            for kb, cb in tb.items():
-                by_deg.setdefault(self._key_degree(kb, fields), []).append((kb, cb))
-            right.append((mb, sorted(by_deg.items())))
-        budget = 0  # without a bound, the one bucket has degree 0
+        if max_degree is not None:
+            fields = self._field_offsets(vars)
+            degree = lambda term: self._key_degree(term[0], fields)
+
+        def listed(poly):  # (mask, terms, their degrees or None) per allowed block
+            out = []
+            for m, t in poly.blocks.items():
+                if not m & ~allowed:
+                    terms = list(t.items()) if max_degree is None else sorted(t.items(), key=degree)
+                    out.append((m, terms, None if max_degree is None else list(map(degree, terms))))
+            return out
+
+        right = listed(other)
         blocks: dict[int, dict[int, Fraction]] = {}
-        for ma, ta in self.blocks.items():
-            if ma & ~allowed:
-                continue
-            for mb, buckets in right:
+        for ma, la, da in listed(self):
+            for mb, lb, db in right:
                 if ma & mb:
                     continue
                 sign = _merge_sign(ma, mb)
-                dst = blocks.setdefault(ma | mb, {})
-                for ka, ca in ta.items():
-                    if fields is not None:
-                        budget = max_degree - self._key_degree(ka, fields)
-                    sca = sign * ca
-                    for deg, terms in buckets:
-                        if deg > budget:
-                            break
-                        for kb, cb in terms:
-                            k = ka + kb
-                            dst[k] = dst.get(k, 0) + sca * cb
+                outer, odeg, inner, ideg = (lb, db, la, da) if len(lb) < len(la) else (la, da, lb, db)
+                dst = blocks.get(ma | mb)
+                get = None if dst is None else dst.get
+                for i, (ko, co) in enumerate(outer):
+                    terms = inner
+                    if odeg is not None:
+                        cut = bisect_right(ideg, max_degree - odeg[i])
+                        if not cut:
+                            break  # outer degrees only grow
+                        terms = inner[:cut]
+                    sco = sign * co
+                    if get is None:  # distinct inner keys give distinct sums
+                        dst = blocks[ma | mb] = {ko + ki: sco * ci for ki, ci in terms}
+                        get = dst.get
+                        continue
+                    for ki, ci in terms:
+                        k = ko + ki
+                        dst[k] = get(k, 0) + sco * ci
         return SuperPolynomial(self.nvars, blocks)
 
     def __mul__(self, other):
@@ -366,9 +369,7 @@ class SuperPolynomial:
     def negate_vars(self, bos_vars=(), ferm_vars=()) -> SuperPolynomial:
         """Substitute x_v -> -x_v and t_v -> -t_v for the listed indices."""
         bos_offs = tuple(_FIELD_BITS * (v - 1) for v in bos_vars)
-        fmask = 0
-        for v in ferm_vars:
-            fmask |= 1 << (v - 1)
+        fmask = reduce(or_, (1 << (v - 1) for v in ferm_vars), 0)
         blocks = {}
         for mask, terms in self.blocks.items():
             msign = -1 if (mask & fmask).bit_count() & 1 else 1

@@ -322,3 +322,93 @@ def test_restricted_product_agrees_on_allowed_sectors(f, g):
 @settings(max_examples=80, deadline=None)
 def test_arrow_is_involution(f):
     assert f.arrow().arrow() == f
+
+
+# -- the product loop against an independent term-by-term oracle ----------------
+
+ORACLE_VARS = 4
+
+
+def _powers(poly, key):
+    return {v: e for v in range(1, poly.nvars + 1) if (e := poly.key_exponent(key, v))}
+
+
+def term_product(f, g, keep=lambda powers, thetas: True):
+    """f * g built one term pair at a time: each product is a fresh `term` on
+    the concatenated theta word, so its sign is `term`'s sort sign."""
+    pairs = []
+    for ma, ka, ca in f.iter_terms():
+        pa = _powers(f, ka)
+        for mb, kb, cb in g.iter_terms():
+            pb = _powers(g, kb)
+            powers = {v: pa.get(v, 0) + pb.get(v, 0) for v in pa.keys() | pb.keys()}
+            thetas = f.mask_vars(ma) + g.mask_vars(mb)
+            if keep(powers, thetas):
+                pairs.append((1, P.term(f.nvars, ca * cb, powers, thetas)))
+    return P.linear_combination(f.nvars, pairs)
+
+
+COEFFS = st.sampled_from([1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3)])
+
+
+@st.composite
+def oracle_polys(draw):
+    """Up to eight terms over a few theta supports, so blocks of one polynomial
+    differ in size and pairs of blocks run the loop both ways round; small
+    exponents make term products collide and cancel."""
+    supports = draw(st.lists(
+        st.sets(st.integers(1, ORACLE_VARS), max_size=3).map(sorted), min_size=1, max_size=3,
+    ))
+    pairs = []
+    for _ in range(draw(st.integers(0, 8))):
+        powers = draw(st.dictionaries(st.integers(1, ORACLE_VARS), st.integers(0, 2), max_size=3))
+        thetas = draw(st.sampled_from(supports))
+        pairs.append((1, P.term(ORACLE_VARS, draw(COEFFS), powers, thetas)))
+    return P.linear_combination(ORACLE_VARS, pairs)
+
+
+def _degree_in(powers, vars):
+    return sum(powers.get(v, 0) for v in vars)
+
+
+@given(oracle_polys(), oracle_polys())
+@settings(max_examples=100, deadline=None)
+def test_products_match_the_term_by_term_oracle(f, g):
+    assert f * g == term_product(f, g)
+    for theta_vars in ((), (1, 2), (2, 3, 4)):
+        assert f.mul_restricted(g, theta_vars) == term_product(
+            f, g, lambda powers, thetas: set(thetas) <= set(theta_vars)
+        )
+    for d in (0, 1, 2, 3, 5):
+        assert f.mul_truncated(g, d) == term_product(
+            f, g, lambda powers, thetas: _degree_in(powers, range(1, ORACLE_VARS + 1)) <= d
+        )
+        for vars in ((1,), (2, 4)):
+            assert f.mul_truncated(g, d, vars) == term_product(
+                f, g, lambda powers, thetas: _degree_in(powers, vars) <= d
+            )
+
+
+def test_oracle_cases_run_the_loop_both_ways_and_cancel():
+    x1, x2, t1, t2 = P.x(1, 4), P.x(2, 4), P.theta(1, 4), P.theta(2, 4)
+    half = Fraction(1, 2)
+    short = (t1 * x1).scale(half)  # a one-term block on {t1}
+    long = t2 * (x1 + x2.scale(3) + x1 * x2) + x2  # three terms on {t2}, one on {}
+    odd = t1 + t2
+    cases = [(short, long), (long, short), (x1 + x2, x1 - x2), (odd, odd), (long, long)]
+    for f, g in cases:
+        assert f * g == term_product(f, g)
+        assert f.mul_truncated(g, 2) == term_product(
+            f, g, lambda powers, thetas: _degree_in(powers, range(1, 5)) <= 2
+        )
+        assert f.mul_truncated(g, 1, (2,)) == term_product(
+            f, g, lambda powers, thetas: powers.get(2, 0) <= 1
+        )
+        assert f.mul_restricted(g, (1,)) == term_product(
+            f, g, lambda powers, thetas: set(thetas) <= {1}
+        )
+    assert (x1 + x2) * (x1 - x2) == x1 * x1 - x2 * x2  # the cross terms cancel
+    assert (odd * odd).is_zero()
+    # 1/2 t1 x1 times 3 t2 x2, in both orders
+    assert (short * long).coefficient({1: 1, 2: 1}, thetas=(1, 2)) == Fraction(3, 2)
+    assert (long * short).coefficient({1: 1, 2: 1}, thetas=(1, 2)) == Fraction(-3, 2)

@@ -115,6 +115,57 @@ def test_expand_rejects_asymmetric_input():
         expand_in_monomials(f)
 
 
+def _mixed_symmetric(nvars=4):
+    """1/2 m_(1;1) - 3 m_(0;2) + m_(0;1,1): Fraction and int coefficients,
+    every term of each monomial in the (2|1) block at four variables."""
+    a, b, c = sp("(1;1)"), sp("(0;2)"), sp("(0;1,1)")
+    f = SuperPolynomial.linear_combination(nvars, [
+        (Fraction(1, 2), monomial(a, nvars)), (-3, monomial(b, nvars)), (1, monomial(c, nvars)),
+    ])
+    return f, {a: Fraction(1, 2), b: Fraction(-3), c: Fraction(1)}
+
+
+def test_expand_returns_fraction_coefficients_unchanged():
+    f, want = _mixed_symmetric()
+    got = expand_in_monomials(f)
+    assert got == BasisExpansion("m", 2, 1, want)
+    assert got.coeffs == want and all(type(c) is Fraction for c in got.coeffs.values())
+    assert got.get(sp("(1;1)")) == Fraction(1, 2)
+
+
+def _altered(f, mask, key, coeff):
+    blocks = {m: dict(t) for m, t in f.blocks.items()}
+    blocks.setdefault(mask, {})[key] = coeff
+    return SuperPolynomial(f.nvars, blocks)
+
+
+def test_expand_rejects_each_kind_of_asymmetry():
+    f, _ = _mixed_symmetric()
+    canonical = {
+        ((1 << la.fermionic_degree) - 1, engine_checks._canonical_key(la))
+        for la in enumerate_superpartitions(2, 1)
+    }
+    # each non-canonical term of f, with its coefficient altered or dropped
+    bad = [
+        _altered(f, mask, key, new)
+        for mask, key, c in f.iter_terms() if (mask, key) not in canonical
+        for new in (c + 1, 0)
+    ]
+    assert len(bad) == 2 * (f.num_terms() - 3)
+    # a term inside the bidegree that f lacks: t2 x2^2, a non-canonical term
+    # of m_(2;), which f does not contain
+    extra = SuperPolynomial.term(4, 5, {2: 2}, thetas=(2,))
+    assert all(k not in f.blocks.get(m, {}) for m, k, _ in extra.iter_terms())
+    bad += [
+        f + extra,
+        f + SuperPolynomial.term(4, 1, {1: 4}, thetas=(2,)),  # bidegree (4|1)
+        f + SuperPolynomial.term(4, 1, {1: 1, 2: 1}),  # bidegree (2|0)
+    ]
+    for g in bad:
+        with pytest.raises(ValueError, match="not symmetric"):
+            expand_in_monomials(g, (2, 1))
+
+
 # -- filling rule ------------------------------------------------------------------
 
 

@@ -8,11 +8,12 @@ exported with `git archive` into a temporary directory, so only committed
 files are measured and nothing is written into the checkout but the result.
 A workload run is `perfbench/run.py --workload W --seed S --seconds 15
 --trace 0` inside each export; pair i runs the base first when i is even and
-the head first when it is odd.  `--cold-cli N` times N fresh
-`python -m supersym.cli` calls per subcommand and side, first with no
-bytecode cache and then after compiling the export's sources (the .pyc files
-stay in the temporary directory), and records each call's peak RSS from
-`os.wait4`.
+the head first when it is odd.  After the pairs, one `--trace 1` run per side
+records the per-layer metrics (where a saving lands) under `trace`.
+`--cold-cli N` times N fresh `python -m supersym.cli` calls per subcommand
+and side, first with no bytecode cache and then after compiling the export's
+sources (the .pyc files stay in the temporary directory), and records each
+call's peak RSS from `os.wait4`.
 
 Each call adds its results to BENCH_<label>.json at the repository root
 under its own key (`<workload>/seed<S>` or `cli_cold_ms`), keeping earlier
@@ -79,10 +80,10 @@ def _spread(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "n": len(values)}
 
 
-def _run_workload(tree: Path, workload: str, seed: int) -> dict:
+def _run_workload(tree: Path, workload: str, seed: int, trace: int = 0) -> dict:
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", "15", "--trace", "0"],
+         "--seconds", "15", "--trace", str(trace)],
         cwd=tree, capture_output=True, text=True,
     )
     result = json.loads(proc.stdout.splitlines()[-1])
@@ -113,11 +114,13 @@ def record_pairs(trees: dict[str, Path], workload: str, seed: int, pairs: int) -
         )
         summary[name] = {side: _spread(v) for side, v in values.items() if len(v) > 1}
         summary[name]["head_wins"] = wins
+    trace = {side: _run_workload(trees[side], workload, seed, trace=1) for side in ("base", "head")}
     return {
         "pairs": pairs,
-        "all_correct": all(r[s]["correct"] for r in runs for s in ("base", "head")),
+        "all_correct": all(r[s]["correct"] for r in [*runs, trace] for s in ("base", "head")),
         "summary": summary,
         "runs": runs,
+        "trace": trace,
     }
 
 
