@@ -14,7 +14,6 @@ generating_check.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from functools import cache
 
 from .superpartition import BASIS_NAMES, SuperPartition, _report, enumerate_superpartitions  # noqa: F401
@@ -232,23 +231,28 @@ def _generator_product(basis: str, sp: SuperPartition, nvars: int, thetas: int) 
     return _generator_product(basis, prefix, nvars, thetas).mul_restricted(factor, range(1, thetas + 1))
 
 
+def _product_read(summands, mask: int, keys) -> list:
+    """[t_mask x^K] sum w f g over summands (w, f, g) at packed keys K, building no
+    product: w sign c c' over the splits of K into terms of f and g, walking the
+    smaller.  With all exponents of f, g and K below 2^15, a K - k that borrows
+    across a field has a digit outside [0, 2^15) and matches no key."""
+    parts = [
+        (w * _merge_sign(mask ^ mb, mb), *sorted((f.blocks[mask ^ mb], terms), key=len))
+        for w, f, g in summands
+        for mb, terms in g.blocks.items()
+        if not mb & ~mask and mask ^ mb in f.blocks
+    ]
+    return [sum(s * c * big.get(key - k, 0) for s, few, big in parts for k, c in few.items()) for key in keys]
+
+
 def _canonical_read(basis: str, sp: SuperPartition, nvars: int, keys) -> list:
-    """[t_1..t_k x^K] of sp's element (k its fermionic degree) at packed keys
-    K of its degree, never building it: sign c c' over the splits of K into
-    terms of the cached prefix and the last factor, walking the smaller.  As
-    kernel_check keeps exponents below 2^15, a difference that borrows across
-    a field has a digit outside [0, 2^15) and matches no key of either side."""
+    """[t_1..t_k x^K] of sp's element (k its fermionic degree) at packed keys K
+    of its degree, read (_product_read) off its cached prefix and last factor."""
     split = _last_factor(basis, sp, nvars)
     if split is None:
         return [int(key == 0) for key in keys]
-    mask = (1 << sp.fermionic_degree) - 1
-    pre = _generator_product(basis, split[0], nvars, sp.fermionic_degree).blocks
-    parts = [
-        (_merge_sign(mask ^ mb, mb), *sorted((pre[mask ^ mb], terms), key=len))
-        for mb, terms in split[1].blocks.items()
-        if not mb & ~mask and mask ^ mb in pre
-    ]
-    return [sum(s * c * big.get(key - k, 0) for s, few, big in parts for k, c in few.items()) for key in keys]
+    prefix = _generator_product(basis, split[0], nvars, sp.fermionic_degree)
+    return _product_read([(1, prefix, split[1])], (1 << sp.fermionic_degree) - 1, keys)
 
 
 def basis_element(basis: str, sp: SuperPartition, nvars: int | None = None, arrowed: bool = False) -> SuperPolynomial:

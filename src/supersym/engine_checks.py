@@ -15,9 +15,9 @@ from fractions import Fraction
 from functools import cache
 
 from .superpartition import SuperPartition, _blocks, _report, bruhat_leq, enumerate_superpartitions
-from .superpoly import SuperPolynomial, _sector_sign
+from .superpoly import SuperPolynomial, _FIELD_MASK, _sector_sign
 from . import bases as _bases
-from .bases import _canonical_key
+from .bases import _canonical_key, _product_read
 from .transform import BasisExpansion, omega_sign
 
 
@@ -133,9 +133,10 @@ _ZERO = (0, "e", 0)
 
 
 def _generators(top: int, nvars: int):
-    """The map from a generator term of index <= top to its polynomial;
-    weight 1 gives the cached generator itself.  The bases constructors are
-    looked up at call time (tests and tracers replace them)."""
+    """The map from a generator term (w, family, k) with k <= top to the pair
+    (w, the cached generator): weights stay scalars, so no generator is
+    scaled.  The bases constructors are looked up at call time (tests and
+    tracers replace them)."""
     gens = {
         fam: [gen(k, nvars) for k in range(top + 1)]
         for fam, gen in (
@@ -144,12 +145,7 @@ def _generators(top: int, nvars: int):
             ("p", _bases.powersum), ("tp", _bases.powersum_tilde),
         )
     }
-
-    def poly(term):
-        w, fam, k = term
-        return gens[fam][k] if w == 1 else gens[fam][k].scale(w)
-
-    return poly
+    return lambda term: (term[0], gens[term[1]][term[2]])
 
 
 def _omega(term):
@@ -185,6 +181,16 @@ _RECURSIONS = (
 )
 
 
+def _vanishes(summands, n: int, m: int, nvars: int) -> bool:
+    """Whether sum w f g over the summands (w, f, g), symmetric of bidegree
+    (n|m) in nvars variables, is zero: read by _product_read (exact while
+    n < 2^15) at the canonical terms of the labels of length <= nvars, which
+    is complete, as under the exchanges (x_i, t_i) <-> (x_j, t_j) each term is
+    a signed copy of a canonical one (equal theta-carrying exponents cancel)."""
+    keys = [_canonical_key(sp) for sp in enumerate_superpartitions(n, m, max_len=nvars)]
+    return not any(_product_read(summands, (1 << m) - 1, keys))
+
+
 def verify_recursions(n_max: int) -> dict:
     """Check the six generator recursions exactly at N = n_max + 2.
 
@@ -195,23 +201,22 @@ def verify_recursions(n_max: int) -> dict:
       (n+1) th_n = sum_r [p_r th_{n-r} + (r+1) tp_r h_{n-r}]
     and the omega images of the second and the fourth, "n e_n from p" and
     "(n+1) te_n" (the first and the third are their own images up to sign).
+    Each identity less its target times e_0 = 1 is only read (_vanishes).
     """
-    if n_max < 1:
-        raise ValueError(f"need n_max >= 1, got {n_max}")
+    if not 1 <= n_max <= _FIELD_MASK >> 1:
+        raise ValueError(f"need 1 <= n_max < 2^15, got {n_max}")
     nv = n_max + 2
     params = {"n_max": n_max, "nvars": nv}
-    poly = _generators(n_max, nv)
+    gen = _generators(n_max, nv)
     for n in range(n_max + 1):
         for names, first_n, products, target in _RECURSIONS:
             if n < first_n:
                 continue
+            pairs = [pair for r in range(n + 1) for pair in products(n, r)] + [(target(n), (-1, "e", 0))]
+            m = sum(fam[0] == "t" for _, fam, _ in pairs[0])  # one fermion per tilde family
             for name, to in zip(names, _STATED_AND_IMAGE):
-                total = SuperPolynomial.linear_combination(nv, (
-                    (1, poly(to(left)) * poly(to(right)))
-                    for r in range(n + 1)
-                    for left, right in products(n, r)
-                ))
-                if total != poly(to(target(n))):
+                terms = ((gen(to(left)), gen(to(right))) for left, right in pairs)
+                if not _vanishes([(w * w2, f, g) for (w, f), (w2, g) in terms], n, m, nv):
                     return _report("recursions", params, f"n={n}: {name} fails at N={nv}")
     return _report("recursions", params, None)
 
@@ -219,27 +224,27 @@ def verify_recursions(n_max: int) -> dict:
 # -- determinantal formulas ---------------------------------------------------------
 
 
-def _hessenberg_det(size, row1, entry, subdiag, nvars) -> SuperPolynomial:
-    """Determinant of an upper-Hessenberg matrix with scalar subdiagonal.
+def _hessenberg_summands(size, row1, entry, subdiag, nvars) -> list:
+    """An upper-Hessenberg determinant as the summands (c, a_{i,size},
+    minor_{i-1}) of sum c a minor, left unmultiplied.
 
-    row1[j-1] is the (1,j) entry (the only possibly anticommuting ones);
-    entry(i, j) gives rows i >= 2 on and above the diagonal; subdiag(l) is
-    the scalar (l+1, l) entry.  Leading-minor recursion: each term of the
+    Each entry is a pair (w, polynomial) standing for w times it.  row1[j-1]
+    is the (1,j) entry (the only possibly anticommuting ones); entry(i, j)
+    gives rows i >= 2 on and above the diagonal; subdiag(l) is the scalar
+    (l+1, l) entry.  Leading-minor recursion: each term of the
     expansion uses exactly one first-row entry, everything else commutes.
     """
     minors = [SuperPolynomial.one(nvars)]
     for k in range(1, size + 1):
-        summands = []
-        sdp = 1
+        summands, sdp = [], 1
         for i in range(k, 0, -1):
-            a_ik = row1[k - 1] if i == 1 else entry(i, k)
-            if not a_ik.is_zero():
-                factor = sdp if (k - i) % 2 == 0 else -sdp
-                summands.append((factor, a_ik * minors[i - 1]))
+            w, a_ik = row1[k - 1] if i == 1 else entry(i, k)
+            summands.append((w * sdp if (k - i) % 2 == 0 else -w * sdp, a_ik, minors[i - 1]))
             if i > 1:
                 sdp *= subdiag(i - 1)
-        minors.append(SuperPolynomial.linear_combination(nvars, summands))
-    return minors[size]
+        if k < size:
+            minors.append(SuperPolynomial.linear_combination(nvars, [(c, a * b) for c, a, b in summands]))
+    return summands
 
 
 # the smallest n of each kind; the fermionic kinds start at 0 with n + 1 rows
@@ -249,7 +254,8 @@ DETERMINANT_KINDS = tuple(_FIRST_N)
 
 def _determinant_cases(which: str, n: int, nvars: int) -> list[tuple]:
     """The primal determinant of one kind and its omega image, each as
-    (name, size, first row, entry(i, j), subdiag(l), target) over polynomials.
+    (name, size, first row, entry(i, j), subdiag(l), target) over pairs
+    (weight, cached generator).
 
     The primal is stated in generator terms: the first-row term at column j,
     the band family and its weight at (i, j), the subdiagonal and the target.
@@ -265,11 +271,11 @@ def _determinant_cases(which: str, n: int, nvars: int) -> list[tuple]:
         "etilde_in_p": (lambda j: (1, "tp", j - 1), "p", one, lambda l: n - l + 1, (f, "te", n)),
     }[which]
     size = n + 1 - _FIRST_N[which]
-    poly = _generators(size, nvars)
+    gen = _generators(size, nvars)
     entry = lambda i, j: (weight(i, j), band, j - i + 1)
     return [
-        (name, size, [poly(to(row1(j))) for j in range(1, size + 1)],
-         lambda i, j, to=to: poly(to(entry(i, j))), subdiag, poly(to(target)))
+        (name, size, [gen(to(row1(j))) for j in range(1, size + 1)],
+         lambda i, j, to=to: gen(to(entry(i, j))), subdiag, gen(to(target)))
         for name, to in zip(("primal", "image"), _STATED_AND_IMAGE)
     ]
 
@@ -284,15 +290,17 @@ def determinant_formulas(n: int, which: str, nvars: int | None = None) -> dict:
       ptilde_in_e: tp_n = det(te, e band)
       e_in_p:      n! e_n = det(p band)
       etilde_in_p: n! te_n = det(tp, p band)
+    The last level of the minor recursion is only read (_vanishes).
     """
     if which not in DETERMINANT_KINDS:
         raise ValueError(f"which must be one of {DETERMINANT_KINDS}, got {which!r}")
-    if n < _FIRST_N[which]:
-        raise ValueError(f"{which} needs n >= {_FIRST_N[which]}, got {n}")
+    if not _FIRST_N[which] <= n <= _FIELD_MASK >> 1:
+        raise ValueError(f"{which} needs {_FIRST_N[which]} <= n < 2^15, got {n}")
     nv = nvars if nvars is not None else n + 2
     check, params = f"determinant-{which}", {"n": n, "nvars": nv}
-    for name, size, row1, entry, subdiag, want in _determinant_cases(which, n, nv):
-        if _hessenberg_det(size, row1, entry, subdiag, nv) != want:
+    for name, size, row1, entry, subdiag, (w, target) in _determinant_cases(which, n, nv):
+        last = _hessenberg_summands(size, row1, entry, subdiag, nv) + [(-w, target, SuperPolynomial.one(nv))]
+        if not _vanishes(last, n, int("tilde" in which), nv):  # the tilde kinds have one fermion
             return _report(check, params, f"{which} {name} determinant differs at n={n}, N={nv}")
     return _report(check, params, None)
 

@@ -197,13 +197,13 @@ def solve_in_e(table, v):
 
 def test_monomials_to_e_match_the_composite_oracle():
     conversions = 0
-    for n, m in blocks(9):
+    for n, m in blocks(10):
         table = e_in_m(n, m)
         for la in enumerate_superpartitions(n, m):
             want = BasisExpansion("e", n, m, solve_in_e(table, {la: 1}))
             assert change_basis(BasisExpansion.unit("m", la), "e") == want, la
             conversions += 1
-    assert conversions == 822
+    assert conversions == 1286
 
 
 # -- the Fraction h-in-p oracle ----------------------------------------------------------

@@ -9,7 +9,7 @@ import pytest
 
 from supersym.superpartition import SuperPartition, bruhat_leq, enumerate_superpartitions
 from supersym.superpoly import SuperPolynomial
-from supersym import engine_checks
+from supersym import bases as bases_module, engine_checks
 from supersym.bases import (
     basis_element,
     complete,
@@ -286,6 +286,12 @@ def families(top, nv):
     return [[gen(k, nv) for k in range(top + 1)] for gen in gens]
 
 
+def weighted(pair):
+    """The polynomial w * X that a pair (w, X) of _generators stands for."""
+    w, poly = pair
+    return poly.scale(w)
+
+
 def image_by_hand(which, n, nv):
     """The image determinant of each kind as written out by hand:
     (first row, entry(i, j), subdiag(l), target)."""
@@ -330,12 +336,12 @@ def test_determinant_images_match_the_hand_written_ones(which):
         (name, size, row1, entry, subdiag, target), = _determinant_cases(which, n, nv)[1:]
         want_row1, want_entry, want_subdiag, want_target = image_by_hand(which, n, nv)
         assert name == "image" and size == len(want_row1)
-        assert row1 == want_row1, (n, "row 1")
+        assert [weighted(a) for a in row1] == want_row1, (n, "row 1")
         for i in range(2, size + 1):
             for j in range(i - 1, size + 1):
-                assert entry(i, j) == want_entry(i, j), (n, i, j)
+                assert weighted(entry(i, j)) == want_entry(i, j), (n, i, j)
         assert [subdiag(l) for l in range(1, size)] == [want_subdiag(l) for l in range(1, size)]
-        assert target == want_target, (n, "target")
+        assert weighted(target) == want_target, (n, "target")
 
 
 def recursion_images_by_hand(n, nv):
@@ -363,7 +369,8 @@ def test_recursion_images_match_the_hand_written_ones():
     assert [names[1] for names, *_ in images] == list(recursion_images_by_hand(1, 3))
     for n in range(5):
         nv = n + 2
-        poly = _generators(n, nv)
+        gen = _generators(n, nv)
+        poly = lambda term: weighted(gen(term))
         by_hand = recursion_images_by_hand(n, nv)
         for (_, image), first_n, products, target in images:
             if n < first_n:
@@ -412,6 +419,120 @@ def test_a_wrong_omega_sign_fails_the_image_recursions(monkeypatch):
 def test_determinant_kind_validation():
     with pytest.raises(ValueError):
         determinant_formulas(2, "nonsense")
+
+
+# -- canonical reads against the whole-polynomial comparison ----------------------------
+
+
+def built_recursions(n_max):
+    """The first failure of the recursions, each side built as a polynomial
+    with * and linear_combination and compared whole: the oracle that
+    verify_recursions' canonical reads are held against."""
+    nv = n_max + 2
+    gen = _generators(n_max, nv)
+    poly = lambda term: weighted(gen(term))
+    for n in range(n_max + 1):
+        for names, first_n, products, target in _RECURSIONS:
+            for name, to in zip(names, (lambda term: term, _omega)) if n >= first_n else ():
+                total = SuperPolynomial.linear_combination(nv, [
+                    (1, poly(to(left)) * poly(to(right)))
+                    for r in range(n + 1) for left, right in products(n, r)
+                ])
+                if total != poly(to(target(n))):
+                    return f"n={n}: {name} fails at N={nv}"
+    return None
+
+
+def built_determinant(n, which, nv):
+    """The first failing case of a determinant kind, each determinant built
+    whole by the leading-minor recursion and compared with its target."""
+    for name, size, row1, entry, subdiag, target in _determinant_cases(which, n, nv):
+        minors = [SuperPolynomial.one(nv)]
+        for k in range(1, size + 1):
+            summands, sdp = [], 1
+            for i in range(k, 0, -1):
+                a_ik = weighted(row1[k - 1] if i == 1 else entry(i, k))
+                summands.append((sdp if (k - i) % 2 == 0 else -sdp, a_ik * minors[i - 1]))
+                if i > 1:
+                    sdp *= subdiag(i - 1)
+            minors.append(SuperPolynomial.linear_combination(nv, summands))
+        if minors[size] != weighted(target):
+            return f"{which} {name} determinant differs at n={n}, N={nv}"
+    return None
+
+
+def scaled(name, k, factor=2):
+    """(name, the generator bases.name with its degree-k element scaled)."""
+    real = getattr(bases_module, name)
+    return name, lambda n, nvars: real(n, nvars).scale(factor) if n == k else real(n, nvars), k
+
+
+# one generator scaled at a time, so that some identities fail
+SCALINGS = [None] + [
+    scaled(name, k)
+    for name in ("elementary", "elementary_tilde", "complete", "complete_tilde", "powersum", "powersum_tilde")
+    for k in (1, 2)
+]
+
+
+@pytest.mark.parametrize("scaling", SCALINGS, ids=lambda s: "none" if s is None else f"{s[0]}{s[2]}")
+def test_canonical_reads_give_the_whole_polynomial_verdicts(monkeypatch, scaling):
+    """Every identity read at the canonical terms gets the verdict of the
+    built comparison, per identity and in both the primal and the image;
+    and the reports name the oracle's first failure."""
+    if scaling is not None:
+        monkeypatch.setattr(bases_module, *scaling[:2])
+    real = engine_checks._vanishes
+    verdicts = []
+
+    def both(summands, n, m, nvars):
+        built = SuperPolynomial.linear_combination(nvars, [(w, f * g) for w, f, g in summands])
+        verdicts.append((built.is_zero(), real(summands, n, m, nvars)))
+        return True  # read on, so that every identity is compared
+
+    monkeypatch.setattr(engine_checks, "_vanishes", both)
+    verify_recursions(4)
+    for which in DETERMINANT_KINDS:
+        for n in range(_FIRST_N[which], 5):
+            determinant_formulas(n, which)
+    # 27 recursion sums (four identities, two with an image) and 27 determinants, each twice
+    assert len(verdicts) == 4 + 2 * 4 + 5 + 2 * 5 + 2 * (4 + 5 + 4 + 5 + 4 + 5)
+    assert all(built == read for built, read in verdicts), verdicts
+    # every scaling breaks some identity, so the agreement is not vacuous
+    assert all(built for built, _ in verdicts) == (scaling is None)
+    monkeypatch.setattr(engine_checks, "_vanishes", real)
+    for n_max in range(1, 5):
+        assert verify_recursions(n_max)["first_failure"] == built_recursions(n_max)
+    for which in DETERMINANT_KINDS:
+        for n in range(_FIRST_N[which], 5):
+            assert determinant_formulas(n, which)["first_failure"] == built_determinant(n, which, n + 2)
+
+
+@pytest.mark.parametrize("gen", [elementary, elementary_tilde, complete, complete_tilde, powersum, powersum_tilde])
+def test_generators_are_symmetric(gen):
+    # the premise of the canonical reads: sums of their products are symmetric
+    for k in range(7):
+        assert gen(k, 8).is_symmetric(), (gen.__name__, k)
+
+
+def test_recursions_build_no_product_and_no_sum(monkeypatch):
+    verify_recursions(4)  # the generators are cached first; building them multiplies nothing either
+
+    def boom(*args, **kwargs):
+        raise AssertionError("a polynomial product or sum was built")
+
+    monkeypatch.setattr(SuperPolynomial, "_mul", boom)
+    monkeypatch.setattr(SuperPolynomial, "linear_combination", classmethod(boom))
+    assert verify_recursions(4)["pass"] is True
+
+
+def test_degrees_past_the_exponent_field_raise():
+    # the canonical reads need every exponent below 2^15; nothing is built first
+    with pytest.raises(ValueError, match="2\\^15"):
+        verify_recursions(1 << 15)
+    for which in DETERMINANT_KINDS:
+        with pytest.raises(ValueError, match="2\\^15"):
+            determinant_formulas(1 << 15, which)
 
 
 def test_triangular_expansion_of_arrowed_elementary():

@@ -8,8 +8,9 @@ exported with `git archive` into a temporary directory, so only committed
 files are measured and nothing is written into the checkout but the result.
 A workload run is `perfbench/run.py --workload W --seed S --seconds 15
 --trace 0` inside each export; pair i runs the base first when i is even and
-the head first when it is odd.  After the pairs, one `--trace 1` run per side
-records the per-layer metrics (where a saving lands) under `trace`.
+the head first when it is odd.  After the pairs, three more alternating pairs
+of `--trace 1` runs record the per-layer metrics (where a saving lands) under
+`trace`, each as its median and quartiles per side.
 `--cold-cli N` times N fresh `python -m supersym.cli` calls per subcommand
 and side, first with no bytecode cache and then after compiling the export's
 sources (the .pyc files stay in the temporary directory), and records each
@@ -91,36 +92,50 @@ def _run_workload(tree: Path, workload: str, seed: int, trace: int = 0) -> dict:
     return result
 
 
-def record_pairs(trees: dict[str, Path], workload: str, seed: int, pairs: int) -> dict:
-    spec = json.loads((trees["base"] / "BENCHMARK.json").read_text())
+# traced runs per side: one run cannot resolve a per-layer change of ~15% here
+TRACED_PAIRS = 3
+
+
+def _alternating(trees: dict[str, Path], workload: str, seed: int, pairs: int, trace: int) -> list[dict]:
     runs = []
     for i in range(pairs):
         order = ("base", "head") if i % 2 == 0 else ("head", "base")
-        runs.append({side: _run_workload(trees[side], workload, seed) for side in order})
+        runs.append({side: _run_workload(trees[side], workload, seed, trace) for side in order})
         runs[-1]["first"] = order[0]
-        print(f"{workload}/seed{seed} pair {i + 1}/{pairs}: " + ", ".join(
+        print(f"{workload}/seed{seed} {'traced ' if trace else ''}pair {i + 1}/{pairs}: " + ", ".join(
             f"{side} wall_s={runs[-1][side]['metrics'].get('wall_s', {}).get('value')}"
             for side in order), file=sys.stderr)
+    return runs
+
+
+def _spreads(runs: list[dict], name: str) -> dict:
+    """The spread of one metric per side, over the runs that report it."""
+    values = {
+        side: [r[side]["metrics"][name]["value"] for r in runs if name in r[side]["metrics"]]
+        for side in ("base", "head")
+    }
+    return {side: _spread(v) for side, v in values.items() if len(v) > 1}
+
+
+def record_pairs(trees: dict[str, Path], workload: str, seed: int, pairs: int) -> dict:
+    spec = json.loads((trees["base"] / "BENCHMARK.json").read_text())
+    runs = _alternating(trees, workload, seed, pairs, trace=0)
     summary = {}
     for metric in spec["end_to_end"]:
         name, sign = metric["name"], 1 if metric["better"] == "lower" else -1
-        values = {
-            side: [r[side]["metrics"][name]["value"] for r in runs if r[side]["metrics"]]
-            for side in ("base", "head")
-        }
         wins = sum(
             sign * (r["head"]["metrics"][name]["value"] - r["base"]["metrics"][name]["value"]) < 0
             for r in runs if r["base"]["metrics"] and r["head"]["metrics"]
         )
-        summary[name] = {side: _spread(v) for side, v in values.items() if len(v) > 1}
-        summary[name]["head_wins"] = wins
-    trace = {side: _run_workload(trees[side], workload, seed, trace=1) for side in ("base", "head")}
+        summary[name] = {**_spreads(runs, name), "head_wins": wins}
+    traced = _alternating(trees, workload, seed, TRACED_PAIRS, trace=1)
+    layers = {metric["name"]: _spreads(traced, metric["name"]) for metric in spec["per_layer"]}
     return {
         "pairs": pairs,
-        "all_correct": all(r[s]["correct"] for r in [*runs, trace] for s in ("base", "head")),
+        "all_correct": all(r[s]["correct"] for r in [*runs, *traced] for s in ("base", "head")),
         "summary": summary,
         "runs": runs,
-        "trace": trace,
+        "trace": {"pairs": TRACED_PAIRS, "summary": {k: v for k, v in layers.items() if v}, "runs": traced},
     }
 
 
