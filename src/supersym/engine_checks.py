@@ -201,7 +201,7 @@ def verify_recursions(n_max: int) -> dict:
       (n+1) th_n = sum_r [p_r th_{n-r} + (r+1) tp_r h_{n-r}]
     and the omega images of the second and the fourth, "n e_n from p" and
     "(n+1) te_n" (the first and the third are their own images up to sign).
-    Each identity less its target times e_0 = 1 is only read (_vanishes).
+    Each identity is read as one sum (_vanishes), its target times -e_0 = -1.
     """
     if not 1 <= n_max <= _FIELD_MASK >> 1:
         raise ValueError(f"need 1 <= n_max < 2^15, got {n_max}")

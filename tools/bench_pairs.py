@@ -92,7 +92,8 @@ def _run_workload(tree: Path, workload: str, seed: int, trace: int = 0) -> dict:
     return result
 
 
-# traced runs per side: one run cannot resolve a per-layer change of ~15% here
+# traced pairs per record: on a VM whose speed steps, a single traced run per
+# side cannot resolve a per-layer change of about 15%
 TRACED_PAIRS = 3
 
 
