@@ -14,7 +14,7 @@ generating_check.
 from __future__ import annotations
 
 import itertools
-from functools import cache
+from functools import cache, lru_cache
 
 from .superpartition import BASIS_NAMES, SuperPartition, _report, enumerate_superpartitions  # noqa: F401
 from .superpoly import SuperPolynomial, _FIELD_BITS, _FIELD_MASK, _merge_sign, _sort_sign
@@ -40,20 +40,36 @@ def default_nvars(sp: SuperPartition) -> int:
     return n + m
 
 
-def _symmetric_keys(nslots: int, groups) -> list[int]:
-    """Packed keys of every placement of the symmetric parts on the slots
+# monomial() reads its placements from two per-shape tables, each bounded
+# by lru_cache: a pass of the identities benchmark reads about 80 of each.
+@lru_cache(maxsize=256)
+def _symmetric_keys(nslots: int, s: tuple) -> tuple[int, ...]:
+    """Packed keys of every placement of the symmetric parts s on the slots
     0..nslots-1: one set of slots per distinct value, taken from those the
     larger values left; unchosen slots stay at zero."""
     placed = [(0, tuple(range(nslots)))]
-    for value, count in groups:
+    for value, run in itertools.groupby(s):
         units = [value << (_FIELD_BITS * v) for v in range(nslots)]
-        nxt = []
+        count, nxt = len(tuple(run)), []
         for key, avail in placed:
             for chosen in itertools.combinations(avail, count):
                 rest = tuple(v for v in avail if v not in chosen)
                 nxt.append((key + sum([units[v] for v in chosen]), rest))
         placed = nxt
-    return [key for key, _ in placed]
+    return tuple(key for key, _ in placed)
+
+
+@lru_cache(maxsize=256)
+def _theta_placements(nvars: int, a: tuple) -> tuple:
+    """Per set of len(a) theta variables among nvars: its mask, the field
+    offsets to open in a symmetric key, lowest first, and the keys of the
+    fermionic parts on it, a_j on the idx[j]-th variable at idx's sign."""
+    orders = [(idx, _sort_sign(idx)) for idx in itertools.permutations(range(len(a)))]
+    out = []
+    for pos in itertools.combinations(range(nvars), len(a)):
+        placed = tuple((sum([p << (_FIELD_BITS * pos[i]) for p, i in zip(a, idx)]), sign) for idx, sign in orders)
+        out.append((sum(1 << v for v in pos), tuple(_FIELD_BITS * v for v in pos), placed))
+    return tuple(out)
 
 
 def _canonical_key(sp: SuperPartition) -> int:
@@ -75,7 +91,6 @@ def monomial(sp: SuperPartition, nvars: int, strict: bool = True) -> SuperPolyno
     parts the element has no room: error when strict, zero polynomial
     otherwise (the truncated-alphabet convention).
     """
-    m = sp.fermionic_degree
     if sp.length > nvars:
         if strict:
             raise ValueError(
@@ -85,22 +100,14 @@ def monomial(sp: SuperPartition, nvars: int, strict: bool = True) -> SuperPolyno
     top = max(sp.as_composition(), default=0)
     if top > _FIELD_MASK:
         raise ValueError(f"part {top} of {sp} exceeds the exponent field (max {_FIELD_MASK})")
-    groups = [(v, len(tuple(run))) for v, run in itertools.groupby(sp.s)]
-    sym = _symmetric_keys(nvars - m, groups)
-    # a_j on the idx[j]-th theta variable: the word's sort sign is idx's sign
-    orders = [(idx, _sort_sign(idx)) for idx in itertools.permutations(range(m))]
+    sym = _symmetric_keys(nvars - sp.fermionic_degree, sp.s)
     blocks = {}
-    for pos in itertools.combinations(range(nvars), m):
+    for mask, offsets, placed in _theta_placements(nvars, sp.a):
         keys = sym
-        for v in pos:  # open a zero field at each theta variable, lowest first
-            off = _FIELD_BITS * v
+        for off in offsets:  # open a zero field at each theta variable
             low = (1 << off) - 1
             keys = [k & low | k >> off << (off + _FIELD_BITS) for k in keys]
-        placed = [
-            (sum([a << (_FIELD_BITS * pos[i]) for a, i in zip(sp.a, idx)]), sign)
-            for idx, sign in orders
-        ]
-        blocks[sum(1 << v for v in pos)] = {kf + k: sign for kf, sign in placed for k in keys}
+        blocks[mask] = {kf + k: sign for kf, sign in placed for k in keys}
     return SuperPolynomial(nvars, blocks)
 
 

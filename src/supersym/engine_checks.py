@@ -90,21 +90,22 @@ def expand_in_monomials(f: SuperPolynomial, bidegree: tuple[int, int] | None = N
 
 @cache
 def _basis_in_monomials(basis: str, sp: SuperPartition) -> tuple[tuple[SuperPartition, Fraction], ...]:
-    """Monomial coefficients of one product-basis element, built by the
+    """Monomial coefficients of one product-basis element, read by the
     polynomial engine at stable N: the slow reference for change_basis and
     for triangularity.
 
-    Only the t_1..t_m sector is ever probed, so only that block of the
-    generator product is built.  Inputs are symmetric by construction, so
-    the probe alone is exact; the engine-versus-rule tests cover the
-    reconstruction separately.
+    Each coefficient is read at a canonical term off the element's cached
+    prefix and last factor (_canonical_read).  Inputs are symmetric by
+    construction, so the read alone is exact; the engine-versus-rule tests
+    cover the reconstruction separately.
     """
     n, m = sp.bidegree
-    # probe monomials live on the first l(cand) variables, and their
+    cands = enumerate_superpartitions(n, m)
+    # canonical terms live on the first l(cand) variables, and their
     # coefficients are stable once nvars covers the longest candidate
-    poly = _bases._generator_product(basis, sp, max(sp.length, m + n - m * (m - 1) // 2), m)
-    coeffs = ((cand, _probe_coefficient(poly, cand)) for cand in enumerate_superpartitions(n, m))
-    return tuple((cand, c) for cand, c in coeffs if c)
+    nvars = max(sp.length, m + n - m * (m - 1) // 2)
+    coeffs = _bases._canonical_read(basis, sp, nvars, [_canonical_key(cand) for cand in cands])
+    return tuple((cand, c) for cand, c in zip(cands, coeffs) if c)
 
 
 @cache

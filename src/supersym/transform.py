@@ -164,58 +164,51 @@ def _labeled_rows(sp: SuperPartition, first_label: int) -> tuple[tuple[int, int]
     return tuple(sorted(rows, reverse=True))
 
 
-def mono_product_fillings(a: SuperPartition, b: SuperPartition, g: SuperPartition) -> Fraction:
-    """Structure constant of the monomial product by the signed filling rule.
+def mono_product(a: SuperPartition, b: SuperPartition) -> BasisExpansion:
+    """Monomial times monomial, expanded over monomials by signed fillings.
 
     Each row of the target diagram is filled by at most one row from each
     source, their values adding to the row value; a circled target row takes
     exactly one circled source row, a plain one takes none.  All source rows
     are consumed.  Distinct fillings are distinct content assignments; each
     is signed by the permutation that its circle labels, read top to bottom,
-    induce on the original label order.  Bidegree mismatch gives 0.
+    induce on the original label order.  Rows are filled top to bottom
+    through one memo for the whole block, keyed by the target rows still to
+    fill and the source rows left, so targets ending in the same rows share
+    counts; the result is keyed by the block's own labels.
     """
-    if (a.degree + b.degree, a.fermionic_degree + b.fermionic_degree) != g.bidegree:
-        return Fraction(0)
-    targets = g.circled_rows()
-    rows_a = _labeled_rows(a, 1)
-    rows_b = _labeled_rows(b, a.fermionic_degree + 1)
+    n, m = a.degree + b.degree, a.fermionic_degree + b.fermionic_degree
     memo: dict = {}
 
-    def labels_below(rem1, rem2, x):
-        return sum(1 for _, lab in rem1 + rem2 if 0 < lab < x)
-
-    def count(idx, rem1, rem2):
-        if idx == len(targets):
-            return 1 if not rem1 and not rem2 else 0
-        state = (idx, rem1, rem2)
-        got = memo.get(state)
-        if got is not None:
-            return got
-        gamma, circ = targets[idx]
-        need = 1 if circ else 0
-        total = 0
-        opts1 = {None} | set(rem1)
-        opts2 = {None} | set(rem2)
-        for o1 in opts1:
-            v1, l1 = o1 if o1 else (0, 0)
-            for o2 in opts2:
-                v2, l2 = o2 if o2 else (0, 0)
-                if v1 + v2 != gamma:
+    def count(targets, rem1, rem2):
+        # each row left takes one or two source rows left, and all are used
+        if not max(len(rem1), len(rem2)) <= len(targets) <= len(rem1) + len(rem2):
+            return 0
+        if not targets:
+            return 1
+        state = (targets, rem1, rem2)
+        total = memo.get(state)
+        if total is not None:
+            return total
+        (gamma, circ), rest, total = targets[0], targets[1:], 0
+        for o1 in {None, *rem1}:
+            v1, l1 = o1 or (0, 0)
+            for o2 in {None, *rem2}:
+                v2, l2 = o2 or (0, 0)
+                if v1 + v2 != gamma or bool(l1) + bool(l2) != circ:
                     continue
-                if (1 if l1 else 0) + (1 if l2 else 0) != need:
-                    continue
-                nr1 = _remove_once(rem1, o1)
-                nr2 = _remove_once(rem2, o2)
-                sub = count(idx + 1, nr1, nr2)
-                if sub:
-                    lab = l1 or l2
-                    if lab and labels_below(nr1, nr2, lab) & 1:
-                        sub = -sub
-                    total += sub
+                nr1, nr2 = _remove_once(rem1, o1), _remove_once(rem2, o2)
+                sub = count(rest, nr1, nr2)
+                lab = l1 or l2
+                if sub and lab and sum(0 < l < lab for _, l in nr1 + nr2) & 1:
+                    sub = -sub
+                total += sub
         memo[state] = total
         return total
 
-    return Fraction(count(0, rows_a, rows_b))
+    rows = _labeled_rows(a, 1), _labeled_rows(b, a.fermionic_degree + 1)
+    coeffs = {g: c for g in _block(n, m) if (c := count(g.circled_rows(), *rows))}
+    return BasisExpansion("m", n, m, coeffs)
 
 
 def _remove_once(rem: tuple, item) -> tuple:
@@ -225,10 +218,9 @@ def _remove_once(rem: tuple, item) -> tuple:
     return rem[:i] + rem[i + 1 :]
 
 
-def mono_product(a: SuperPartition, b: SuperPartition) -> BasisExpansion:
-    """Monomial times monomial, expanded over monomials via the filling rule."""
-    n, m = a.degree + b.degree, a.fermionic_degree + b.fermionic_degree
-    return BasisExpansion("m", n, m, {g: mono_product_fillings(a, b, g) for g in _block(n, m)})
+def mono_product_fillings(a: SuperPartition, b: SuperPartition, g: SuperPartition) -> Fraction:
+    """[m_g] m_a m_b by the filling rule (mono_product); 0 on a bidegree mismatch."""
+    return mono_product(a, b).get(g)
 
 
 # -- the matrix-counting peel ----------------------------------------------------

@@ -29,6 +29,7 @@ from supersym.transform import (
     triangularity,
     verify_recursions,
 )
+from supersym.engine_checks import _FIRST_N
 from supersym.inner import dual_bases_check, kernel_check, omega, reproducing_check, scalar_product
 
 import random
@@ -123,8 +124,7 @@ def test_criterion_05_determinants():
     t0 = time.monotonic()
     ok = True
     for which in DETERMINANT_KINDS:
-        start = 0 if which.startswith(("etilde", "ptilde")) else 1
-        for n in range(start, 7):
+        for n in range(_FIRST_N[which], 7):
             rep = determinant_formulas(n, which, nvars=8)
             if not rep["pass"]:
                 ok = False

@@ -7,6 +7,7 @@ import pytest
 
 from supersym.superpartition import SuperPartition, enumerate_superpartitions
 from supersym.superpoly import SuperPolynomial
+from supersym import bases
 from supersym.bases import (
     _series_E,
     _series_H,
@@ -130,6 +131,21 @@ def test_monomial_matches_placement_oracle():
                     assert all(abs(c) == 1 for _, _, c in f.iter_terms())
                     if nvars <= n + m:
                         assert f.is_symmetric(), (la, nvars)
+
+
+def test_placement_tables_are_bounded_and_hold_tuples():
+    def tuples_of_ints(x):
+        return type(x) is int or type(x) is tuple and all(tuples_of_ints(y) for y in x)
+
+    for la in enumerate_superpartitions(5, 2):
+        monomial(la, 7)
+    for table, shape in ((bases._symmetric_keys, (3, (2, 1))), (bases._theta_placements, (4, (2, 0)))):
+        info = table.cache_info()
+        assert type(info.maxsize) is int and 0 < info.currsize <= info.maxsize
+        assert type(table(*shape)) is tuple and tuples_of_ints(table(*shape))
+    for la in enumerate_superpartitions(5, 2):
+        assert tuples_of_ints(bases._symmetric_keys(7 - la.fermionic_degree, la.s))
+        assert tuples_of_ints(bases._theta_placements(7, la.a))
 
 
 def test_monomial_rejects_parts_beyond_the_exponent_field():

@@ -7,7 +7,7 @@ from itertools import product
 
 import pytest
 
-from supersym.superpartition import SuperPartition, bruhat_leq, enumerate_superpartitions
+from supersym.superpartition import SuperPartition, _block, bruhat_leq, enumerate_superpartitions
 from supersym.superpoly import SuperPolynomial
 from supersym import bases as bases_module, engine_checks
 from supersym.bases import (
@@ -184,6 +184,83 @@ def test_filling_identity_and_mismatch():
 def test_product_with_unit():
     om = sp("(2,1;2)")
     assert mono_product(sp("(;)"), om) == BasisExpansion.unit("m", om)
+
+
+def test_filling_count_is_the_product_entry():
+    a, b = sp("(1,0;1)"), sp("(0;2,1,1)")
+    x = mono_product(a, b)
+    for g in _block(x.n, x.m) + _block(x.n, x.m + 1) + _block(x.n + 1, x.m):
+        assert mono_product_fillings(a, b, g) == x.get(g), g
+    assert mono_product_fillings(a, b, sp("(2,1,0;1,1)")) == 0  # (5|3), not (6|3)
+
+
+def fillings_per_target(a, b, g):
+    """The filling rule as one memoised walk per target g: the rows of g
+    filled top to bottom, each by at most one row of a and one of b, the
+    circled rows by exactly one circled source row, every source row used;
+    a circle label placed above an odd number of smaller labels still to
+    place flips the sign.  The circled rows of a are labelled 1.., then
+    those of b, top to bottom; plain rows carry 0."""
+    if (a.degree + b.degree, a.fermionic_degree + b.fermionic_degree) != g.bidegree:
+        return 0
+    targets = g.circled_rows()
+    memo = {}
+
+    def labeled(la, first):
+        rows, nxt = [], first
+        for v, circ in la.circled_rows():
+            rows.append((v, nxt if circ else 0))
+            nxt += 1 if circ else 0
+        return tuple(sorted(rows, reverse=True))
+
+    def drop(rem, item):
+        if item is None:
+            return rem
+        i = rem.index(item)
+        return rem[:i] + rem[i + 1 :]
+
+    def count(idx, rem1, rem2):
+        if idx == len(targets):
+            return 1 if not rem1 and not rem2 else 0
+        state = (idx, rem1, rem2)
+        if state not in memo:
+            gamma, circ = targets[idx]
+            total = 0
+            for o1 in {None} | set(rem1):
+                v1, l1 = o1 if o1 else (0, 0)
+                for o2 in {None} | set(rem2):
+                    v2, l2 = o2 if o2 else (0, 0)
+                    if v1 + v2 != gamma or (1 if l1 else 0) + (1 if l2 else 0) != (1 if circ else 0):
+                        continue
+                    nr1, nr2 = drop(rem1, o1), drop(rem2, o2)
+                    sub = count(idx + 1, nr1, nr2)
+                    lab = l1 or l2
+                    if lab and sum(1 for _, x in nr1 + nr2 if 0 < x < lab) & 1:
+                        sub = -sub
+                    total += sub
+            memo[state] = total
+        return memo[state]
+
+    return count(0, labeled(a, 1), labeled(b, a.fermionic_degree + 1))
+
+
+def test_product_matches_the_per_target_walk():
+    # every ordered pair of total degree <= 6 and fermionic degree <= 4
+    labels = [la for n in range(7) for m in range(5) for la in enumerate_superpartitions(n, m)]
+    pairs = [
+        (a, b) for a in labels for b in labels
+        if a.degree + b.degree <= 6 and a.fermionic_degree + b.fermionic_degree <= 4
+    ]
+    assert len(pairs) == 2539
+    for a, b in pairs:
+        x = mono_product(a, b)
+        block = _block(x.n, x.m)
+        want = {g: fillings_per_target(a, b, g) for g in block}
+        assert x.coeffs == {g: c for g, c in want.items() if c}, (a, b)
+        # the keys are the block's own labels, the values Fractions
+        ids = {id(g) for g in block}
+        assert all(id(g) in ids for g in x.coeffs), (a, b)
+        assert all(type(c) is Fraction for c in x.coeffs.values()), (a, b)
 
 
 def test_product_table_contains_worked_entries():
