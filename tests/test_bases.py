@@ -139,13 +139,11 @@ def test_placement_tables_are_bounded_and_hold_tuples():
 
     for la in enumerate_superpartitions(5, 2):
         monomial(la, 7)
-    for table, shape in ((bases._symmetric_keys, (3, (2, 1))), (bases._theta_placements, (4, (2, 0)))):
+        for entry in (bases._symmetric_keys(7 - la.fermionic_degree, la.s), bases._theta_placements(7, la.a)):
+            assert type(entry) is tuple and tuples_of_ints(entry), la
+    for table in (bases._symmetric_keys, bases._theta_placements):
         info = table.cache_info()
         assert type(info.maxsize) is int and 0 < info.currsize <= info.maxsize
-        assert type(table(*shape)) is tuple and tuples_of_ints(table(*shape))
-    for la in enumerate_superpartitions(5, 2):
-        assert tuples_of_ints(bases._symmetric_keys(7 - la.fermionic_degree, la.s))
-        assert tuples_of_ints(bases._theta_placements(7, la.a))
 
 
 def test_monomial_rejects_parts_beyond_the_exponent_field():
