@@ -14,6 +14,7 @@ generating_check.
 from __future__ import annotations
 
 import itertools
+import math
 from functools import cache, lru_cache
 
 from .superpartition import BASIS_NAMES, SuperPartition, _report, enumerate_superpartitions  # noqa: F401
@@ -41,7 +42,18 @@ def default_nvars(sp: SuperPartition) -> int:
 
 
 # monomial() reads its placements from two per-shape tables, each bounded
-# by lru_cache: a pass of the identities benchmark reads about 80 of each.
+# by lru_cache: a pass of the identities benchmark reads about 80 of each, of
+# at most 336 keys.  A shape of more than _TABLE_KEYS keys is built uncached.
+_TABLE_KEYS = 1024
+
+
+def _placement_table(table, slots: int, parts: tuple) -> tuple:
+    """table(slots, parts), cached only if its keys (the placements of the
+    parts on the slots, equal parts unordered) are at most _TABLE_KEYS."""
+    count = math.perm(slots, len(parts)) // math.prod(math.factorial(len(list(r))) for _, r in itertools.groupby(parts))
+    return (table if count <= _TABLE_KEYS else table.__wrapped__)(slots, parts)
+
+
 @lru_cache(maxsize=256)
 def _symmetric_keys(nslots: int, s: tuple) -> tuple[int, ...]:
     """Packed keys of every placement of the symmetric parts s on the slots
@@ -100,9 +112,9 @@ def monomial(sp: SuperPartition, nvars: int, strict: bool = True) -> SuperPolyno
     top = max(sp.as_composition(), default=0)
     if top > _FIELD_MASK:
         raise ValueError(f"part {top} of {sp} exceeds the exponent field (max {_FIELD_MASK})")
-    sym = _symmetric_keys(nvars - sp.fermionic_degree, sp.s)
+    sym = _placement_table(_symmetric_keys, nvars - sp.fermionic_degree, sp.s)
     blocks = {}
-    for mask, offsets, placed in _theta_placements(nvars, sp.a):
+    for mask, offsets, placed in _placement_table(_theta_placements, nvars, sp.a):
         keys = sym
         for off in offsets:  # open a zero field at each theta variable
             low = (1 << off) - 1
@@ -205,37 +217,21 @@ def generator_functions(basis: str):
 @cache
 def multiplicative(basis: str, sp: SuperPartition, nvars: int, arrowed: bool = False) -> SuperPolynomial:
     """Product basis element: tilde generators for the fermionic parts (in
-    their given order), then plain generators for the symmetric parts.
+    their given order), then plain generators for the symmetric parts.  Built
+    as the cached element of sp's prefix (sp without its last symmetric part,
+    else its last fermionic part) times that part's generator.
 
     With arrowed=True each m-fermion sector is scaled by (-1)^(m(m-1)/2),
     which reverses the order of the theta factors.
     """
-    out = _generator_product(basis, sp, nvars, nvars)
-    return out.arrow() if arrowed else out
-
-
-def _last_factor(basis: str, sp: SuperPartition, nvars: int):
-    """(prefix, factor), sp's element being the prefix's times the generator of
-    sp's last symmetric part, or else of its last fermionic part; None if empty."""
+    if arrowed:
+        return multiplicative(basis, sp, nvars, False).arrow()
     plain, tilde = generator_functions(basis)
     if sp.s:
-        return SuperPartition._canonical(sp.a, sp.s[:-1]), plain(sp.s[-1], nvars)
+        return multiplicative(basis, SuperPartition._canonical(sp.a, sp.s[:-1]), nvars, False) * plain(sp.s[-1], nvars)
     if sp.a:
-        return SuperPartition._canonical(sp.a[:-1], ()), tilde(sp.a[-1], nvars)
-    return None
-
-
-@cache
-def _generator_product(basis: str, sp: SuperPartition, nvars: int, thetas: int) -> SuperPolynomial:
-    """The product of multiplicative() keeping only theta supports inside
-    t_1..t_thetas, as the cached product of sp's prefix times its last
-    factor.  Supports only grow, so with thetas = sp's fermionic degree each
-    factor keeps one sector: the block the engine oracle reads."""
-    split = _last_factor(basis, sp, nvars)
-    if split is None:
-        return SuperPolynomial.one(nvars)
-    prefix, factor = split
-    return _generator_product(basis, prefix, nvars, thetas).mul_restricted(factor, range(1, thetas + 1))
+        return multiplicative(basis, SuperPartition._canonical(sp.a[:-1], ()), nvars, False) * tilde(sp.a[-1], nvars)
+    return SuperPolynomial.one(nvars)
 
 
 def _product_read(summands, mask: int, keys) -> list:
@@ -252,14 +248,30 @@ def _product_read(summands, mask: int, keys) -> list:
     return [sum(s * c * big.get(key - k, 0) for s, few, big in parts for k, c in few.items()) for key in keys]
 
 
-def _canonical_read(basis: str, sp: SuperPartition, nvars: int, keys) -> list:
-    """[t_1..t_k x^K] of sp's element (k its fermionic degree) at packed keys K
-    of its degree, read (_product_read) off its cached prefix and last factor."""
-    split = _last_factor(basis, sp, nvars)
-    if split is None:
-        return [int(key == 0) for key in keys]
-    prefix = _generator_product(basis, split[0], nvars, sp.fermionic_degree)
-    return _product_read([(1, prefix, split[1])], (1 << sp.fermionic_degree) - 1, keys)
+def _path_reads(basis: str, requests, nvars: int):
+    """Yield (label, [t_1..t_k x^K] of its element at each K of keys) per
+    request (label, keys), k its fermionic degree: by k, then depth-first in
+    the order of the factor sequences (tilde parts, then plain parts).  Each
+    distinct proper prefix product is built once, on the sectors inside
+    t_1..t_k, and dropped when the walk leaves it; each label is read
+    (_product_read) off its prefix and last factor.  The generators live for
+    the walk alone: a cached one is built by its __wrapped__ function."""
+    gens = [f.__wrapped__ if hasattr(f, "cache_info") else f for f in generator_functions(basis)]
+    factor = cache(lambda tilde, part: gens[tilde](part, nvars))
+    by_k = {}
+    for label, keys in requests:
+        by_k.setdefault(label.fermionic_degree, []).append((label.a + label.s, label, keys))
+    for k, walk in sorted(by_k.items()):
+        seq, path = (), [SuperPolynomial.one(nvars)]  # path[i]: the product of seq[:i]
+        for parts, label, keys in sorted(walk, key=lambda r: r[0]):
+            common = 0
+            while common < min(len(seq), len(parts) - 1) and seq[common] == parts[common]:
+                common += 1
+            del path[common + 1:]
+            for i in range(common, len(parts) - 1):
+                path.append(path[-1].mul_restricted(factor(i < k, parts[i]), range(1, k + 1)))
+            seq, last = parts[:-1], factor(len(parts) <= k, parts[-1]) if parts else path[0]
+            yield label, _product_read([(1, path[-1], last)], (1 << k) - 1, keys)
 
 
 def basis_element(basis: str, sp: SuperPartition, nvars: int | None = None, arrowed: bool = False) -> SuperPolynomial:

@@ -89,37 +89,17 @@ def expand_in_monomials(f: SuperPolynomial, bidegree: tuple[int, int] | None = N
 
 
 @cache
-def _basis_in_monomials(basis: str, sp: SuperPartition) -> tuple[tuple[SuperPartition, Fraction], ...]:
-    """Monomial coefficients of one product-basis element, read by the
-    polynomial engine at stable N: the slow reference for change_basis and
-    for triangularity.
-
-    Each coefficient is read at a canonical term off the element's cached
-    prefix and last factor (_canonical_read).  Inputs are symmetric by
-    construction, so the read alone is exact; the engine-versus-rule tests
-    cover the reconstruction separately.
-    """
-    n, m = sp.bidegree
-    cands = enumerate_superpartitions(n, m)
-    # canonical terms live on the first l(cand) variables, and their
-    # coefficients are stable once nvars covers the longest candidate
-    nvars = max(sp.length, m + n - m * (m - 1) // 2)
-    coeffs = _bases._canonical_read(basis, sp, nvars, [_canonical_key(cand) for cand in cands])
-    return tuple((cand, c) for cand, c in zip(cands, coeffs) if c)
-
-
-@cache
-def _block_matrix(basis: str, n: int, m: int) -> tuple[tuple[Fraction, ...], ...]:
-    """Column j holds the engine-built monomial coordinates of the j-th
-    basis element."""
+def _block_matrix(basis: str, n: int, m: int) -> tuple[tuple[int, ...], ...]:
+    """Column j holds the monomial coordinates of the j-th basis element,
+    read by the polynomial engine: the slow reference for change_basis and
+    for triangularity.  One walk over the block (bases._path_reads) reads
+    each element at every label's canonical term, which is stable once N
+    covers the longest label, of length n + m - m(m-1)/2.  Inputs are
+    symmetric by construction, so the reads alone are exact."""
     block = enumerate_superpartitions(n, m)
-    index = {sp: i for i, sp in enumerate(block)}
-    k = len(block)
-    mat = [[Fraction(0)] * k for _ in range(k)]
-    for j, sp in enumerate(block):
-        for cand, c in _basis_in_monomials(basis, sp):
-            mat[index[cand]][j] = c
-    return tuple(tuple(row) for row in mat)
+    keys = [_canonical_key(sp) for sp in block]
+    columns = dict(_bases._path_reads(basis, [(sp, keys) for sp in block], n + m - m * (m - 1) // 2))
+    return tuple(zip(*(columns[sp] for sp in block)))
 
 
 # -- identities in generator terms and their images under omega ----------------------
@@ -345,11 +325,11 @@ def triangularity(n_max: int) -> dict:
         return _report("triangularity", {"n_max": n_max}, failure, nonneg_surmise_holds=nonneg)
 
     for n, m, block in _blocks(n_max):
-        arrow_sign = _sector_sign(m)
-        for sp in block:
+        arrow_sign, mat = _sector_sign(m), _block_matrix("e", n, m)
+        for j, sp in enumerate(block):
             conj = sp.conjugate()
-            for cand, c in _basis_in_monomials("e", sp):
-                cc = c * arrow_sign
+            column = [(cand, row[j] * arrow_sign) for cand, row in zip(block, mat) if row[j]]
+            for cand, cc in column:
                 if cc.denominator != 1:
                     return report(f"e_{sp}: non-integer coefficient {cc} on {cand}")
                 if cc < 0:
@@ -359,7 +339,7 @@ def triangularity(n_max: int) -> dict:
                         return report(f"e_{sp}: coefficient on {conj} is {cc}, not 1")
                 elif not (bruhat_leq(cand, conj) and cand != conj):
                     return report(f"e_{sp}: support {cand} not strictly below {conj}")
-        if _det_fraction(_block_matrix("e", n, m)) not in (1, -1):
+        if _det_fraction(mat) not in (1, -1):
             return report(f"e matrix on block ({n}|{m}) is not unimodular")
         if _det_fraction(_block_matrix("p", n, m)) == 0:
             return report(f"p matrix on block ({n}|{m}) is singular")

@@ -110,35 +110,43 @@ def _sum_tables(nvars: int, index):
     pp[(L, O)] = sector(k) sum_G z_G^(-1) [L]p_G [O]p_G over the G of the
     block (n|k), and pp_omega weights each G by omega_sign(G) as well: the
     arrow on the x-side is the sign sector(k), as the x thetas precede the y
-    thetas.  Each p_G is read once; the G of either omega sign accumulate
-    apart, as integers over the lcm of the block's z_G, and the two sums are
-    their sum and difference.  [L]m_G = delta_(L, G) as monomial() normalises
-    it, so mh[(L, O)] = sector(k) [O]h_L.
+    thetas.  One walk (bases._path_reads) reads each p_G once; the G of
+    either omega sign accumulate apart, as integers over the lcm of the
+    block's z_G, and after its last G the two sums are their sum and
+    difference.  [L]m_G = delta_(L, G) as monomial() normalises it, so
+    mh[(L, O)] = sector(k) [O]h_L, read by a second walk.
     """
     pp, pp_omega, mh = {}, {}, {}
-    for n, k, labels in index:
-        sign = _sector_sign(k)
-        keys = [_canonical_key(la) for la in labels]
-        block = enumerate_superpartitions(n, k)
-        scale = math.lcm(*(z_weight(g) for g in block))
-        even, odd = {}, {}
-        for g in block:
-            acc = even if omega_sign(g) > 0 else odd
-            w = scale // z_weight(g)
-            ps = [(i, a) for i, a in enumerate(_bases._canonical_read("p", g, nvars, keys)) if a]
-            for i, a in ps:
-                wa = w * a
-                for j, b in ps:
-                    acc[i, j] = acc.get((i, j), 0) + wa * b
+    labels = {(n, k): ls for n, k, ls in index}
+    keys = {nk: [_canonical_key(la) for la in ls] for nk, ls in labels.items()}
+    blocks = {nk: enumerate_superpartitions(*nk) for nk in labels}
+    # per block: [lcm of z_G, G left to read, sum over omega sign +1, over -1]
+    sums = {nk: [math.lcm(*map(z_weight, block)), len(block), {}, {}] for nk, block in blocks.items()}
+    requests = [(g, keys[nk]) for nk, block in blocks.items() for g in block]
+    for g, row in _bases._path_reads("p", requests, nvars):
+        scale, _, even, odd = acc = sums[g.bidegree]
+        out, w = even if omega_sign(g) > 0 else odd, scale // z_weight(g)
+        ps = [(i, a) for i, a in enumerate(row) if a]
+        for i, a in ps:
+            wa = w * a
+            for j, b in ps:
+                out[i, j] = out.get((i, j), 0) + wa * b
+        acc[1] -= 1
+        if acc[1]:
+            continue
+        del sums[g.bidegree]
+        sign, ls = _sector_sign(g.fermionic_degree), labels[g.bidegree]
         for i, j in even.keys() | odd.keys():
             e, o = even.get((i, j), 0), odd.get((i, j), 0)
             for table, c in ((pp, sign * (e + o)), (pp_omega, sign * (e - o))):
                 if c:
-                    table[labels[i], labels[j]] = Fraction(c, scale) if c % scale else c // scale
-        for la in labels:
-            for om, c in zip(labels, _bases._canonical_read("h", la, nvars, keys)):
-                if c:
-                    mh[la, om] = sign * c
+                    table[ls[i], ls[j]] = Fraction(c, scale) if c % scale else c // scale
+    requests = [(la, keys[nk]) for nk, ls in labels.items() for la in ls]
+    for la, row in _bases._path_reads("h", requests, nvars):
+        sign = _sector_sign(la.fermionic_degree)
+        for om, c in zip(labels[la.bidegree], row):
+            if c:
+                mh[la, om] = sign * c
     return pp, pp_omega, mh
 
 

@@ -17,7 +17,6 @@ Example
 
 from __future__ import annotations
 
-import itertools
 from functools import cache
 
 __all__ = [
@@ -363,14 +362,15 @@ def _partitions_bounded(total: int, max_part: int, max_parts: int):
 
 @cache
 def _block(n: int, m: int) -> tuple[SuperPartition, ...]:
-    found = []
-    for fer in itertools.combinations(range(n + 1), m):
-        rest = n - sum(fer)
-        if rest < 0:
-            continue
-        a = tuple(reversed(fer))
-        for s in _partitions_bounded(rest, rest, rest):
-            found.append(SuperPartition(a, s))
+    # the fermionic parts are the staircase m-1, .., 1, 0 plus a partition of
+    # t into at most m parts, for each t the symmetric parts leave room for
+    room = n - m * (m - 1) // 2
+    found = [
+        SuperPartition._canonical(tuple(m - 1 - i + p for i, p in enumerate(b + (0,) * (m - len(b)))), s)
+        for t in range(room + 1)
+        for b in _partitions_bounded(t, t, m)
+        for s in _partitions_bounded(room - t, room - t, room - t)
+    ]
     found.sort(key=SuperPartition.sort_key, reverse=True)
     return tuple(found)
 

@@ -146,6 +146,27 @@ def test_placement_tables_are_bounded_and_hold_tuples():
         assert type(info.maxsize) is int and 0 < info.currsize <= info.maxsize
 
 
+def test_large_placement_tables_are_built_uncached():
+    tables = (bases._symmetric_keys, bases._theta_placements)
+    # (;1^8) on 16 variables has C(16, 8) = 12,870 symmetric placements and
+    # (3,1,0;) 16 * 15 * 14 = 3,360 theta placements, both past the bound;
+    # their other tables are small, so they are read first
+    for la, other in (("(;1,1,1,1,1,1,1,1)", lambda: bases._theta_placements(16, ())),
+                      ("(3,1,0;)", lambda: bases._symmetric_keys(13, ()))):
+        other()
+        sizes = [t.cache_info().currsize for t in tables]
+        f = monomial(sp(la), 16)
+        assert [t.cache_info().currsize for t in tables] == sizes, la
+        assert f == placement_oracle(sp(la), 16), la
+    # a shape within the bound is cached: C(12, 6) = 924 <= 1,024 symmetric placements
+    assert bases._TABLE_KEYS == 1024
+    bases._symmetric_keys.cache_clear()
+    monomial(sp("(;1,1,1,1,1,1)"), 12)
+    info = bases._symmetric_keys.cache_info()
+    assert info.currsize == 1 and len(bases._symmetric_keys(12, (1,) * 6)) == 924
+    assert bases._symmetric_keys.cache_info().hits == info.hits + 1
+
+
 def test_monomial_rejects_parts_beyond_the_exponent_field():
     with pytest.raises(ValueError):
         monomial(SuperPartition(a=(65536,), s=()), 1)

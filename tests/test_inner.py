@@ -375,44 +375,89 @@ def test_full_alphabet_oracle(nvars, degree):
             assert got == table
 
 
+def sector_block(basis, g, nvars):
+    """The t_1..t_k block of g's product element, k its fermionic degree."""
+    return bases.multiplicative(basis, g, nvars).blocks.get((1 << g.fermionic_degree) - 1, {})
+
+
 def test_sector_product_is_the_sector_block_of_the_full_product():
+    # one walk over every label of degree <= 6 at once, so that prefixes are
+    # shared across blocks: each read is the sector block at every probe key
     for nvars in range(1, 5):
-        for n, k, block in _blocks(6):
-            mask = (1 << k) - 1
-            for g in block:
-                for basis in ("p", "h"):
-                    got = bases._generator_product(basis, g, nvars, k).blocks
-                    full = bases.multiplicative(basis, g, nvars).blocks
-                    want = {mask: full[mask]} if full.get(mask) else {}
-                    assert {b: t for b, t in got.items() if t} == want, (basis, g, nvars)
+        for basis in ("p", "h"):
+            probes = {}
+            for n, k, block in _blocks(6):
+                keys = [bases._canonical_key(g) for g in block if g.length <= nvars]
+                for g in block:
+                    probes[g] = keys + [key for key in sector_block(basis, g, nvars) if key not in keys]
+            reads = dict(bases._path_reads(basis, probes.items(), nvars))
+            assert reads.keys() == probes.keys()
+            for g, probe in probes.items():
+                want = sector_block(basis, g, nvars)
+                assert reads[g] == [want.get(key, 0) for key in probe], (basis, g, nvars)
 
 
 def test_canonical_read_is_the_sector_block_of_the_product():
     for nvars in range(1, 5):
         for n, k, block in _blocks(6):
-            mask = (1 << k) - 1
             keys = [bases._canonical_key(g) for g in block if g.length <= nvars]
             for g in block:
                 for basis in ("p", "h"):
-                    built = bases._generator_product(basis, g, nvars, k).blocks.get(mask, {})
+                    built = sector_block(basis, g, nvars)
                     probe = keys + [key for key in built if key not in keys]
                     want = [built.get(key, 0) for key in probe]
-                    assert bases._canonical_read(basis, g, nvars, probe) == want, (basis, g, nvars)
+                    assert list(bases._path_reads(basis, [(g, probe)], nvars)) == [(g, want)], (basis, g, nvars)
 
 
-def test_canonical_read_matches_no_borrowed_key():
+def test_canonical_read_matches_no_borrowed_key(monkeypatch):
     # t1 x2 is the canonical term of (0;1) = tp_0 p_1, with p_1 = x1 + x2:
     # x2 - x1 borrows from the x2 field and packs as x1^65535, which the
     # prefix tp_0 = t1 (on t1 only) does not hold; x2 - x2 reads its t1
     g, nvars = sp("(0;1)"), 2
     key = bases._canonical_key(g)
     assert [key - kb for kb in bases.powersum(1, nvars).blocks[0]] == [_FIELD_MASK, 0]
-    assert bases._generator_product("p", sp("(0;)"), nvars, 1).blocks == {1: {0: 1}}
-    assert bases._canonical_read("p", g, nvars, [key, 1]) == [1, 1]
+    prefixes = []
+    real = SuperPolynomial.mul_restricted
+
+    def recorded(f, other, theta_vars):
+        prefixes.append(real(f, other, theta_vars))
+        return prefixes[-1]
+
+    monkeypatch.setattr(SuperPolynomial, "mul_restricted", recorded)
+    assert list(bases._path_reads("p", [(g, [key, 1])], nvars)) == [(g, [1, 1])]
+    assert [prefix.blocks for prefix in prefixes] == [{1: {0: 1}}]
     # the key arithmetic needs every exponent below 2^15
     with pytest.raises(ValueError, match="degree < 2"):
         kernel_check(1, 1 << 15)
     assert kernel_check(1, 3)["pass"] is True
+
+
+def test_walk_builds_each_proper_prefix_once(monkeypatch):
+    # every distinct proper prefix (a nonempty factor sequence short of a
+    # whole label) per (basis, k) is one mul_restricted call; the empty
+    # prefix is the constant one and no call
+    nvars, degree = 3, 5
+    calls = []
+    real = SuperPolynomial.mul_restricted
+    monkeypatch.setattr(
+        SuperPolynomial, "mul_restricted", lambda f, g, theta_vars: calls.append(1) or real(f, g, theta_vars)
+    )
+    assert kernel_check(nvars, degree)["pass"] is True
+    prefixes = set()
+    for n, k, labels in inner._canonical_index(nvars, degree):
+        reads = [("p", g) for g in enumerate_superpartitions(n, k)] + [("h", la) for la in labels]
+        for basis, g in reads:
+            parts = g.a + g.s
+            prefixes |= {(basis, k, parts[:i]) for i in range(1, len(parts))}
+    assert len(calls) == len(prefixes) > 0
+
+
+def test_kernel_check_leaves_no_bases_cache_grown():
+    caches = {name: f for name, f in vars(bases).items() if hasattr(f, "cache_info")}
+    assert {"multiplicative", "complete", "powersum_tilde", "_symmetric_keys"} <= caches.keys()
+    before = {name: f.cache_info().currsize for name, f in caches.items()}
+    assert kernel_check(4, 4)["pass"] is True
+    assert {name: f.cache_info().currsize for name, f in caches.items()} == before
 
 
 def read_only(poly):
@@ -425,8 +470,8 @@ def read_only(poly):
 
 @pytest.fixture
 def read_only_caches(monkeypatch):
-    """Every cached generator, product element and prefix product is handed
-    out read-only, so a caller that writes into a shared block raises."""
+    """Every cached generator and product element is handed out read-only,
+    so a caller that writes into a shared block raises."""
 
     def wrap(f):
         return functools.wraps(f)(lambda *args, **kwargs: read_only(f(*args, **kwargs)))
@@ -438,15 +483,14 @@ def read_only_caches(monkeypatch):
         monkeypatch.setitem(
             bases._GENERATORS, basis, (getattr(bases, plain.__name__), getattr(bases, tilde.__name__))
         )
-    for name in ("multiplicative", "_generator_product"):
-        monkeypatch.setattr(bases, name, wrap(getattr(bases, name)))
+    monkeypatch.setattr(bases, "multiplicative", wrap(bases.multiplicative))
 
 
 def test_kernel_checks_write_into_no_cached_block(read_only_caches):
     with pytest.raises(TypeError):
         bases.complete(2, 2).blocks[0][0] = 1
     with pytest.raises(TypeError):
-        bases._generator_product("h", sp("(1;1)"), 2, 1).blocks[1] = {}
+        bases.multiplicative("h", sp("(1;1)"), 2).blocks[1] = {}
     assert kernel_check(3, 4)["pass"] is True
     assert kernel_check(2, 5)["pass"] is True
     assert reproducing_check(3, 3)["pass"] is True
@@ -572,13 +616,14 @@ def test_sum_tables_read_each_element_once(monkeypatch):
     # is one h read per label: [L]m_G = delta_(L, G) needs no read
     nvars, degree = 3, 5
     reads = []
-    real = bases._canonical_read
+    real = bases._path_reads
 
-    def counting(basis, g, nv, keys):
-        reads.append((basis, g))
-        return real(basis, g, nv, keys)
+    def counting(basis, requests, nv):
+        for g, row in real(basis, requests, nv):
+            reads.append((basis, g))
+            yield g, row
 
-    monkeypatch.setattr(bases, "_canonical_read", counting)
+    monkeypatch.setattr(bases, "_path_reads", counting)
     assert kernel_check(nvars, degree)["pass"] is True
     want = []
     for n, k, labels in inner._canonical_index(nvars, degree):
@@ -628,13 +673,13 @@ def test_kernel_check_fails_on_a_scaled_monomial(monkeypatch):
     # the m-h sum builds no m_G, and its m side is delta by construction:
     # scale the h_G row it reads instead
     target = sp("(1;2)")
-    real = bases._canonical_read
+    real = bases._path_reads
 
-    def scaled(basis, g, nvars, keys):
-        row = real(basis, g, nvars, keys)
-        return [3 * c for c in row] if (basis, g) == ("h", target) else row
+    def scaled(basis, requests, nvars):
+        for g, row in real(basis, requests, nvars):
+            yield g, [3 * c for c in row] if (basis, g) == ("h", target) else row
 
-    monkeypatch.setattr(bases, "_canonical_read", scaled)
+    monkeypatch.setattr(bases, "_path_reads", scaled)
     rep = kernel_check(2, 3)
     assert rep["pass"] is False
     assert rep["first_failure"] == "product expansion differs from the m-h sum"

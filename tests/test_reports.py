@@ -71,23 +71,35 @@ def _determinant(mp):
 
 
 def _coefficients_of(target, edit):
-    real = engine_checks._basis_in_monomials
-    return lambda basis, g: edit(real(basis, g)) if g == sp(target) else real(basis, g)
+    """_block_matrix with the e column of the label target, as a map from
+    each label of its block to its coefficient, passed through edit."""
+    real, target = engine_checks._block_matrix, sp(target)
+
+    def patched(basis, n, m):
+        mat = real(basis, n, m)
+        if (basis, (n, m)) != ("e", target.bidegree):
+            return mat
+        block = superpartition.enumerate_superpartitions(n, m)
+        j = block.index(target)
+        column = edit({cand: row[j] for cand, row in zip(block, mat)})
+        return tuple(row[:j] + (column[cand],) + row[j + 1:] for cand, row in zip(block, mat))
+
+    return patched
 
 
 def _triangularity_fraction(mp):
-    halve = lambda col: tuple((cand, Fraction(c, 2)) for cand, c in col)
-    mp.setattr(engine_checks, "_basis_in_monomials", _coefficients_of("(1,0;1)", halve))
+    halve = lambda col: {cand: Fraction(c, 2) for cand, c in col.items()}
+    mp.setattr(engine_checks, "_block_matrix", _coefficients_of("(1,0;1)", halve))
 
 
 def _triangularity_leading(mp):
-    double = lambda col: tuple((cand, 2 * c) for cand, c in col)
-    mp.setattr(engine_checks, "_basis_in_monomials", _coefficients_of("(1;1)", double))
+    double = lambda col: {cand: 2 * c for cand, c in col.items()}
+    mp.setattr(engine_checks, "_block_matrix", _coefficients_of("(1;1)", double))
 
 
 def _triangularity_support(mp):
-    extra = lambda col: col + ((sp("(;3)"), Fraction(-1)),)
-    mp.setattr(engine_checks, "_basis_in_monomials", _coefficients_of("(;2,1)", extra))
+    extra = lambda col: {**col, sp("(;3)"): Fraction(-1)}
+    mp.setattr(engine_checks, "_block_matrix", _coefficients_of("(;2,1)", extra))
 
 
 def _triangularity_singular(mp):

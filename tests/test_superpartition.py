@@ -1,9 +1,12 @@
 """Superpartition combinatorics: parsing, diagrams, orders, enumeration."""
 
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from supersym import superpartition
 from supersym.superpartition import (
     SparError,
     _blocks,
@@ -183,6 +186,34 @@ def test_max_len_must_be_nonnegative():
     assert enumerate_superpartitions(3, 1, max_len=0) == []
     with pytest.raises(ValueError, match="max_len >= 0"):
         enumerate_superpartitions(3, 1, max_len=-1)
+
+
+def block_by_every_fermionic_set(n, m):
+    """A block as it was first enumerated: every m-set of parts in 0..n,
+    those past the degree skipped, each label validated by __init__."""
+    found = []
+    for fer in itertools.combinations(range(n + 1), m):
+        rest = n - sum(fer)
+        if rest < 0:
+            continue
+        a = tuple(reversed(fer))
+        for s in superpartition._partitions_bounded(rest, rest, rest):
+            found.append(SuperPartition(a, s))
+    found.sort(key=SuperPartition.sort_key, reverse=True)
+    return tuple(found)
+
+
+def test_block_matches_the_walk_over_every_fermionic_set():
+    blocks = 0
+    for n in range(13):
+        for m in range(n + 3):  # past the staircase, so the empty blocks are compared too
+            want = block_by_every_fermionic_set(n, m)
+            got = superpartition._block.__wrapped__(n, m)
+            assert got == want, (n, m)
+            assert [(x.a, x.s, x.bidegree, hash(x)) for x in got] == [(x.a, x.s, x.bidegree, hash(x)) for x in want]
+            assert all(type(p) is int for x in got for p in x.a + x.s)
+            blocks += bool(want)
+    assert blocks == sum(1 for n in range(13) for m in range(n + 3) if m * (m - 1) // 2 <= n)
 
 
 def test_enumeration_is_duplicate_free():
