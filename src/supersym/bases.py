@@ -224,13 +224,13 @@ def multiplicative(basis: str, sp: SuperPartition, nvars: int, arrowed: bool = F
     With arrowed=True each m-fermion sector is scaled by (-1)^(m(m-1)/2),
     which reverses the order of the theta factors.
     """
-    if arrowed:
-        return multiplicative(basis, sp, nvars, False).arrow()
+    if arrowed:  # unarrowed elements live under the three-argument key, which basis_element uses too
+        return multiplicative(basis, sp, nvars).arrow()
     plain, tilde = generator_functions(basis)
     if sp.s:
-        return multiplicative(basis, SuperPartition._canonical(sp.a, sp.s[:-1]), nvars, False) * plain(sp.s[-1], nvars)
+        return multiplicative(basis, SuperPartition._canonical(sp.a, sp.s[:-1]), nvars) * plain(sp.s[-1], nvars)
     if sp.a:
-        return multiplicative(basis, SuperPartition._canonical(sp.a[:-1], ()), nvars, False) * tilde(sp.a[-1], nvars)
+        return multiplicative(basis, SuperPartition._canonical(sp.a[:-1], ()), nvars) * tilde(sp.a[-1], nvars)
     return SuperPolynomial.one(nvars)
 
 
@@ -281,7 +281,7 @@ def basis_element(basis: str, sp: SuperPartition, nvars: int | None = None, arro
     if basis == "m":
         out = monomial(sp, nvars)
         return out.arrow() if arrowed else out
-    return multiplicative(basis, sp, nvars, arrowed)
+    return multiplicative(basis, sp, nvars, True) if arrowed else multiplicative(basis, sp, nvars)
 
 
 # -- generating series -------------------------------------------------------

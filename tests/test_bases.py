@@ -239,6 +239,25 @@ def test_negative_degree_rejected():
 # -- multiplicative products ------------------------------------------------------
 
 
+def test_product_elements_are_built_once(monkeypatch):
+    # one product per distinct nonempty label or prefix, shared by
+    # multiplicative's three-argument calls, basis_element and the arrow
+    nvars, products = 5, []
+    real = P._mul
+    monkeypatch.setattr(P, "_mul", lambda f, g, *args: products.append(1) or real(f, g, *args))
+    multiplicative.cache_clear()
+    labels = [la for n in range(6) for m in range(3) for la in enumerate_superpartitions(n, m)]
+    for la in labels:
+        multiplicative("p", la, nvars)
+    prefixes = {(la.a[:i], ()) for la in labels for i in range(1, len(la.a) + 1)}
+    prefixes |= {(la.a, la.s[:i]) for la in labels for i in range(1, len(la.s) + 1)}
+    assert len(products) == len(prefixes) == 97  # a one-factor element is one times its factor
+    for la in labels:
+        assert basis_element("p", la, nvars) is multiplicative("p", la, nvars)
+        assert basis_element("p", la, nvars, arrowed=True) == multiplicative("p", la, nvars).arrow()
+    assert len(products) == len(prefixes)
+
+
 def test_product_element_follows_fermionic_order():
     la = sp("(3,0;4,1)")
     nv = 8
