@@ -1,7 +1,7 @@
 """The four classical bases: monomial, elementary, complete, power sums.
 
 Each family comes in a bosonic version (e_n, h_n, p_n) and a fermionic one
-(te_n, th_n, tp_n, rendered with a tilde in math but spelled with a leading
+(te_n, th_n, tp_n, rendered with a tilde in math and spelled with a
 `_tilde` suffix here).  Products over the parts of a superpartition give the
 multiplicative bases; the monomial basis is written directly, one term per
 distinct variable placement.
@@ -215,17 +215,13 @@ def generator_functions(basis: str):
 
 
 @cache
-def multiplicative(basis: str, sp: SuperPartition, nvars: int, arrowed: bool = False) -> SuperPolynomial:
+def multiplicative(basis: str, sp: SuperPartition, nvars: int, /) -> SuperPolynomial:
     """Product basis element: tilde generators for the fermionic parts (in
     their given order), then plain generators for the symmetric parts.  Built
     as the cached element of sp's prefix (sp without its last symmetric part,
-    else its last fermionic part) times that part's generator.
-
-    With arrowed=True each m-fermion sector is scaled by (-1)^(m(m-1)/2),
-    which reverses the order of the theta factors.
+    else its last fermionic part) times that part's generator.  Positional
+    arguments only, so each element has one cache key.
     """
-    if arrowed:  # unarrowed elements live under the three-argument key, which basis_element uses too
-        return multiplicative(basis, sp, nvars).arrow()
     plain, tilde = generator_functions(basis)
     if sp.s:
         return multiplicative(basis, SuperPartition._canonical(sp.a, sp.s[:-1]), nvars) * plain(sp.s[-1], nvars)
@@ -255,8 +251,13 @@ def _path_reads(basis: str, requests, nvars: int):
     distinct proper prefix product is built once, on the sectors inside
     t_1..t_k, and dropped when the walk leaves it; each label is read
     (_product_read) off its prefix and last factor.  The generators live for
-    the walk alone: a cached one is built by its __wrapped__ function."""
-    gens = [f.__wrapped__ if hasattr(f, "cache_info") else f for f in generator_functions(basis)]
+    the walk alone: each is built by the innermost function of its
+    __wrapped__ chain, below any cache."""
+    gens = []
+    for f in generator_functions(basis):
+        while hasattr(f, "__wrapped__"):
+            f = f.__wrapped__
+        gens.append(f)
     factor = cache(lambda tilde, part: gens[tilde](part, nvars))
     by_k = {}
     for label, keys in requests:
@@ -275,13 +276,13 @@ def _path_reads(basis: str, requests, nvars: int):
 
 
 def basis_element(basis: str, sp: SuperPartition, nvars: int | None = None, arrowed: bool = False) -> SuperPolynomial:
-    """Dispatch: monomial for "m", product element for "e", "h", "p"."""
+    """Dispatch: monomial for "m", product element for "e", "h", "p".  With
+    arrowed=True each m-fermion sector is scaled by (-1)^(m(m-1)/2), which
+    reverses the order of the theta factors; no arrowed element is cached."""
     if nvars is None:
         nvars = default_nvars(sp)
-    if basis == "m":
-        out = monomial(sp, nvars)
-        return out.arrow() if arrowed else out
-    return multiplicative(basis, sp, nvars, True) if arrowed else multiplicative(basis, sp, nvars)
+    out = monomial(sp, nvars) if basis == "m" else multiplicative(basis, sp, nvars)
+    return out.arrow() if arrowed else out
 
 
 # -- generating series -------------------------------------------------------
@@ -347,8 +348,8 @@ def generating_check(kind: str, trunc: int, nvars: int) -> dict:
       "HP": H P = (t d/dt + tau d/dtau) H.
       "EP": E(t,tau) P(-t,-tau) = -(t d/dt + tau d/dtau) E.
     """
-    if trunc < 0 or nvars < 1:
-        raise ValueError(f"need trunc >= 0 and nvars >= 1, got ({trunc}, {nvars})")
+    if nvars < 1 or not 0 <= trunc <= _FIELD_MASK >> 1:  # a product of two series adds t-degrees
+        raise ValueError(f"need 0 <= trunc < 2^15 and nvars >= 1, got ({trunc}, {nvars})")
     kind = kind.upper()
     check = f"generating-{kind}"
     params = {"kind": kind, "trunc": trunc, "nvars": nvars}
@@ -356,7 +357,7 @@ def generating_check(kind: str, trunc: int, nvars: int) -> dict:
 
     if kind in ("E", "H", "P"):
         series = {"E": _series_E, "H": _series_H, "P": _series_P}[kind](nvars, trunc)
-        plain, tilde = _GENERATORS["e" if kind == "E" else kind.lower()]
+        plain, tilde = _GENERATORS[kind.lower()]
         for n in range(trunc + 1):
             bos, ferm = _split_t_coefficient(series, n, big)
             if bos != plain(n, nvars).widen(big):

@@ -11,7 +11,8 @@ environment variable).  Exit status: 0 on success or a passing suite, 1 on
 a failing verification, 2 on usage errors.
 
 Each command imports only the library modules it runs: `conj`, `order` and
-`list` need superpartition; `convert`, `mult`, `inner` and `omega` add transform.
+`list` need superpartition; `convert`, `mult`, `inner` and `omega` add transform;
+`build` adds superpoly and bases.
 """
 
 from __future__ import annotations

@@ -116,15 +116,12 @@ _ZERO = (0, "e", 0)
 def _generators(top: int, nvars: int):
     """The map from a generator term (w, family, k) with k <= top to the pair
     (w, the cached generator): weights stay scalars, so no generator is
-    scaled.  The bases constructors are looked up at call time (tests and
-    tracers replace them)."""
+    scaled.  The constructors are read from bases._GENERATORS at call time
+    (tests and tracers replace them there)."""
     gens = {
-        fam: [gen(k, nvars) for k in range(top + 1)]
-        for fam, gen in (
-            ("e", _bases.elementary), ("te", _bases.elementary_tilde),
-            ("h", _bases.complete), ("th", _bases.complete_tilde),
-            ("p", _bases.powersum), ("tp", _bases.powersum_tilde),
-        )
+        "t" * tilde + basis: [gen(k, nvars) for k in range(top + 1)]
+        for basis, pair in _bases._GENERATORS.items()
+        for tilde, gen in enumerate(pair)
     }
     return lambda term: (term[0], gens[term[1]][term[2]])
 

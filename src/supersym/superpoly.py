@@ -20,13 +20,7 @@ from fractions import Fraction
 from functools import reduce
 from operator import or_
 
-from .transform import format_rational, parse_rational
-
-__all__ = [
-    "SuperPolynomial",
-    "format_rational",
-    "parse_rational",
-]
+__all__ = ["SuperPolynomial"]
 
 _FIELD_BITS = 16
 _FIELD_MASK = (1 << _FIELD_BITS) - 1
@@ -480,7 +474,7 @@ class SuperPolynomial:
         for mask in sorted(self.blocks, key=lambda m: (m.bit_count(), m)):
             for key in sorted(self.blocks[mask], reverse=True):
                 c = self.blocks[mask][key]
-                factors = [format_rational(c)]
+                factors = [str(c)]
                 for var in range(1, self.nvars + 1):
                     e = self.key_exponent(key, var)
                     if e == 1:

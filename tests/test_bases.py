@@ -258,6 +258,19 @@ def test_product_elements_are_built_once(monkeypatch):
     assert len(products) == len(prefixes)
 
 
+def test_product_element_has_one_cache_key():
+    la = sp("(2,0;2,1)")
+    multiplicative.cache_clear()
+    f = multiplicative("h", la, 5)
+    size = multiplicative.cache_info().currsize
+    with pytest.raises(TypeError):
+        multiplicative("h", la, nvars=5)
+    assert multiplicative.cache_info().currsize == size
+    assert basis_element("h", la, 5, arrowed=True) == f.arrow()
+    assert basis_element("h", la, 5) is f
+    assert multiplicative.cache_info().currsize == size
+
+
 def test_product_element_follows_fermionic_order():
     la = sp("(3,0;4,1)")
     nv = 8
@@ -274,7 +287,7 @@ def test_empty_product_is_one():
 def test_arrowed_product_scales_by_sector_sign():
     la = sp("(2,1,0;)")
     f = multiplicative("h", la, 4)
-    assert multiplicative("h", la, 4, arrowed=True) == f.scale(-1)
+    assert basis_element("h", la, 4, arrowed=True) == f.scale(-1)
 
 
 def test_basis_element_dispatch():
@@ -310,7 +323,7 @@ def test_integer_products_stay_on_int_coefficients():
         for la in enumerate_superpartitions(4, 2):
             f = multiplicative(basis, la, 6)
             assert not f.is_zero() and int_coefficients(f), (basis, la)
-            assert int_coefficients(multiplicative(basis, la, 6, arrowed=True))
+            assert int_coefficients(basis_element(basis, la, 6, arrowed=True))
     for series in (_series_E, _series_H, _series_P):
         f = series(3, 3)
         assert not f.is_zero() and int_coefficients(f), series.__name__
@@ -324,6 +337,17 @@ def test_generating_identities(kind):
     rep = generating_check(kind, 3, 4)
     assert rep["pass"] is True, rep
     assert rep["first_failure"] is None
+
+
+def test_generating_check_bounds_trunc_before_building_a_series(monkeypatch):
+    def boom(*args):
+        raise AssertionError("a series was built")
+
+    monkeypatch.setattr(bases, "_series_H", boom)
+    with pytest.raises(ValueError, match="32768"):
+        generating_check("HP", 2**15, 1)
+    with pytest.raises(ValueError, match="-1"):
+        generating_check("H", -1, 1)
 
 
 def test_generating_check_rejects_unknown_kind():

@@ -247,6 +247,13 @@ def test_verify_generating(capsys):
     assert out.count("[PASS]") == 6
 
 
+def test_verify_generating_past_the_exponent_field_exits_2(capsys):
+    # HP multiplies two series of t-degree trunc, which must fit a 16-bit field
+    rc, out, err = run(capsys, "verify", "--suite", "generating", "--degree", "32768", "--nvars", "1")
+    assert rc == 2 and out == ""
+    assert "32768" in err
+
+
 def test_unknown_subcommand_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
@@ -302,7 +309,7 @@ def cli_code(argv):
 
 LIGHT = {"supersym", "supersym.superpartition"}
 PIVOT = LIGHT | {"supersym.transform"}
-ENGINE = PIVOT | {"supersym.superpoly", "supersym.bases"}
+ENGINE = LIGHT | {"supersym.superpoly", "supersym.bases"}
 ENGINE_CHECKS, INNER = "supersym.engine_checks", "supersym.inner"
 
 
@@ -318,8 +325,9 @@ ENGINE_CHECKS, INNER = "supersym.engine_checks", "supersym.inner"
         (["inner", "p:(;2)", "h:(;2)"], PIVOT),
         (["omega", "--basis", "e", "(1,0;1)"], PIVOT),
         (["build", "--basis", "m", "(1;1)"], ENGINE),
-        (["verify", "--suite", "determinants", "--n-max", "1"], ENGINE | {ENGINE_CHECKS}),
-        (["verify", "--suite", "kernel", "--nvars", "1", "--degree", "1"], ENGINE | {INNER}),
+        (["verify", "--suite", "generating", "--degree", "1", "--nvars", "1"], ENGINE),
+        (["verify", "--suite", "determinants", "--n-max", "1"], PIVOT | ENGINE | {ENGINE_CHECKS}),
+        (["verify", "--suite", "kernel", "--nvars", "1", "--degree", "1"], PIVOT | ENGINE | {INNER}),
     ],
 )
 def test_subcommand_loads_only_what_it_runs(argv, want):

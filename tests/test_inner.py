@@ -460,6 +460,18 @@ def test_kernel_check_leaves_no_bases_cache_grown():
     assert {name: f.cache_info().currsize for name, f in caches.items()} == before
 
 
+def test_kernel_check_builds_no_generator_through_wrappers(monkeypatch):
+    # the tracer puts functools.wraps wrappers of the cached generators into
+    # bases._GENERATORS; the walk still builds its generators uncached
+    generators = [f for pair in bases._GENERATORS.values() for f in pair]
+    wrap = lambda f: functools.wraps(f)(lambda *args: f(*args))
+    for basis, pair in list(bases._GENERATORS.items()):
+        monkeypatch.setitem(bases._GENERATORS, basis, tuple(wrap(f) for f in pair))
+    before = [f.cache_info().currsize for f in generators]
+    assert kernel_check(3, 4)["pass"] is True
+    assert [f.cache_info().currsize for f in generators] == before
+
+
 def read_only(poly):
     """poly with its blocks and their terms behind read-only views."""
     frozen = object.__new__(SuperPolynomial)

@@ -63,11 +63,11 @@ def _generating_hp(mp):
 
 
 def _recursions(mp):
-    mp.setattr(bases, "complete_tilde", scaled_at(bases, "complete_tilde", 2, 2))
+    mp.setitem(bases._GENERATORS, "h", (bases.complete, scaled_at(bases, "complete_tilde", 2, 2)))
 
 
 def _determinant(mp):
-    mp.setattr(bases, "complete", scaled_at(bases, "complete", 2, 3))
+    mp.setitem(bases._GENERATORS, "h", (scaled_at(bases, "complete", 2, 3), bases.complete_tilde))
 
 
 def _coefficients_of(target, edit):

@@ -8,11 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from supersym.superpartition import SuperPartition, enumerate_superpartitions
-from supersym.superpoly import (
-    SuperPolynomial,
-    format_rational,
-    parse_rational,
-)
+from supersym.superpoly import SuperPolynomial
+from supersym.transform import format_rational, parse_rational
 from supersym.bases import monomial
 
 P = SuperPolynomial

@@ -539,9 +539,12 @@ def built_determinant(n, which, nv):
 
 
 def scaled(name, k, factor=2):
-    """(name, the generator bases.name with its degree-k element scaled)."""
+    """(name, the bases._GENERATORS item with the generator bases.name's
+    degree-k element scaled, k)."""
     real = getattr(bases_module, name)
-    return name, lambda n, nvars: real(n, nvars).scale(factor) if n == k else real(n, nvars), k
+    fake = lambda n, nvars: real(n, nvars).scale(factor) if n == k else real(n, nvars)
+    basis, pair = next((b, pair) for b, pair in bases_module._GENERATORS.items() if real in pair)
+    return name, (basis, tuple(fake if f is real else f for f in pair)), k
 
 
 # one generator scaled at a time, so that some identities fail
@@ -558,7 +561,7 @@ def test_canonical_reads_give_the_whole_polynomial_verdicts(monkeypatch, scaling
     built comparison, per identity and in both the primal and the image;
     and the reports name the oracle's first failure."""
     if scaling is not None:
-        monkeypatch.setattr(bases_module, *scaling[:2])
+        monkeypatch.setitem(bases_module._GENERATORS, *scaling[1])
     real = engine_checks._vanishes
     verdicts = []
 
