@@ -241,7 +241,7 @@ def test_negative_degree_rejected():
 
 def test_product_elements_are_built_once(monkeypatch):
     # one product per distinct nonempty label or prefix, shared by
-    # multiplicative's three-argument calls, basis_element and the arrow
+    # multiplicative's calls, basis_element and the arrow
     nvars, products = 5, []
     real = P._mul
     monkeypatch.setattr(P, "_mul", lambda f, g, *args: products.append(1) or real(f, g, *args))
