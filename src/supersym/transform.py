@@ -9,9 +9,9 @@ enumeration order, so every conversion is at most one apply or solve into
 p and one out of it.
 
 The pivot runs on block indices, the labels' positions in the block's
-enumeration.  The tables are built on (a, s) part tuples and kept as sparse
-columns of (index, int) pairs, diagonal entry first; a coordinate vector is
-a dense list of integer numerators over one denominator.  _to_p takes an
+enumeration.  The tables are built and kept in one form, sparse columns of
+(index, int) pairs, diagonal entry first; a coordinate vector is a dense
+list of integer numerators over one denominator.  _to_p takes an
 expansion to (p numerators, den) and _from_p takes that pair to any basis:
 change_basis is the two halves, omega puts a sign vector between them, and
 scalar_product pairs two p vectors.  SuperPartitions and Fractions appear
@@ -72,6 +72,9 @@ class BasisExpansion(_Frozen):
     def __init__(self, basis: str, n: int, m: int, coeffs: dict | None = None) -> None:
         if basis not in BASIS_NAMES:
             raise ValueError(f"unknown basis {basis!r}")
+        for field, v in (("n", n), ("m", m)):
+            if type(v) is not int or v < 0:  # bool is no block size either
+                raise ValueError(f"{field} must be an int >= 0, got {v!r}")
         block = (n, m)
         cleaned = {}
         for sp, c in (coeffs or {}).items():
@@ -334,15 +337,6 @@ def _p_mul(x: tuple, y: tuple) -> tuple:
     return sign, (a, tuple(sorted(x[1] + y[1], reverse=True)))
 
 
-@cache
-def _generator_in_p(n: int, fermionic: bool) -> tuple:
-    """h_n (th_n when fermionic) in power sums: the sum of p_L / z_L over
-    the block (n|0), or (n|1), from the H generating series, as the integer
-    numerators n!/z_L over n!, in enumeration order."""
-    f = math.factorial(n)
-    return tuple(((sp.a, sp.s), f // z_weight(sp)) for sp in _block(n, 1 if fermionic else 0))
-
-
 def eh_in_p(n: int, fermionic: bool, which: str) -> BasisExpansion:
     """Closed-form power-sum expansion of e_n/h_n (or their tilde versions).
 
@@ -353,33 +347,41 @@ def eh_in_p(n: int, fermionic: bool, which: str) -> BasisExpansion:
         raise ValueError(f"which must be 'e' or 'h', got {which!r}")
     if n < 0:
         raise ValueError(f"need n >= 0, got {n}")
-    m = 1 if fermionic else 0
-    v = [c for _, c in _generator_in_p(n, fermionic)]
-    return _from_p(_omega_p(v, n, m) if which == "e" else v, math.factorial(n), "p", n, m)
+    m, f = 1 if fermionic else 0, math.factorial(n)
+    v = [f // z for z in _block_index(n, m)[2]]
+    return _from_p(_omega_p(v, n, m) if which == "e" else v, f, "p", n, m)
 
 
 @cache
 def _h_in_p(parts: tuple) -> tuple:
-    """h_(a;s) in power sums, parts = (a, s), as integer numerators over n!,
-    n = |parts|: the closed forms multiplied in the p algebra, tilde factors
-    first in the order of the fermionic parts.  The last factor (over
-    part!) is peeled off, so elements share their cached prefixes (over
-    (n - part)!), and the binomial C(n, part) puts their product over n!."""
+    """h_(a;s) in power sums, parts = (a, s), as the sparse column of its
+    integer numerators over n! on the indices of its block (n|m), diagonal
+    entry first: the closed forms multiplied in the p algebra, tilde factors
+    first in the order of the fermionic parts.  The last factor h_k (the
+    sum of p_O / z_O over (k|0), or (k|1) when fermionic) is peeled off, so
+    elements share their cached prefixes (over (n - k)!); its numerators
+    n!/((n - k)! z_O) put their product over n!."""
     a, s = parts
     if s:
-        rest, part, fermionic = (a, s[:-1]), s[-1], False
+        rest, k, t = (a, s[:-1]), s[-1], 0
     elif a:
-        rest, part, fermionic = (a[:-1], ()), a[-1], True
+        rest, k, t = (a[:-1], ()), a[-1], 1
     else:
-        return ((parts, 1),)
-    binom = math.comb(sum(a) + sum(s), part)
+        return ((0, 1),)
+    n, m = sum(a) + sum(s), len(a)
+    labels, _, z, _ = _block_index(k, t)
+    generator = [((om.a, om.s), math.perm(n, k) // zo) for om, zo in zip(labels, z)]
+    prefixes, index = _block_index(n - k, m - t)[0], _block_index(n, m)[1]
     out = {}
-    for la, c in _h_in_p(rest):
-        for om, d in _generator_in_p(part, fermionic):
+    for j, c in _h_in_p(rest):
+        la = prefixes[j].a, prefixes[j].s
+        for om, d in generator:
             sign, lo = _p_mul(la, om)
             if sign:
-                out[lo] = out.get(lo, 0) + sign * binom * c * d
-    return tuple((lo, c) for lo, c in out.items() if c)
+                i = index[lo]
+                out[i] = out.get(i, 0) + sign * c * d
+    i = index[parts]
+    return ((i, out.pop(i)), *((j, c) for j, c in out.items() if c))
 
 
 def _quotient(num: int, den: int, what: str, *labels) -> int:
@@ -426,16 +428,13 @@ def _solve(v: list, scale: int, order, columns, labels) -> list:
 
 @cache
 def _h_in_p_columns(n: int, m: int) -> tuple:
-    """(n!, elimination order, the p-columns of every h_L over n!); e is
-    their omega image.  h_L is supported on the refinements of L (each
-    generator expands over the partitions of its part), which replace rows
-    of L by smaller ones and so come later in the enumeration order."""
+    """(n!, elimination order, the p-columns of every h_L over n!), the
+    columns being _h_in_p's own; e is their omega image.  h_L is supported
+    on the refinements of L (each generator expands over the partitions of
+    its part), which replace rows of L by smaller ones and so come later in
+    the enumeration order."""
     index = _block_index(n, m)[1]
-    columns = []
-    for parts, i in index.items():
-        col = {index[la]: c for la, c in _h_in_p(parts)}
-        columns.append(((i, col.pop(i)), *col.items()))
-    return math.factorial(n), range(len(index)), tuple(columns)
+    return math.factorial(n), range(len(index)), tuple(map(_h_in_p, index))
 
 
 @cache

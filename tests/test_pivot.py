@@ -1,6 +1,7 @@
 """The power-sum pivot of change_basis, held against the polynomial engine."""
 
 import functools
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -251,7 +252,52 @@ def test_integer_h_in_p_columns_match_the_fraction_build():
             assert eh_in_p(k, fermionic, "h").coeffs == want, (k, fermionic)
 
 
-# -- the p-algebra product -------------------------------------------------------------
+# -- the counted p-in-m oracle -----------------------------------------------------------
+#
+# [m_O] p_L as a signed count, sharing nothing with h-in-p (which _p_in_m is the
+# transpose of): the coefficient of O's canonical term theta_1..theta_m x^(a;s)
+# in p_L picks one variable for each factor, so each row of L puts its whole
+# value into one column of O.  The tilde factors take the fermionic columns
+# bijectively, at the sign of that bijection; the plain rows go anywhere.
+
+
+@functools.cache
+def fillings(rows, room):
+    """The ways to put each of rows, whole, into one column of room (the
+    sums the columns still take) so that every column ends full."""
+    if not rows:
+        return int(not any(room))
+    v, rest = rows[0], rows[1:]
+    return sum(
+        fillings(rest, tuple(sorted(room[:j] + (r - v,) + room[j + 1 :])))
+        for j, r in enumerate(room) if r >= v
+    )
+
+
+def counted_p_in_m(la, om):
+    """[m_om] p_la: the tilde row i goes into fermionic column sigma(i), at
+    the sign of sigma, and the plain rows fill what is left."""
+    total = 0
+    for sigma in itertools.permutations(range(len(om.a))):
+        room = tuple(om.a[j] - v for v, j in zip(la.a, sigma))
+        if min(room, default=0) >= 0:
+            sign = (-1) ** sum(x > y for i, x in enumerate(sigma) for y in sigma[i + 1 :])
+            total += sign * fillings(la.s, tuple(sorted(room + om.s)))
+    return total
+
+
+def test_p_in_m_matches_the_counted_oracle():
+    entries = nonzero = 0
+    for n, m in blocks(8):
+        labels = transform._block_index(n, m)[0]
+        columns = transform._p_in_m(n, m)[2]
+        for la, col in zip(labels, columns):
+            col = dict(col)
+            for j, om in enumerate(labels):
+                assert col.get(j, 0) == counted_p_in_m(la, om), (la, om)
+                entries += 1
+            nonzero += len(col)
+    assert (entries, nonzero) == (19240, 5228)
 
 
 @st.composite
@@ -350,6 +396,33 @@ def test_conversions_build_no_polynomial(monkeypatch):
         assert change_basis(change_basis(x, basis), "m") == x
     assert omega(omega(x)) == x
     assert scalar_product(x, unit("h", "(3,0;2,1,1)")) == 1
+
+
+def test_the_pivot_caches_hold_one_format():
+    # h in p is held once: each label's and prefix's column on block indices,
+    # and a block's h table is a tuple of those same column objects
+    cached = {
+        name for name, obj in vars(transform).items()
+        if hasattr(obj, "cache_clear") and obj.__module__ == transform.__name__
+    }
+    assert cached == {"_block_index", "_h_in_p", "_h_in_p_columns", "_p_in_m"}
+    for name in cached:
+        getattr(transform, name).cache_clear()
+    change_basis(unit("h", "(2,0;2,1)"), "m")
+    built = set()
+    for a, s in transform._block_index(5, 2)[1]:
+        built.update((a, s[:k]) for k in range(len(s) + 1))
+        built.update((a[:k], ()) for k in range(len(a)))
+    misses = transform._h_in_p.cache_info().misses
+    for parts in built:
+        col = transform._h_in_p(parts)
+        assert type(col) is tuple and col, parts
+        assert all(type(e) is tuple and len(e) == 2 and {type(x) for x in e} == {int} for e in col)
+    info = transform._h_in_p.cache_info()
+    assert (info.misses, info.currsize) == (misses, len(built))
+    columns = transform._h_in_p_columns(5, 2)[2]
+    for parts, i in transform._block_index(5, 2)[1].items():
+        assert columns[i] is transform._h_in_p(parts)
 
 
 def test_returned_expansions_do_not_share_caches():

@@ -62,6 +62,24 @@ def test_expansion_drops_zeros_and_checks_block():
         BasisExpansion("q", 2, 0, {sp("(;2)"): Fraction(1)})
 
 
+@pytest.mark.parametrize(
+    "n, m, field",
+    [(2, -1, "m"), (2.5, 0, "n"), (-3, 0, "n"), (True, 0, "n"), (2, False, "m"), ("2", 0, "n")],
+)
+def test_expansion_rejects_a_block_that_is_no_pair_of_sizes(n, m, field):
+    # from_json_dict takes n and m from outside input; a bad block must fail
+    # at construction, before any table is built for it
+    from supersym.transform import _block_index
+
+    before = _block_index.cache_info().currsize
+    data = {"basis": "m", "n": n, "m": m, "terms": []}
+    with pytest.raises(ValueError, match=rf"^{field} must be an int >= 0"):
+        BasisExpansion.from_json_dict(data)
+    with pytest.raises(ValueError, match=rf"^{field} must be an int >= 0"):
+        BasisExpansion("h", n, m)
+    assert _block_index.cache_info().currsize == before
+
+
 def test_expansion_arithmetic():
     x = unit("m", "(;2)") + unit("m", "(;1,1)").scale(3)
     assert x.get(sp("(;1,1)")) == 3

@@ -41,10 +41,11 @@ ROOT = Path(__file__).resolve().parents[1]
 
 # one call per subcommand, on inputs of the size the cli workload uses, a
 # cold m -> e conversion on the 365-element block (12|2), cold h -> m
-# conversions on the middle elements of the blocks (10|2), (13|2) and (16|2)
-# (170, 525 and 1,422 elements), the kernel suite at the sizes the CI
-# runs it and at (7, 7) and (6, 10), where the prefix products set its peak
-# RSS, and the two filling-rule products the CI runs, on (22|6) and (29|6)
+# conversions on the middle elements of the blocks (10|2), (13|2), (16|2),
+# (14|3) and (20|0) (170, 525, 1,422, 512 and 627 elements), the kernel
+# suite at the sizes the CI runs it and at (7, 7) and (6, 10), where the
+# prefix products set its peak RSS, and the two filling-rule products the CI
+# runs, on (22|6) and (29|6)
 COLD_CLI = (
     ("list", "--n", "6", "--m", "2"),
     ("conj", "(3,1,0;4,3,2,1)"),
@@ -59,6 +60,8 @@ COLD_CLI = (
     ("convert", "--from", "h", "--to", "m", "(4,2;3,1)"),
     ("convert", "--from", "h", "--to", "m", "(5,0;3,1,1,1,1,1)"),
     ("convert", "--from", "h", "--to", "m", "(1,0;6,5,3,1)"),
+    ("convert", "--from", "h", "--to", "m", "(5,4,0;3,1,1)"),
+    ("convert", "--from", "h", "--to", "m", "(;7,4,3,3,2,1)"),
     ("verify", "--suite", "kernel", "--nvars", "6", "--degree", "6"),
     ("verify", "--suite", "kernel", "--nvars", "5", "--degree", "8"),
     ("verify", "--suite", "kernel", "--nvars", "7", "--degree", "7"),
