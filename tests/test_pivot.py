@@ -300,6 +300,9 @@ def test_p_in_m_matches_the_counted_oracle():
     assert (entries, nonzero) == (19240, 5228)
 
 
+# -- the p-algebra product -------------------------------------------------------------
+
+
 @st.composite
 def superpartitions(draw, max_part=3, max_len=3):
     a = draw(st.lists(st.integers(0, max_part), unique=True, max_size=max_len))

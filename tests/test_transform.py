@@ -23,6 +23,7 @@ from supersym.bases import (
 from supersym.transform import (
     DETERMINANT_KINDS,
     BasisExpansion,
+    _block_index,
     change_basis,
     determinant_formulas,
     expand_in_monomials,
@@ -69,8 +70,6 @@ def test_expansion_drops_zeros_and_checks_block():
 def test_expansion_rejects_a_block_that_is_no_pair_of_sizes(n, m, field):
     # from_json_dict takes n and m from outside input; a bad block must fail
     # at construction, before any table is built for it
-    from supersym.transform import _block_index
-
     before = _block_index.cache_info().currsize
     data = {"basis": "m", "n": n, "m": m, "terms": []}
     with pytest.raises(ValueError, match=rf"^{field} must be an int >= 0"):
