@@ -91,6 +91,15 @@ def _canonical_key(sp: SuperPartition) -> int:
     return sum(e << (_FIELD_BITS * i) for i, e in enumerate(sp.as_composition()))
 
 
+def _canonical_reads(n: int, m: int, nvars: int) -> tuple[list, list]:
+    """The labels of (n|m) with at most nvars parts, in enumeration order,
+    and the packed keys of their canonical terms: the coefficients every
+    engine check reads, as they determine a symmetric element of (n|m) in
+    nvars variables.  Uncached: each caller asks once per block."""
+    labels = enumerate_superpartitions(n, m, max_len=nvars)
+    return labels, [_canonical_key(sp) for sp in labels]
+
+
 def monomial(sp: SuperPartition, nvars: int, strict: bool = True) -> SuperPolynomial:
     """Monomial basis element: the sum over distinct variable placements.
 

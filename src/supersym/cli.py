@@ -23,7 +23,6 @@ import sys
 
 from .superpartition import (
     BASIS_NAMES,
-    SparError,
     SuperPartition,
     bruhat_leq,
     dominance_leq,
@@ -31,21 +30,12 @@ from .superpartition import (
 )
 
 
-def _parse_spar(text: str) -> SuperPartition:
-    try:
-        return SuperPartition.parse(text)
-    except SparError as exc:
-        raise SystemExit(f"error: {exc}") from None
-
-
 def _parse_expr(text: str):
     from .transform import BasisExpansion
     basis, sep, spar = text.partition(":")
     if not sep or basis not in BASIS_NAMES:
-        raise SystemExit(
-            f"error: expected 'basis:spar' with basis in {BASIS_NAMES}, got {text!r}"
-        )
-    return BasisExpansion.unit(basis, _parse_spar(spar))
+        raise ValueError(f"expected 'basis:spar' with basis in {BASIS_NAMES}, got {text!r}")
+    return BasisExpansion.unit(basis, SuperPartition.parse(spar))
 
 
 def _emit(args, payload, text_lines) -> None:
@@ -84,7 +74,7 @@ def _cmd_list(args) -> int:
 
 
 def _cmd_conj(args) -> int:
-    sp = _parse_spar(args.spar)
+    sp = SuperPartition.parse(args.spar)
     conj = sp.conjugate()
     _emit(
         args,
@@ -106,11 +96,9 @@ def _relation(leq, x, y) -> str:
 
 
 def _cmd_order(args) -> int:
-    x, y = _parse_spar(args.spar1), _parse_spar(args.spar2)
+    x, y = SuperPartition.parse(args.spar1), SuperPartition.parse(args.spar2)
     if x.bidegree != y.bidegree:
-        raise SystemExit(
-            f"error: {x} and {y} have different bidegrees {x.bidegree} != {y.bidegree}"
-        )
+        raise ValueError(f"{x} and {y} have different bidegrees {x.bidegree} != {y.bidegree}")
     rb = _relation(bruhat_leq, x, y)
     rd = _relation(dominance_leq, x, y)
     _emit(
@@ -123,12 +111,9 @@ def _cmd_order(args) -> int:
 
 def _cmd_build(args) -> int:
     from .bases import basis_element, default_nvars
-    sp = _parse_spar(args.spar)
+    sp = SuperPartition.parse(args.spar)
     nvars = args.nvars if args.nvars is not None else default_nvars(sp)
-    try:
-        poly = basis_element(args.basis, sp, nvars, arrowed=args.arrow)
-    except ValueError as exc:
-        raise SystemExit(f"error: {exc}") from None
+    poly = basis_element(args.basis, sp, nvars, arrowed=args.arrow)
     rendered = poly.render()
     _emit(
         args,
@@ -146,9 +131,9 @@ def _cmd_build(args) -> int:
 
 def _cmd_mult(args) -> int:
     if args.basis != "m":
-        raise SystemExit("error: product expansion is implemented for --basis m")
+        raise ValueError("product expansion is implemented for --basis m")
     from .transform import mono_product
-    a, b = _parse_spar(args.spar1), _parse_spar(args.spar2)
+    a, b = SuperPartition.parse(args.spar1), SuperPartition.parse(args.spar2)
     exp = mono_product(a, b)
     _emit(args, exp.to_json_dict, _expansion_lines(exp))
     return 0
@@ -156,7 +141,7 @@ def _cmd_mult(args) -> int:
 
 def _cmd_convert(args) -> int:
     from .transform import BasisExpansion, change_basis
-    sp = _parse_spar(args.spar)
+    sp = SuperPartition.parse(args.spar)
     exp = change_basis(BasisExpansion.unit(args.from_basis, sp), args.to_basis)
     _emit(args, exp.to_json_dict, _expansion_lines(exp))
     return 0
@@ -175,7 +160,7 @@ def _cmd_inner(args) -> int:
 
 def _cmd_omega(args) -> int:
     from .transform import BasisExpansion, omega
-    sp = _parse_spar(args.spar)
+    sp = SuperPartition.parse(args.spar)
     exp = omega(BasisExpansion.unit(args.basis, sp))
     _emit(args, exp.to_json_dict, _expansion_lines(exp))
     return 0
@@ -211,7 +196,7 @@ def _suite_reports(args) -> list[dict]:
         if getattr(args, opt) is not None and opt not in reads
     ]
     if unread:
-        raise SystemExit(f"error: suite {args.suite} does not read {', '.join(unread)}")
+        raise ValueError(f"suite {args.suite} does not read {', '.join(unread)}")
     values = {
         # an explicit 0 is a request, not a missing option
         opt: default if getattr(args, opt) is None else getattr(args, opt)
@@ -306,12 +291,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except SystemExit as exc:
-        if isinstance(exc.code, str):
-            print(exc.code, file=sys.stderr)
-            return 2
-        raise
-    except (ValueError, SparError) as exc:
+    except ValueError as exc:  # a usage error: one line, exit status 2
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

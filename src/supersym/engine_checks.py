@@ -14,10 +14,10 @@ import math
 from fractions import Fraction
 from functools import cache
 
-from .superpartition import SuperPartition, _blocks, _report, bruhat_leq, enumerate_superpartitions
+from .superpartition import SuperPartition, _blocks, _report, bruhat_leq
 from .superpoly import SuperPolynomial, _FIELD_MASK, _sector_sign
 from . import bases as _bases
-from .bases import _canonical_key, _product_read
+from .bases import _product_read
 from .transform import BasisExpansion, omega_sign
 
 
@@ -36,17 +36,11 @@ def _infer_bidegree(f: SuperPolynomial) -> tuple[int, int]:
     return seen.pop()
 
 
-def _probe_coefficient(f: SuperPolynomial, sp: SuperPartition) -> Fraction:
-    """Coefficient of t_1..t_m x_1^{a_1}.. x_m^{a_m} x_{m+1}^{s_1}.. in f."""
-    return f.blocks.get((1 << sp.fermionic_degree) - 1, {}).get(_canonical_key(sp), 0)
-
-
 @cache
-def _monomial_polys(n: int, m: int, nvars: int) -> tuple[tuple[SuperPartition, SuperPolynomial], ...]:
-    return tuple(
-        (sp, _bases.monomial(sp, nvars))
-        for sp in enumerate_superpartitions(n, m, max_len=nvars)
-    )
+def _monomial_polys(n: int, m: int, nvars: int) -> tuple[tuple[SuperPartition, int, SuperPolynomial], ...]:
+    """(label, canonical key, m_label) over the read set of (n|m) at nvars."""
+    labels, keys = _bases._canonical_reads(n, m, nvars)
+    return tuple((sp, key, _bases.monomial(sp, nvars)) for sp, key in zip(labels, keys))
 
 
 def _within(c, terms: dict, have: dict) -> bool:
@@ -69,8 +63,9 @@ def expand_in_monomials(f: SuperPolynomial, bidegree: tuple[int, int] | None = N
         raise TypeError(f"expected a SuperPolynomial, got {type(f)!r}")
     n, m = bidegree if bidegree is not None else _infer_bidegree(f)
     coeffs, covered = {}, 0  # the labels read, and how many terms of f they cover
-    for sp, poly in _monomial_polys(n, m, f.nvars):
-        c = _probe_coefficient(f, sp)
+    canonical = f.blocks.get((1 << m) - 1, {})  # the block of t_1..t_m
+    for sp, key, poly in _monomial_polys(n, m, f.nvars):
+        c = canonical.get(key, 0)
         if c:
             if not all(_within(c, terms, f.blocks.get(mask, {})) for mask, terms in poly.blocks.items()):
                 break
@@ -88,17 +83,17 @@ def expand_in_monomials(f: SuperPolynomial, bidegree: tuple[int, int] | None = N
 # -- the engine oracle for basis changes --------------------------------------------
 
 
-@cache
+# call-local, no cache: triangularity reads each matrix once; no workload calls it
 def _block_matrix(basis: str, n: int, m: int) -> tuple[tuple[int, ...], ...]:
     """Column j holds the monomial coordinates of the j-th basis element,
     read by the polynomial engine: the slow reference for change_basis and
     for triangularity.  One walk over the block (bases._path_reads) reads
-    each element at every label's canonical term, which is stable once N
-    covers the longest label, of length n + m - m(m-1)/2.  Inputs are
-    symmetric by construction, so the reads alone are exact."""
-    block = enumerate_superpartitions(n, m)
-    keys = [_canonical_key(sp) for sp in block]
-    columns = dict(_bases._path_reads(basis, [(sp, keys) for sp in block], n + m - m * (m - 1) // 2))
+    each element at every label's canonical term, stable once N covers the
+    longest label, n + m - m(m-1)/2 parts: the read set there is the whole
+    block.  Inputs are symmetric by construction, so reads alone are exact."""
+    nvars = n + m - m * (m - 1) // 2
+    block, keys = _bases._canonical_reads(n, m, nvars)
+    columns = dict(_bases._path_reads(basis, [(sp, keys) for sp in block], nvars))
     return tuple(zip(*(columns[sp] for sp in block)))
 
 
@@ -162,11 +157,10 @@ _RECURSIONS = (
 def _vanishes(summands, n: int, m: int, nvars: int) -> bool:
     """Whether sum w f g over the summands (w, f, g), symmetric of bidegree
     (n|m) in nvars variables, is zero: read by _product_read (exact while
-    n < 2^15) at the canonical terms of the labels of length <= nvars, which
-    is complete, as under the exchanges (x_i, t_i) <-> (x_j, t_j) each term is
+    n < 2^15) at the canonical terms of bases._canonical_reads, which is
+    complete, as under the exchanges (x_i, t_i) <-> (x_j, t_j) each term is
     a signed copy of a canonical one (equal theta-carrying exponents cancel)."""
-    keys = [_canonical_key(sp) for sp in enumerate_superpartitions(n, m, max_len=nvars)]
-    return not any(_product_read(summands, (1 << m) - 1, keys))
+    return not any(_product_read(summands, (1 << m) - 1, _bases._canonical_reads(n, m, nvars)[1]))
 
 
 def verify_recursions(n_max: int) -> dict:

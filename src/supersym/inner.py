@@ -25,7 +25,6 @@ from .transform import (  # noqa: F401  (change_basis is re-exported)
     z_weight,
 )
 from . import bases as _bases
-from .bases import _canonical_key
 
 __all__ = [
     "z_weight",
@@ -89,18 +88,15 @@ def duality_check(n_max: int) -> dict:
 
 def _canonical_index(nvars: int, degree: int):
     """Blocks (n|k) with n <= degree and k <= nvars, each with the labels of
-    its canonical terms: the superpartitions of length <= nvars."""
-    return tuple(
-        (n, k, tuple(sp for sp in block if sp.length <= nvars))
-        for n, k, block in _blocks(degree, max_m=nvars)
-    )
+    its canonical terms: the read set of bases._canonical_reads at nvars."""
+    return tuple((n, k, _bases._canonical_reads(n, k, nvars)[0]) for n, k, _ in _blocks(degree, max_m=nvars))
 
 
-def _counted_table(nvars: int, index, inverse: bool) -> dict:
+def _counted_table(index, inverse: bool) -> dict:
     """Canonical coefficients of the kernel product, nonzero only: sector(k)
     [m_O] h_L, or [m_O] e_L when inverse, counted by _peel as signed matrices
     with row sums L and column sums O over every block of the index at once."""
-    table = _peel("e" if inverse else "h", [(n, k) for n, k, _ in index], nvars)
+    table = _peel("e" if inverse else "h", index)
     return {pair: _sector_sign(pair[0].fermionic_degree) * c for pair, c in table.items()}
 
 
@@ -118,7 +114,7 @@ def _sum_tables(nvars: int, index):
     """
     pp, pp_omega, mh = {}, {}, {}
     labels = {(n, k): ls for n, k, ls in index}
-    keys = {nk: [_canonical_key(la) for la in ls] for nk, ls in labels.items()}
+    keys = {nk: _bases._canonical_reads(*nk, nvars)[1] for nk in labels}
     blocks = {nk: enumerate_superpartitions(*nk) for nk in labels}
     # per block: [lcm of z_G, G left to read, sum over omega sign +1, over -1]
     sums = {nk: [math.lcm(*map(z_weight, block)), len(block), {}, {}] for nk, block in blocks.items()}
@@ -167,14 +163,14 @@ def kernel_check(nvars: int, degree: int) -> dict:
         raise ValueError(f"need nvars >= 1 and 0 <= degree < 2^15, got ({nvars}, {degree})")
     params = {"nvars": nvars, "degree": degree}
     index = _canonical_index(nvars, degree)
-    direct = _counted_table(nvars, index, False)
+    direct = _counted_table(index, False)
     pp, pp_omega, mh = _sum_tables(nvars, index)
     if direct != pp:
         return _report("kernel", params, "product expansion differs from the weighted p-p sum")
     if direct != mh:
         return _report("kernel", params, "product expansion differs from the m-h sum")
     del direct, pp, mh  # the inverse table is counted with only the omega-signed sum alive
-    if _counted_table(nvars, index, True) != pp_omega:
+    if _counted_table(index, True) != pp_omega:
         return _report("kernel", params, "inverse product differs from the omega-signed p-p sum")
     return _report("kernel", params, None)
 

@@ -229,9 +229,9 @@ def mono_product_fillings(a: SuperPartition, b: SuperPartition, g: SuperPartitio
 # -- the matrix-counting peel ----------------------------------------------------
 
 
-def _peel(which: str, blocks, nvars: int) -> dict:
-    """[m_O] u_L (u = h or e) for the labels L, O of length <= nvars of each
-    block (n|m) in blocks: signed counts of matrices with row sums L and
+def _peel(which: str, blocks) -> dict:
+    """[m_O] u_L (u = h or e) for the labels L, O the caller chose for each
+    (n, m, labels) in blocks: signed counts of matrices with row sums L and
     column sums O, fermionic parts first, entries in N (h) or {0, 1} (e).
     Fermionic row i picks fermionic column sigma(i) at the sign sgn(sigma);
     for h the picked cell weighs its entry plus one, for e it must be empty.
@@ -273,8 +273,7 @@ def _peel(which: str, blocks, nvars: int) -> dict:
         return total
 
     table = {}
-    for n, m in blocks:
-        labels = [sp for sp in _block(n, m) if sp.length <= nvars]
+    for n, m, labels in blocks:
         perms = list(itertools.permutations(range(m)))
         signs = [-1 if sum(x > y for i, x in enumerate(s) for y in s[i + 1 :]) & 1 else 1 for s in perms]
         for i, la in enumerate(labels):
@@ -345,8 +344,8 @@ def eh_in_p(n: int, fermionic: bool, which: str) -> BasisExpansion:
     """
     if which not in ("e", "h"):
         raise ValueError(f"which must be 'e' or 'h', got {which!r}")
-    if n < 0:
-        raise ValueError(f"need n >= 0, got {n}")
+    if type(n) is not int or n < 0:  # as BasisExpansion checks its n
+        raise ValueError(f"n must be an int >= 0, got {n!r}")
     m, f = 1 if fermionic else 0, math.factorial(n)
     v = [f // z for z in _block_index(n, m)[2]]
     return _from_p(_omega_p(v, n, m) if which == "e" else v, f, "p", n, m)

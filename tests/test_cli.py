@@ -183,6 +183,18 @@ def test_malformed_superpartition_names_token(capsys):
     assert "x" in err
 
 
+@pytest.mark.parametrize("argv, line", [
+    (("conj", "(1,2;)"), "error: fermionic parts not strictly decreasing: (1, 2)"),
+    (("inner", "p:(;2)", "h:(;a)"), "error: bad part 'a' in '(;a)'"),
+    (("build", "--basis", "m", "(;1,1,1)", "--nvars", "2"),
+     "error: monomial for (;1,1,1) needs at least 3 variables, got 2"),
+])
+def test_usage_errors_print_one_line_and_exit_2(capsys, argv, line):
+    # main turns every ValueError (a SparError is one) into this line and 2
+    rc, out, err = run(capsys, *argv)
+    assert (rc, out, err) == (2, "", line + "\n")
+
+
 def test_verify_orders_passes(capsys):
     rc, out, _ = run(capsys, "verify", "--suite", "orders", "--n-max", "3")
     assert rc == 0

@@ -10,11 +10,11 @@ from types import MappingProxyType
 
 import pytest
 
-from supersym import bases, cli, inner
+from supersym import bases, cli, engine_checks, inner
 from supersym.superpartition import SuperPartition, _blocks, enumerate_superpartitions
 from supersym.superpoly import SuperPolynomial, _FIELD_MASK
 from supersym.bases import basis_element, powersum
-from supersym.transform import BasisExpansion, change_basis
+from supersym.transform import BasisExpansion, _block_index, change_basis
 from supersym.inner import (
     dual_bases_check,
     eh_in_p,
@@ -151,6 +151,15 @@ def test_complete_in_power_sums_closed_form():
 def test_fermionic_zero_cases():
     assert eh_in_p(0, True, "e") == BasisExpansion.unit("p", sp("(0;)"))
     assert eh_in_p(0, True, "h") == BasisExpansion.unit("p", sp("(0;)"))
+
+
+@pytest.mark.parametrize("n", [2.5, True, -1, "3"])
+def test_closed_form_rejects_a_degree_that_is_no_size(n):
+    # checked before any block table is read, with BasisExpansion's wording
+    before = _block_index.cache_info().currsize
+    with pytest.raises(ValueError, match=r"^n must be an int >= 0"):
+        eh_in_p(n, False, "h")
+    assert _block_index.cache_info().currsize == before
 
 
 def test_closed_forms_match_conversion():
@@ -369,7 +378,7 @@ def test_full_alphabet_oracle(nvars, degree):
         for i in (*range(1, nvars), *range(nvars + 1, 2 * nvars)):
             assert full.apply_exchange(i) == full, (inverse, i)
         table = canonical_coefficients(full, nvars, index)
-        assert table == inner._counted_table(nvars, index, inverse)
+        assert table == inner._counted_table(index, inverse)
         for got, weight, basis in sums:
             assert full_sum(nvars, degree, full_summand(weight, basis, nvars)) == full
             assert got == table
@@ -592,7 +601,7 @@ def counted_entry(la, om, nvars, inverse):
 ])
 def test_kernel_tables_match_matrix_counts(nvars, degree, inverse):
     index = inner._canonical_index(nvars, degree)
-    table = inner._counted_table(nvars, index, inverse)
+    table = inner._counted_table(index, inverse)
     counted = {}
     for _, _, labels in index:
         for la in labels:
@@ -612,7 +621,7 @@ def test_sum_sides_use_neither_the_peel_nor_the_pivot(monkeypatch):
 
     nvars, degree = 3, 5
     index = inner._canonical_index(nvars, degree)
-    direct, inverse = (inner._counted_table(nvars, index, inv) for inv in (False, True))
+    direct, inverse = (inner._counted_table(index, inv) for inv in (False, True))
 
     def refuse(*args, **kwargs):
         raise AssertionError("a sum side reached the product side's machinery")
@@ -650,8 +659,36 @@ def test_canonical_index_covers_every_block():
     index = inner._canonical_index(nvars, degree)
     want = {(n, k) for n in range(degree + 1) for k in range(nvars + 1) if k * (k - 1) // 2 <= n}
     assert {(n, k) for n, k, labels in index if labels} == want
-    table = inner._counted_table(nvars, index, inverse=False)
+    table = inner._counted_table(index, inverse=False)
     assert {(la.degree, la.fermionic_degree) for la, _ in table} == want
+
+
+def test_canonical_reads_are_the_short_labels_and_their_keys():
+    for n, m, block in _blocks(8):
+        for nvars in range(n + 2):
+            labels = [la for la in block if la.length <= nvars]
+            assert bases._canonical_reads(n, m, nvars) == (labels, [bases._canonical_key(la) for la in labels])
+
+
+def test_every_engine_reader_reads_the_one_read_set(monkeypatch):
+    # drop each block's last label from the read set: every reader follows
+    real = bases._canonical_reads
+
+    def short(n, m, nvars):
+        labels, keys = real(n, m, nvars)
+        return labels[:-1], keys[:-1]
+
+    nvars, degree = 3, 5
+    full = inner._canonical_index(nvars, degree)
+    matrix = engine_checks._block_matrix("e", 4, 1)
+    dropped = real(4, 1, 5)[0][-1]
+    summands = [(1, bases.monomial(dropped, 5), SuperPolynomial.one(5))]
+    assert not engine_checks._vanishes(summands, 4, 1, 5)
+    monkeypatch.setattr(bases, "_canonical_reads", short)
+    assert [labels for *_, labels in inner._canonical_index(nvars, degree)] == [labels[:-1] for *_, labels in full]
+    shrunk = engine_checks._block_matrix("e", 4, 1)
+    assert (len(shrunk), len(shrunk[0])) == (len(matrix) - 1, len(matrix[0]) - 1)
+    assert engine_checks._vanishes(summands, 4, 1, 5)
 
 
 def test_kernel_check_fails_without_omega_signs(monkeypatch):

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from supersym import transform
+from supersym import engine_checks, transform
 from supersym.superpartition import SuperPartition, enumerate_superpartitions
 from supersym.superpoly import SuperPolynomial
 from supersym.bases import multiplicative
@@ -66,7 +66,7 @@ def test_generators_in_m_match_the_matrix_counts():
     for n, m in blocks(7):
         block = enumerate_superpartitions(n, m)
         for basis in ("e", "h"):
-            counts = transform._peel(basis, [(n, m)], n + m)
+            counts = transform._peel(basis, [(n, m, block)])
             for la in block:
                 want = BasisExpansion("m", n, m, {om: counts.get((la, om), 0) for om in block})
                 assert change_basis(BasisExpansion.unit(basis, la), "m") == want, (basis, la)
@@ -78,11 +78,11 @@ def test_generators_in_m_match_the_matrix_counts():
 @pytest.mark.parametrize("basis", ["h", "e"])
 def test_one_peel_over_many_blocks_is_the_union_of_single_block_peels(basis, nvars, degree):
     # the peel's memos are shared by every block of one call
-    shared = [(n, m) for n, m in blocks(degree) if m <= nvars]
+    shared = [(n, m, enumerate_superpartitions(n, m, max_len=nvars)) for n, m in blocks(degree) if m <= nvars]
     union = {}
     for block in shared:
-        union.update(transform._peel(basis, [block], nvars))
-    assert transform._peel(basis, shared, nvars) == union
+        union.update(transform._peel(basis, [block]))
+    assert transform._peel(basis, shared) == union
 
 
 # -- round trips and the triangular solve -------------------------------------------
@@ -426,6 +426,16 @@ def test_the_pivot_caches_hold_one_format():
     columns = transform._h_in_p_columns(5, 2)[2]
     for parts, i in transform._block_index(5, 2)[1].items():
         assert columns[i] is transform._h_in_p(parts)
+
+
+def test_the_engine_oracle_caches_only_the_monomials():
+    # _block_matrix is call-local: triangularity reads each matrix once
+    assert engine_checks.triangularity(4)["pass"] is True
+    cached = {
+        name for name, obj in vars(engine_checks).items()
+        if hasattr(obj, "cache_info") and obj.__module__ == engine_checks.__name__
+    }
+    assert cached == {"_monomial_polys"}
 
 
 def test_returned_expansions_do_not_share_caches():

@@ -159,7 +159,7 @@ def _altered(f, mask, key, coeff):
 def test_expand_rejects_each_kind_of_asymmetry():
     f, _ = _mixed_symmetric()
     canonical = {
-        ((1 << la.fermionic_degree) - 1, engine_checks._canonical_key(la))
+        ((1 << la.fermionic_degree) - 1, bases_module._canonical_key(la))
         for la in enumerate_superpartitions(2, 1)
     }
     # each non-canonical term of f, with its coefficient altered or dropped
