@@ -100,6 +100,21 @@ def _canonical_reads(n: int, m: int, nvars: int) -> tuple[list, list]:
     return labels, [_canonical_key(sp) for sp in labels]
 
 
+def _read_divisors(keys) -> set[int]:
+    """The packed keys dividing some key of keys: every monomial that can
+    reach a read at those keys.  A multiple of any other monomial divides no
+    key either, so the others span a monomial ideal, and dropping them is a
+    ring map.  Uncached: each caller builds it once per call."""
+    out = set()
+    for key in keys:
+        divisors, unit = [0], 1
+        while key:
+            divisors = [d + e * unit for d in divisors for e in range((key & _FIELD_MASK) + 1)]
+            key, unit = key >> _FIELD_BITS, unit << _FIELD_BITS
+        out.update(divisors)
+    return out
+
+
 def monomial(sp: SuperPartition, nvars: int, strict: bool = True) -> SuperPolynomial:
     """Monomial basis element: the sum over distinct variable placements.
 
@@ -223,6 +238,18 @@ def generator_functions(basis: str):
     return _GENERATORS[basis]
 
 
+def _generator_builders(basis: str) -> tuple:
+    """generator_functions(basis) below any cache: each the innermost
+    function of its __wrapped__ chain, read at call time, so that a
+    constructor replaced in _GENERATORS is seen and nothing is cached."""
+    out = []
+    for f in generator_functions(basis):
+        while hasattr(f, "__wrapped__"):
+            f = f.__wrapped__
+        out.append(f)
+    return tuple(out)
+
+
 @cache
 def multiplicative(basis: str, sp: SuperPartition, nvars: int, /) -> SuperPolynomial:
     """Product basis element: tilde generators for the fermionic parts (in
@@ -261,12 +288,8 @@ def _path_reads(basis: str, requests, nvars: int):
     t_1..t_k, and dropped when the walk leaves it; each label is read
     (_product_read) off its prefix and last factor.  The generators live for
     the walk alone: each is built by the innermost function of its
-    __wrapped__ chain, below any cache."""
-    gens = []
-    for f in generator_functions(basis):
-        while hasattr(f, "__wrapped__"):
-            f = f.__wrapped__
-        gens.append(f)
+    __wrapped__ chain, below any cache (_generator_builders)."""
+    gens = _generator_builders(basis)
     factor = cache(lambda tilde, part: gens[tilde](part, nvars))
     by_k = {}
     for label, keys in requests:

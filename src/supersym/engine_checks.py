@@ -108,17 +108,46 @@ _SWAP = {"e": "h", "h": "e", "te": "th", "th": "te"}
 _ZERO = (0, "e", 0)
 
 
-def _generators(top: int, nvars: int):
-    """The map from a generator term (w, family, k) with k <= top to the pair
-    (w, the cached generator): weights stay scalars, so no generator is
-    scaled.  The constructors are read from bases._GENERATORS at call time
-    (tests and tracers replace them there)."""
-    gens = {
-        "t" * tilde + basis: [gen(k, nvars) for k in range(top + 1)]
-        for basis, pair in _bases._GENERATORS.items()
-        for tilde, gen in enumerate(pair)
+def _quotient(blocks, nvars: int) -> tuple[int, set[int], int]:
+    """The quotient that the reads of the blocks (n, m) at nvars see, as
+    (ell, D, mask): ell the length of their longest label, D the packed keys
+    dividing some canonical key (bases._read_divisors), mask the sectors of
+    t_1..t_m for their largest m.  Terms on a sector outside the mask or a
+    key outside D span an ideal (masks only grow, and a multiple of a
+    non-divisor is one), and x_j, t_j for j > ell reach no read, so every
+    read of a product or sum is the same in the quotient."""
+    ell, keys, mask = 0, [], 0
+    for n, m in blocks:
+        labels, block_keys = _bases._canonical_reads(n, m, nvars)
+        ell = max([ell] + [sp.length for sp in labels])
+        keys += block_keys
+        mask |= (1 << m) - 1
+    return ell, _bases._read_divisors(keys), mask
+
+
+def _restricted(f: SuperPolynomial, quotient, nvars: int) -> SuperPolynomial:
+    """The image of f in the quotient, in nvars variables."""
+    _, divisors, mask = quotient
+    return SuperPolynomial(nvars, {
+        mb: {k: c for k, c in terms.items() if k in divisors}
+        for mb, terms in f.blocks.items() if not mb & ~mask
+    })
+
+
+def _generators(quotient, nvars: int):
+    """The map from a generator term (w, family, k) to the pair (w, X_k in
+    the quotient): weights stay scalars, so no generator is scaled.  Each
+    X_k is built on its first read, on the ell variables of the quotient,
+    by bases._generator_builders (read at call time, below any cache, so
+    replaced constructors are seen and no cache fills), and lives as long
+    as the map."""
+    ctors = {
+        "t" * tilde + basis: gen
+        for basis in _bases._GENERATORS
+        for tilde, gen in enumerate(_bases._generator_builders(basis))
     }
-    return lambda term: (term[0], gens[term[1]][term[2]])
+    build = cache(lambda fam, k: _restricted(ctors[fam](k, quotient[0]), quotient, nvars))
+    return lambda term: (term[0], build(term[1], term[2]))
 
 
 def _omega(term):
@@ -163,6 +192,13 @@ def _vanishes(summands, n: int, m: int, nvars: int) -> bool:
     return not any(_product_read(summands, (1 << m) - 1, _bases._canonical_reads(n, m, nvars)[1]))
 
 
+def _check_degree(name: str, value, least: int) -> None:
+    """A degree must be an int (not a bool) from least to 2^15 - 1, where
+    the canonical reads are exact; nothing is built first."""
+    if type(value) is not int or not least <= value <= _FIELD_MASK >> 1:
+        raise ValueError(f"{name} must be an int with {least} <= {name} < 2^15, got {value!r}")
+
+
 def verify_recursions(n_max: int) -> dict:
     """Check the six generator recursions exactly at N = n_max + 2.
 
@@ -173,13 +209,13 @@ def verify_recursions(n_max: int) -> dict:
       (n+1) th_n = sum_r [p_r th_{n-r} + (r+1) tp_r h_{n-r}]
     and the omega images of the second and the fourth, "n e_n from p" and
     "(n+1) te_n" (the first and the third are their own images up to sign).
-    Each identity is read as one sum (_vanishes), its target times -e_0 = -1.
+    Each identity is read as one sum (_vanishes), its target times -e_0 = -1,
+    its generators in the quotient of every block read (_quotient).
     """
-    if not 1 <= n_max <= _FIELD_MASK >> 1:
-        raise ValueError(f"need 1 <= n_max < 2^15, got {n_max}")
+    _check_degree("n_max", n_max, 1)
     nv = n_max + 2
     params = {"n_max": n_max, "nvars": nv}
-    gen = _generators(n_max, nv)
+    gen = _generators(_quotient([(n, m) for n in range(n_max + 1) for m in (0, 1)], nv), nv)
     for n in range(n_max + 1):
         for names, first_n, products, target in _RECURSIONS:
             if n < first_n:
@@ -196,9 +232,10 @@ def verify_recursions(n_max: int) -> dict:
 # -- determinantal formulas ---------------------------------------------------------
 
 
-def _hessenberg_summands(size, row1, entry, subdiag, nvars) -> list:
+def _hessenberg_summands(size, row1, entry, subdiag, quotient, nvars) -> list:
     """An upper-Hessenberg determinant as the summands (c, a_{i,size},
-    minor_{i-1}) of sum c a minor, left unmultiplied.
+    minor_{i-1}) of sum c a minor, left unmultiplied, each minor kept in
+    the quotient (_restricted) as it is built.
 
     Each entry is a pair (w, polynomial) standing for w times it.  row1[j-1]
     is the (1,j) entry (the only possibly anticommuting ones); entry(i, j)
@@ -215,7 +252,8 @@ def _hessenberg_summands(size, row1, entry, subdiag, nvars) -> list:
             if i > 1:
                 sdp *= subdiag(i - 1)
         if k < size:
-            minors.append(SuperPolynomial.linear_combination(nvars, [(c, a * b) for c, a, b in summands]))
+            minor = SuperPolynomial.linear_combination(nvars, [(c, a * b) for c, a, b in summands])
+            minors.append(_restricted(minor, quotient, nvars))
     return summands
 
 
@@ -224,10 +262,10 @@ _FIRST_N = {"e_in_h": 1, "etilde_in_h": 0, "p_in_e": 1, "ptilde_in_e": 0, "e_in_
 DETERMINANT_KINDS = tuple(_FIRST_N)
 
 
-def _determinant_cases(which: str, n: int, nvars: int) -> list[tuple]:
+def _determinant_cases(which: str, n: int) -> list[tuple]:
     """The primal determinant of one kind and its omega image, each as
-    (name, size, first row, entry(i, j), subdiag(l), target) over pairs
-    (weight, cached generator).
+    (name, size, first row, entry(i, j), subdiag(l), target) in generator
+    terms (w, family, k).
 
     The primal is stated in generator terms: the first-row term at column j,
     the band family and its weight at (i, j), the subdiagonal and the target.
@@ -243,11 +281,10 @@ def _determinant_cases(which: str, n: int, nvars: int) -> list[tuple]:
         "etilde_in_p": (lambda j: (1, "tp", j - 1), "p", one, lambda l: n - l + 1, (f, "te", n)),
     }[which]
     size = n + 1 - _FIRST_N[which]
-    gen = _generators(size, nvars)
     entry = lambda i, j: (weight(i, j), band, j - i + 1)
     return [
-        (name, size, [gen(to(row1(j))) for j in range(1, size + 1)],
-         lambda i, j, to=to: gen(to(entry(i, j))), subdiag, gen(to(target)))
+        (name, size, [to(row1(j)) for j in range(1, size + 1)],
+         lambda i, j, to=to: to(entry(i, j)), subdiag, to(target))
         for name, to in zip(("primal", "image"), _STATED_AND_IMAGE)
     ]
 
@@ -262,17 +299,26 @@ def determinant_formulas(n: int, which: str, nvars: int | None = None) -> dict:
       ptilde_in_e: tp_n = det(te, e band)
       e_in_p:      n! e_n = det(p band)
       etilde_in_p: n! te_n = det(tp, p band)
-    The last level of the minor recursion is only read (_vanishes).
+    The generators and every minor are kept in the quotient of the block's
+    reads (_quotient); the last level of the minor recursion is only read
+    (_vanishes).
     """
     if which not in DETERMINANT_KINDS:
         raise ValueError(f"which must be one of {DETERMINANT_KINDS}, got {which!r}")
-    if not _FIRST_N[which] <= n <= _FIELD_MASK >> 1:
-        raise ValueError(f"{which} needs {_FIRST_N[which]} <= n < 2^15, got {n}")
+    _check_degree("n", n, _FIRST_N[which])
     nv = nvars if nvars is not None else n + 2
+    if type(nv) is not int or nv < 1:  # with no variable, no label is read
+        raise ValueError(f"nvars must be an int >= 1, got {nv!r}")
     check, params = f"determinant-{which}", {"n": n, "nvars": nv}
-    for name, size, row1, entry, subdiag, (w, target) in _determinant_cases(which, n, nv):
-        last = _hessenberg_summands(size, row1, entry, subdiag, nv) + [(-w, target, SuperPolynomial.one(nv))]
-        if not _vanishes(last, n, int("tilde" in which), nv):  # the tilde kinds have one fermion
+    m = int("tilde" in which)  # the tilde kinds have one fermion
+    quotient = _quotient([(n, m)], nv)
+    gen = _generators(quotient, nv)
+    for name, size, row1, entry, subdiag, target in _determinant_cases(which, n):
+        w, target = gen(target)
+        last = _hessenberg_summands(
+            size, [gen(t) for t in row1], lambda i, j: gen(entry(i, j)), subdiag, quotient, nv
+        )
+        if not _vanishes(last + [(-w, target, SuperPolynomial.one(nv))], n, m, nv):
             return _report(check, params, f"{which} {name} determinant differs at n={n}, N={nv}")
     return _report(check, params, None)
 

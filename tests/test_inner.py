@@ -670,6 +670,20 @@ def test_canonical_reads_are_the_short_labels_and_their_keys():
             assert bases._canonical_reads(n, m, nvars) == (labels, [bases._canonical_key(la) for la in labels])
 
 
+def test_read_divisors_are_the_keys_below_some_read_key():
+    # against every exponent vector in the box of the degree
+    for n, m, nvars in [(3, 0, 3), (3, 1, 4), (4, 2, 4), (4, 0, 2)]:
+        keys = bases._canonical_reads(n, m, nvars)[1]
+        exponents = [[key >> (16 * i) & 0xFFFF for i in range(nvars)] for key in keys]
+        want = {
+            sum(e << (16 * i) for i, e in enumerate(vector))
+            for vector in itertools.product(range(n + 1), repeat=nvars)
+            if any(all(e <= f for e, f in zip(vector, row)) for row in exponents)
+        }
+        assert bases._read_divisors(keys) == want, (n, m, nvars)
+    assert bases._read_divisors([]) == set()
+
+
 def test_every_engine_reader_reads_the_one_read_set(monkeypatch):
     # drop each block's last label from the read set: every reader follows
     real = bases._canonical_reads

@@ -1,5 +1,6 @@
 """Monomial expansions, the signed filling rule, and basis conversions."""
 
+import functools
 import json
 import math
 from fractions import Fraction
@@ -40,6 +41,8 @@ from supersym.engine_checks import (
     _determinant_cases,
     _generators,
     _omega,
+    _quotient,
+    _restricted,
 )
 
 
@@ -425,17 +428,22 @@ def image_by_hand(which, n, nv):
 
 @pytest.mark.parametrize("which", DETERMINANT_KINDS)
 def test_determinant_images_match_the_hand_written_ones(which):
+    # compared in the quotient that determinant_formulas builds its generators in
     for n in range(_FIRST_N[which], 5):
         nv = n + 2
-        (name, size, row1, entry, subdiag, target), = _determinant_cases(which, n, nv)[1:]
+        quotient = _quotient([(n, int("tilde" in which))], nv)
+        gen = _generators(quotient, nv)
+        poly = lambda term: weighted(gen(term))
+        in_quotient = lambda f: _restricted(f, quotient, nv)
+        (name, size, row1, entry, subdiag, target), = _determinant_cases(which, n)[1:]
         want_row1, want_entry, want_subdiag, want_target = image_by_hand(which, n, nv)
         assert name == "image" and size == len(want_row1)
-        assert [weighted(a) for a in row1] == want_row1, (n, "row 1")
+        assert [poly(a) for a in row1] == [in_quotient(f) for f in want_row1], (n, "row 1")
         for i in range(2, size + 1):
             for j in range(i - 1, size + 1):
-                assert weighted(entry(i, j)) == want_entry(i, j), (n, i, j)
+                assert poly(entry(i, j)) == in_quotient(want_entry(i, j)), (n, i, j)
         assert [subdiag(l) for l in range(1, size)] == [want_subdiag(l) for l in range(1, size)]
-        assert weighted(target) == want_target, (n, "target")
+        assert poly(target) == in_quotient(want_target), (n, "target")
 
 
 def recursion_images_by_hand(n, nv):
@@ -463,8 +471,11 @@ def test_recursion_images_match_the_hand_written_ones():
     assert [names[1] for names, *_ in images] == list(recursion_images_by_hand(1, 3))
     for n in range(5):
         nv = n + 2
-        gen = _generators(n, nv)
+        # compared in the quotient that verify_recursions builds its generators in
+        quotient = _quotient([(n, 0), (n, 1)], nv)
+        gen = _generators(quotient, nv)
         poly = lambda term: weighted(gen(term))
+        in_quotient = lambda f: _restricted(f, quotient, nv)
         by_hand = recursion_images_by_hand(n, nv)
         for (_, image), first_n, products, target in images:
             if n < first_n:
@@ -474,8 +485,8 @@ def test_recursion_images_match_the_hand_written_ones():
                 got = SuperPolynomial.zero(nv)
                 for left, right in products(n, r):
                     got = got + poly(_omega(left)) * poly(_omega(right))
-                assert got == summands[r], (image, n, r)
-            assert poly(_omega(target(n))) == want_target, (image, n)
+                assert in_quotient(got) == in_quotient(summands[r]), (image, n, r)
+            assert poly(_omega(target(n))) == in_quotient(want_target), (image, n)
 
 
 def flip_where(predicate):
@@ -515,16 +526,50 @@ def test_determinant_kind_validation():
         determinant_formulas(2, "nonsense")
 
 
+@pytest.mark.parametrize(
+    "call, argument",
+    [
+        (lambda: determinant_formulas(3, "e_in_h", nvars=0), "nvars"),
+        (lambda: determinant_formulas(3, "e_in_h", nvars=2.5), "nvars"),
+        (lambda: determinant_formulas(3, "e_in_h", nvars=True), "nvars"),
+        (lambda: determinant_formulas(True, "e_in_h"), "n"),
+        (lambda: determinant_formulas(2.0, "etilde_in_p"), "n"),
+        (lambda: verify_recursions(True), "n_max"),
+        (lambda: verify_recursions(2.0), "n_max"),
+    ],
+    ids=["nvars=0", "nvars=2.5", "nvars=True", "n=True", "n=2.0", "n_max=True", "n_max=2.0"],
+)
+def test_identity_checks_reject_sizes_that_are_not_ints_in_range(call, argument):
+    # with no variable no label is read, so nvars=0 would pass having checked nothing;
+    # a bool would run as 0 or 1
+    with pytest.raises(ValueError, match=rf"^{argument} must be an int"):
+        call()
+
+
+def test_one_variable_is_a_real_determinant_check(monkeypatch):
+    # (3) is the one label read with one variable
+    assert determinant_formulas(3, "e_in_h", nvars=1)["pass"] is True
+    monkeypatch.setitem(bases_module._GENERATORS, *scaled("complete", 3)[1])
+    assert determinant_formulas(3, "e_in_h", nvars=1)["pass"] is False
+
+
 # -- canonical reads against the whole-polynomial comparison ----------------------------
 
 
+def unpruned(nv):
+    """The map from a generator term (w, family, k) to w X_k, built whole in
+    nv variables by the constructor that bases._GENERATORS holds now."""
+    ctors = {"t" * tilde + basis: pair[tilde] for basis, pair in bases_module._GENERATORS.items() for tilde in (0, 1)}
+    return lambda term: ctors[term[1]](term[2], nv).scale(term[0])
+
+
 def built_recursions(n_max):
-    """The first failure of the recursions, each side built as a polynomial
-    with * and linear_combination and compared whole: the oracle that
-    verify_recursions' canonical reads are held against."""
-    nv = n_max + 2
-    gen = _generators(n_max, nv)
-    poly = lambda term: weighted(gen(term))
+    """(failure message, whether it holds) per recursion sum in the order
+    verify_recursions reads them, each side built whole from the unpruned
+    constructors with * and linear_combination and compared: the oracle that
+    verify_recursions' canonical reads in the quotient are held against."""
+    nv, out = n_max + 2, []
+    poly = unpruned(nv)
     for n in range(n_max + 1):
         for names, first_n, products, target in _RECURSIONS:
             for name, to in zip(names, (lambda term: term, _omega)) if n >= first_n else ():
@@ -532,27 +577,31 @@ def built_recursions(n_max):
                     (1, poly(to(left)) * poly(to(right)))
                     for r in range(n + 1) for left, right in products(n, r)
                 ])
-                if total != poly(to(target(n))):
-                    return f"n={n}: {name} fails at N={nv}"
-    return None
+                out.append((f"n={n}: {name} fails at N={nv}", total == poly(to(target(n)))))
+    return out
 
 
-def built_determinant(n, which, nv):
-    """The first failing case of a determinant kind, each determinant built
-    whole by the leading-minor recursion and compared with its target."""
-    for name, size, row1, entry, subdiag, target in _determinant_cases(which, n, nv):
+def built_determinants(n, which, nv):
+    """(failure message, whether it holds) per case of a determinant kind,
+    each determinant built whole from the unpruned constructors by the
+    leading-minor recursion and compared with its target."""
+    poly, out = unpruned(nv), []
+    for name, size, row1, entry, subdiag, target in _determinant_cases(which, n):
         minors = [SuperPolynomial.one(nv)]
         for k in range(1, size + 1):
             summands, sdp = [], 1
             for i in range(k, 0, -1):
-                a_ik = weighted(row1[k - 1] if i == 1 else entry(i, k))
+                a_ik = poly(row1[k - 1] if i == 1 else entry(i, k))
                 summands.append((sdp if (k - i) % 2 == 0 else -sdp, a_ik * minors[i - 1]))
                 if i > 1:
                     sdp *= subdiag(i - 1)
             minors.append(SuperPolynomial.linear_combination(nv, summands))
-        if minors[size] != weighted(target):
-            return f"{which} {name} determinant differs at n={n}, N={nv}"
-    return None
+        out.append((f"{which} {name} determinant differs at n={n}, N={nv}", minors[size] == poly(target)))
+    return out
+
+
+def first_failure(verdicts):
+    return next((message for message, holds in verdicts if not holds), None)
 
 
 def scaled(name, k, factor=2):
@@ -574,35 +623,118 @@ SCALINGS = [None] + [
 
 @pytest.mark.parametrize("scaling", SCALINGS, ids=lambda s: "none" if s is None else f"{s[0]}{s[2]}")
 def test_canonical_reads_give_the_whole_polynomial_verdicts(monkeypatch, scaling):
-    """Every identity read at the canonical terms gets the verdict of the
-    built comparison, per identity and in both the primal and the image;
-    and the reports name the oracle's first failure."""
+    """Every identity read at the canonical terms, in the quotient of its
+    reads, gets the verdict of the sum built whole from the unpruned
+    constructors, per identity and in both the primal and the image; and
+    the reports name the oracle's first failure."""
     if scaling is not None:
         monkeypatch.setitem(bases_module._GENERATORS, *scaling[1])
     real = engine_checks._vanishes
-    verdicts = []
+    reads = []
 
-    def both(summands, n, m, nvars):
-        built = SuperPolynomial.linear_combination(nvars, [(w, f * g) for w, f, g in summands])
-        verdicts.append((built.is_zero(), real(summands, n, m, nvars)))
+    def recorded(summands, n, m, nvars):
+        reads.append(real(summands, n, m, nvars))
         return True  # read on, so that every identity is compared
 
-    monkeypatch.setattr(engine_checks, "_vanishes", both)
+    monkeypatch.setattr(engine_checks, "_vanishes", recorded)
     verify_recursions(4)
+    built = built_recursions(4)
     for which in DETERMINANT_KINDS:
         for n in range(_FIRST_N[which], 5):
             determinant_formulas(n, which)
+            built += built_determinants(n, which, n + 2)
     # 27 recursion sums (four identities, two with an image) and 27 determinants, each twice
-    assert len(verdicts) == 4 + 2 * 4 + 5 + 2 * 5 + 2 * (4 + 5 + 4 + 5 + 4 + 5)
-    assert all(built == read for built, read in verdicts), verdicts
+    assert len(reads) == len(built) == 4 + 2 * 4 + 5 + 2 * 5 + 2 * (4 + 5 + 4 + 5 + 4 + 5)
+    assert reads == [holds for _, holds in built], built
     # every scaling breaks some identity, so the agreement is not vacuous
-    assert all(built for built, _ in verdicts) == (scaling is None)
+    assert all(reads) == (scaling is None)
     monkeypatch.setattr(engine_checks, "_vanishes", real)
     for n_max in range(1, 5):
-        assert verify_recursions(n_max)["first_failure"] == built_recursions(n_max)
+        assert verify_recursions(n_max)["first_failure"] == first_failure(built_recursions(n_max))
     for which in DETERMINANT_KINDS:
         for n in range(_FIRST_N[which], 5):
-            assert determinant_formulas(n, which)["first_failure"] == built_determinant(n, which, n + 2)
+            assert determinant_formulas(n, which)["first_failure"] == first_failure(built_determinants(n, which, n + 2))
+
+
+def with_term(name, k, var):
+    """The bases._GENERATORS item with the generator bases.name's degree-k
+    element plus x_v^k (times t_v for a tilde family), v = var(nvars) for the
+    ring of nvars variables it is built in, widened to v variables if need be."""
+    real = getattr(bases_module, name)
+    basis, pair = next((b, pair) for b, pair in bases_module._GENERATORS.items() if real in pair)
+
+    def fake(n, nvars):
+        if n != k:
+            return real(n, nvars)
+        v = var(nvars)
+        wide = max(nvars, v)
+        extra = SuperPolynomial.term(wide, 1, {v: n}, thetas=(v,) if pair.index(real) else ())
+        return real(n, nvars).widen(wide) + extra
+
+    return basis, tuple(fake if f is real else f for f in pair)
+
+
+def identity_reads(monkeypatch):
+    """Every coefficient read (_product_read) by verify_recursions(4) and by
+    each determinant kind with n <= 4, and the first failures reported."""
+    real, reads = engine_checks._product_read, []
+    monkeypatch.setattr(engine_checks, "_product_read", lambda *args: reads.append(real(*args)) or reads[-1])
+    reports = [verify_recursions(4)] + [
+        determinant_formulas(n, which) for which in DETERMINANT_KINDS for n in range(_FIRST_N[which], 5)
+    ]
+    monkeypatch.setattr(engine_checks, "_product_read", real)
+    return reads, [rep["first_failure"] for rep in reports]
+
+
+@pytest.mark.parametrize("name", ["elementary", "complete_tilde", "powersum"])
+def test_a_term_outside_the_quotient_changes_no_read(monkeypatch, name):
+    """A term that divides no read key, here one on a variable past every
+    label read, reaches no read: dropping it is exact.  The same term on
+    x_1, inside the quotient, flips a verdict, so the test is not vacuous."""
+    want = identity_reads(monkeypatch)
+    assert set(want[1]) == {None}
+    with monkeypatch.context() as mp:
+        mp.setitem(bases_module._GENERATORS, *with_term(name, 2, lambda nvars: nvars + 1))
+        assert identity_reads(mp) == want
+    with monkeypatch.context() as mp:
+        mp.setitem(bases_module._GENERATORS, *with_term(name, 2, lambda nvars: 1))
+        assert set(identity_reads(mp)[1]) != {None}
+
+
+def test_determinant_factors_lie_in_the_quotient_of_their_reads(monkeypatch):
+    # every generator and minor that reaches a read divides a canonical key
+    # of the block, on the sectors inside t_1..t_m
+    real, seen = engine_checks._vanishes, []
+    monkeypatch.setattr(engine_checks, "_vanishes", lambda *args: seen.append(args) or real(*args))
+    for which in DETERMINANT_KINDS:
+        for n in range(_FIRST_N[which], 6):
+            assert determinant_formulas(n, which, nvars=7)["pass"] is True
+    assert len(seen) == 2 * (5 + 6 + 5 + 6 + 5 + 6)
+    for summands, n, m, nvars in seen:
+        keys = bases_module._canonical_reads(n, m, nvars)[1]
+        for _, f, g in summands:
+            for mask, terms in [*f.blocks.items(), *g.blocks.items()]:
+                assert not mask >> m, (n, m, mask)
+                assert all(any(all((d >> o & 0xFFFF) <= (k >> o & 0xFFFF) for o in range(0, 16 * nvars, 16))
+                               for k in keys) for d in terms), (n, m)
+
+
+@pytest.mark.parametrize("wrapped", [False, True], ids=["plain", "behind wrappers"])
+def test_identity_checks_leave_the_generator_caches_cold(monkeypatch, wrapped):
+    # each check builds its generators for the call alone, below the caches
+    # and below functools.wraps wrappers such as a tracer puts in bases._GENERATORS
+    caches = [f for pair in bases_module._GENERATORS.values() for f in pair] + [bases_module.multiplicative]
+    for f in caches:
+        f.cache_clear()
+    if wrapped:
+        wrap = lambda f: functools.wraps(f)(lambda *args: f(*args))
+        for basis, pair in list(bases_module._GENERATORS.items()):
+            monkeypatch.setitem(bases_module._GENERATORS, basis, tuple(wrap(f) for f in pair))
+    assert verify_recursions(6)["pass"] is True
+    for which in DETERMINANT_KINDS:
+        for n in range(_FIRST_N[which], 6):
+            assert determinant_formulas(n, which, nvars=7)["pass"] is True
+    assert [f.cache_info().currsize for f in caches] == [0] * 7
 
 
 @pytest.mark.parametrize("gen", [elementary, elementary_tilde, complete, complete_tilde, powersum, powersum_tilde])
@@ -613,8 +745,7 @@ def test_generators_are_symmetric(gen):
 
 
 def test_recursions_build_no_product_and_no_sum(monkeypatch):
-    verify_recursions(4)  # the generators are cached first; building them multiplies nothing either
-
+    # the generators are built within the call; building them multiplies nothing either
     def boom(*args, **kwargs):
         raise AssertionError("a polynomial product or sum was built")
 

@@ -44,8 +44,9 @@ ROOT = Path(__file__).resolve().parents[1]
 # conversions on the middle elements of the blocks (10|2), (13|2), (16|2),
 # (14|3) and (20|0) (170, 525, 1,422, 512 and 627 elements), the kernel
 # suite at the sizes the CI runs it and at (7, 7) and (6, 10), where the
-# prefix products set its peak RSS, and the two filling-rule products the CI
-# runs, on (22|6) and (29|6)
+# prefix products set its peak RSS, the two filling-rule products the CI
+# runs, on (22|6) and (29|6), and the determinant and recursion suites to
+# n = 8
 COLD_CLI = (
     ("list", "--n", "6", "--m", "2"),
     ("conj", "(3,1,0;4,3,2,1)"),
@@ -68,6 +69,8 @@ COLD_CLI = (
     ("verify", "--suite", "kernel", "--nvars", "6", "--degree", "10"),
     ("mult", "--basis", "m", "(4,2,1,0;3,2,1)", "(3,1;2,2,1)"),
     ("mult", "--basis", "m", "(5,3,1;4,2,2,1)", "(4,2,0;3,1,1)"),
+    ("verify", "--suite", "determinants", "--n-max", "8"),
+    ("verify", "--suite", "recursions", "--n-max", "8"),
 )
 
 
