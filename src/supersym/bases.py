@@ -17,7 +17,7 @@ import itertools
 import math
 from functools import cache, lru_cache
 
-from .superpartition import BASIS_NAMES, SuperPartition, _report, enumerate_superpartitions  # noqa: F401
+from .superpartition import BASIS_NAMES, SuperPartition, _check_size, _report, enumerate_superpartitions  # noqa: F401
 from .superpoly import SuperPolynomial, _FIELD_BITS, _FIELD_MASK, _merge_sign, _sort_sign
 
 __all__ = [
@@ -127,6 +127,7 @@ def monomial(sp: SuperPartition, nvars: int, strict: bool = True) -> SuperPolyno
     parts the element has no room: error when strict, zero polynomial
     otherwise (the truncated-alphabet convention).
     """
+    _check_size("nvars", nvars)
     if sp.length > nvars:
         if strict:
             raise ValueError(
@@ -155,24 +156,25 @@ def _packed_key(combo) -> int:
     return key
 
 
-def _check_degree(n: int) -> None:
-    """A generator's degree must be a single exponent: 0 <= n <= _FIELD_MASK."""
-    if not 0 <= n <= _FIELD_MASK:
-        raise ValueError(f"need 0 <= n <= {_FIELD_MASK} (the exponent field), got {n}")
+# Typed cache keys: True == 1 and hashes alike, so an untyped cache would
+# serve a bool size as 1 before the body's size check could refuse it.
+_typed_cache = lru_cache(maxsize=None, typed=True)
 
 
-@cache
+@_typed_cache
 def elementary(n: int, nvars: int) -> SuperPolynomial:
     """e_n: sum of squarefree degree-n monomials."""
-    _check_degree(n)
+    _check_size("n", n, 0, _FIELD_MASK)  # one exponent field
+    _check_size("nvars", nvars)
     combos = itertools.combinations(range(1, nvars + 1), n)
     return SuperPolynomial(nvars, {0: {_packed_key(combo): 1 for combo in combos}})
 
 
-@cache
+@_typed_cache
 def elementary_tilde(n: int, nvars: int) -> SuperPolynomial:
     """te_n: sum of t_i times squarefree monomials avoiding x_i."""
-    _check_degree(n)
+    _check_size("n", n, 0, _FIELD_MASK)  # one exponent field
+    _check_size("nvars", nvars)
     blocks = {}
     for i in range(1, nvars + 1):
         others = [v for v in range(1, nvars + 1) if v != i]
@@ -180,15 +182,16 @@ def elementary_tilde(n: int, nvars: int) -> SuperPolynomial:
     return SuperPolynomial(nvars, blocks)
 
 
-@cache
+@_typed_cache
 def complete(n: int, nvars: int) -> SuperPolynomial:
     """h_n: sum of all degree-n monomials."""
-    _check_degree(n)
+    _check_size("n", n, 0, _FIELD_MASK)  # one exponent field
+    _check_size("nvars", nvars)
     combos = itertools.combinations_with_replacement(range(1, nvars + 1), n)
     return SuperPolynomial(nvars, {0: {_packed_key(combo): 1 for combo in combos}})
 
 
-@cache
+@_typed_cache
 def complete_tilde(n: int, nvars: int) -> SuperPolynomial:
     """th_n = sum_i t_i sum_{k<=n} x_i^k h_{n-k}.
 
@@ -196,7 +199,8 @@ def complete_tilde(n: int, nvars: int) -> SuperPolynomial:
     choices for the split, so th_n = sum_i t_i sum_{|v|=n} (v_i + 1) x^v.
     Equivalently th_n weights the one-fermion monomial basis by a + 1.
     """
-    _check_degree(n)
+    _check_size("n", n, 0, _FIELD_MASK)  # one exponent field
+    _check_size("nvars", nvars)
     blocks: dict[int, dict[int, int]] = {1 << i: {} for i in range(nvars)}
     for combo in itertools.combinations_with_replacement(range(1, nvars + 1), n):
         key = _packed_key(combo)
@@ -207,20 +211,22 @@ def complete_tilde(n: int, nvars: int) -> SuperPolynomial:
     return SuperPolynomial(nvars, blocks)
 
 
-@cache
+@_typed_cache
 def powersum(n: int, nvars: int) -> SuperPolynomial:
     """p_n: sum of n-th powers; p_0 is zero by convention."""
-    _check_degree(n)
+    _check_size("n", n, 0, _FIELD_MASK)  # one exponent field
+    _check_size("nvars", nvars)
     if n == 0:
         return SuperPolynomial.zero(nvars)
     body = {_packed_key([i] * n): 1 for i in range(1, nvars + 1)}
     return SuperPolynomial(nvars, {0: body})
 
 
-@cache
+@_typed_cache
 def powersum_tilde(n: int, nvars: int) -> SuperPolynomial:
     """tp_n: sum of t_i x_i^n."""
-    _check_degree(n)
+    _check_size("n", n, 0, _FIELD_MASK)  # one exponent field
+    _check_size("nvars", nvars)
     return SuperPolynomial(nvars, {1 << (i - 1): {_packed_key([i] * n): 1} for i in range(1, nvars + 1)})
 
 
@@ -250,7 +256,7 @@ def _generator_builders(basis: str) -> tuple:
     return tuple(out)
 
 
-@cache
+@_typed_cache
 def multiplicative(basis: str, sp: SuperPartition, nvars: int, /) -> SuperPolynomial:
     """Product basis element: tilde generators for the fermionic parts (in
     their given order), then plain generators for the symmetric parts.  Built
@@ -258,6 +264,7 @@ def multiplicative(basis: str, sp: SuperPartition, nvars: int, /) -> SuperPolyno
     else its last fermionic part) times that part's generator.  Positional
     arguments only, so each element has one cache key.
     """
+    _check_size("nvars", nvars)
     plain, tilde = generator_functions(basis)
     if sp.s:
         return multiplicative(basis, SuperPartition._canonical(sp.a, sp.s[:-1]), nvars) * plain(sp.s[-1], nvars)
@@ -380,8 +387,8 @@ def generating_check(kind: str, trunc: int, nvars: int) -> dict:
       "HP": H P = (t d/dt + tau d/dtau) H.
       "EP": E(t,tau) P(-t,-tau) = -(t d/dt + tau d/dtau) E.
     """
-    if nvars < 1 or not 0 <= trunc <= _FIELD_MASK >> 1:  # a product of two series adds t-degrees
-        raise ValueError(f"need 0 <= trunc < 2^15 and nvars >= 1, got ({trunc}, {nvars})")
+    _check_size("trunc", trunc, 0, _FIELD_MASK >> 1)  # a product of two series adds t-degrees
+    _check_size("nvars", nvars, 1)
     kind = kind.upper()
     check = f"generating-{kind}"
     params = {"kind": kind, "trunc": trunc, "nvars": nvars}

@@ -11,10 +11,9 @@ in transform.__all__ and also read as transform.<name>.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import cache
 
-from .superpartition import SuperPartition, _blocks, _report, bruhat_leq
+from .superpartition import SuperPartition, _blocks, _check_size, _report, bruhat_leq
 from .superpoly import SuperPolynomial, _FIELD_MASK, _sector_sign
 from . import bases as _bases
 from .bases import _product_read
@@ -61,7 +60,13 @@ def expand_in_monomials(f: SuperPolynomial, bidegree: tuple[int, int] | None = N
     """
     if not isinstance(f, SuperPolynomial):
         raise TypeError(f"expected a SuperPolynomial, got {type(f)!r}")
-    n, m = bidegree if bidegree is not None else _infer_bidegree(f)
+    if bidegree is None:
+        bidegree = _infer_bidegree(f)
+    elif not isinstance(bidegree, (tuple, list)) or len(bidegree) != 2:
+        raise ValueError(f"bidegree must be a pair (n, m), got {bidegree!r}")
+    n, m = bidegree
+    _check_size("bidegree n", n)
+    _check_size("bidegree m", m)
     coeffs, covered = {}, 0  # the labels read, and how many terms of f they cover
     canonical = f.blocks.get((1 << m) - 1, {})  # the block of t_1..t_m
     for sp, key, poly in _monomial_polys(n, m, f.nvars):
@@ -192,13 +197,6 @@ def _vanishes(summands, n: int, m: int, nvars: int) -> bool:
     return not any(_product_read(summands, (1 << m) - 1, _bases._canonical_reads(n, m, nvars)[1]))
 
 
-def _check_degree(name: str, value, least: int) -> None:
-    """A degree must be an int (not a bool) from least to 2^15 - 1, where
-    the canonical reads are exact; nothing is built first."""
-    if type(value) is not int or not least <= value <= _FIELD_MASK >> 1:
-        raise ValueError(f"{name} must be an int with {least} <= {name} < 2^15, got {value!r}")
-
-
 def verify_recursions(n_max: int) -> dict:
     """Check the six generator recursions exactly at N = n_max + 2.
 
@@ -212,7 +210,7 @@ def verify_recursions(n_max: int) -> dict:
     Each identity is read as one sum (_vanishes), its target times -e_0 = -1,
     its generators in the quotient of every block read (_quotient).
     """
-    _check_degree("n_max", n_max, 1)
+    _check_size("n_max", n_max, 1, _FIELD_MASK >> 1)  # _product_read is exact below 2^15
     nv = n_max + 2
     params = {"n_max": n_max, "nvars": nv}
     gen = _generators(_quotient([(n, m) for n in range(n_max + 1) for m in (0, 1)], nv), nv)
@@ -305,10 +303,9 @@ def determinant_formulas(n: int, which: str, nvars: int | None = None) -> dict:
     """
     if which not in DETERMINANT_KINDS:
         raise ValueError(f"which must be one of {DETERMINANT_KINDS}, got {which!r}")
-    _check_degree("n", n, _FIRST_N[which])
+    _check_size("n", n, _FIRST_N[which], _FIELD_MASK >> 1)  # _product_read is exact below 2^15
     nv = nvars if nvars is not None else n + 2
-    if type(nv) is not int or nv < 1:  # with no variable, no label is read
-        raise ValueError(f"nvars must be an int >= 1, got {nv!r}")
+    _check_size("nvars", nv, 1)  # with no variable, no label is read
     check, params = f"determinant-{which}", {"n": n, "nvars": nv}
     m = int("tilde" in which)  # the tilde kinds have one fermion
     quotient = _quotient([(n, m)], nv)
@@ -326,36 +323,19 @@ def determinant_formulas(n: int, which: str, nvars: int | None = None) -> dict:
 # -- triangularity of the elementary family ------------------------------------------
 
 
-def _det_fraction(mat) -> Fraction:
-    k = len(mat)
-    m = [list(row) for row in mat]
-    det = Fraction(1)
-    for col in range(k):
-        piv = next((r for r in range(col, k) if m[r][col]), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = Fraction(1) / m[col][col]
-        for r in range(col + 1, k):
-            if m[r][col]:
-                f = m[r][col] * inv
-                m[r] = [a - f * b for a, b in zip(m[r], m[col])]
-    return det
-
-
 def triangularity(n_max: int) -> dict:
-    """Leading-term structure of the arrowed elementary basis, per block.
+    """Leading-term structure of the arrowed elementary and the power-sum
+    bases over monomials, per block.
 
     For every block (n|m), n <= n_max: the expansion of the arrowed e over
     monomials has integer coefficients, coefficient 1 on the conjugate
     label, and support strictly below the conjugate in the Bruhat-style
-    order.  Also checks that the e matrix is unimodular and the p matrix
-    invertible.  The report carries an informational flag for whether all
-    observed e coefficients were nonnegative (not asserted anywhere).
+    order, so the e matrix is unimodular; p_L has a positive coefficient on
+    m_L and support above L, so the p matrix is invertible.  The report
+    carries an informational flag for whether all observed e coefficients
+    were nonnegative (not asserted anywhere).
     """
+    _check_size("n_max", n_max)
     nonneg = True
 
     def report(failure):
@@ -365,8 +345,8 @@ def triangularity(n_max: int) -> dict:
         arrow_sign, mat = _sector_sign(m), _block_matrix("e", n, m)
         for j, sp in enumerate(block):
             conj = sp.conjugate()
-            column = [(cand, row[j] * arrow_sign) for cand, row in zip(block, mat) if row[j]]
-            for cand, cc in column:
+            for cand, row in zip(block, mat):
+                cc = row[j] * arrow_sign
                 if cc.denominator != 1:
                     return report(f"e_{sp}: non-integer coefficient {cc} on {cand}")
                 if cc < 0:
@@ -374,10 +354,14 @@ def triangularity(n_max: int) -> dict:
                 if cand == conj:
                     if cc != 1:
                         return report(f"e_{sp}: coefficient on {conj} is {cc}, not 1")
-                elif not (bruhat_leq(cand, conj) and cand != conj):
+                elif cc and not bruhat_leq(cand, conj):
                     return report(f"e_{sp}: support {cand} not strictly below {conj}")
-        if _det_fraction(mat) not in (1, -1):
-            return report(f"e matrix on block ({n}|{m}) is not unimodular")
-        if _det_fraction(_block_matrix("p", n, m)) == 0:
-            return report(f"p matrix on block ({n}|{m}) is singular")
+        mat = _block_matrix("p", n, m)
+        for j, sp in enumerate(block):
+            for cand, row in zip(block, mat):
+                if cand == sp:
+                    if row[j] <= 0:
+                        return report(f"p_{sp}: coefficient on {sp} is {row[j]}, not positive")
+                elif row[j] and not bruhat_leq(sp, cand):
+                    return report(f"p_{sp}: support {cand} not above {sp}")
     return report(None)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .superpartition import SuperPartition, _blocks, _report, enumerate_superpartitions
+from .superpartition import SuperPartition, _blocks, _check_size, _report, enumerate_superpartitions
 from .superpoly import SuperPolynomial, _FIELD_MASK, _sector_sign
 from .transform import (  # noqa: F401  (change_basis is re-exported)
     BasisExpansion,
@@ -45,6 +45,8 @@ _DUAL_BASES = ("m", "e", "h", "p", "p/z")
 def dual_bases_check(n: int, m: int, u: str, v: str) -> bool:
     """True iff the Gram matrix <u_L, v_O> on block (n|m) is the identity;
     an empty block raises, as it leaves nothing to check."""
+    _check_size("n", n)
+    _check_size("m", m)
     for name in (u, v):
         if name not in _DUAL_BASES:
             raise ValueError(f"basis must be one of {_DUAL_BASES}, got {name!r}")
@@ -69,6 +71,7 @@ def dual_bases_check(n: int, m: int, u: str, v: str) -> bool:
 def duality_check(n_max: int) -> dict:
     """h-m and p-(p/z) duality (dual_bases_check) on every block of degree
     <= n_max with at most three fermions."""
+    _check_size("n_max", n_max)
     params = {"n_max": n_max}
     for n, m, _ in _blocks(n_max, max_m=3):
         if not dual_bases_check(n, m, "h", "m"):
@@ -159,8 +162,8 @@ def kernel_check(nvars: int, degree: int) -> dict:
     (see engine_checks._vanishes), and as both alphabets carry equal degree
     and fermion number, only pairs from one block (n|k) can be nonzero.
     """
-    if nvars < 1 or not 0 <= degree <= _FIELD_MASK >> 1:  # see bases._product_read
-        raise ValueError(f"need nvars >= 1 and 0 <= degree < 2^15, got ({nvars}, {degree})")
+    _check_size("nvars", nvars, 1)
+    _check_size("degree", degree, 0, _FIELD_MASK >> 1)  # see bases._product_read
     params = {"nvars": nvars, "degree": degree}
     index = _canonical_index(nvars, degree)
     direct = _counted_table(index, False)
@@ -184,8 +187,8 @@ def reproducing_check(nvars: int, max_degree: int) -> dict:
     z_O * (p-coefficient of m_L at O), and the y-side, taken in its own N
     variables, reassembles m_L.  Each m_L is converted to p once.
     """
-    if nvars < 1 or max_degree < 0:
-        raise ValueError(f"need nvars >= 1 and max_degree >= 0, got ({nvars}, {max_degree})")
+    _check_size("nvars", nvars, 1)
+    _check_size("max_degree", max_degree)
     params = {"nvars": nvars, "max_degree": max_degree}
     for n, m, block in _blocks(max_degree, max_m=nvars):
         for sp in block:

@@ -348,6 +348,15 @@ def apply_move(kind: str, i: int, j: int, comp: tuple[int, ...]) -> tuple[int, .
 # -- enumeration and counting -------------------------------------------------
 
 
+def _check_size(name: str, value, least: int = 0, most: int | None = None) -> None:
+    """The size check of every public entry, before any work: a degree, block
+    or number of variables is an int, not a bool (which would run as 0 or 1),
+    from least to most; else ValueError naming the parameter."""
+    if type(value) is not int or value < least or most is not None and value > most:
+        bounds = f">= {least}" if most is None else f"with {least} <= {name} <= {most}"
+        raise ValueError(f"{name} must be an int {bounds}, got {value!r}")
+
+
 def _partitions_bounded(total: int, max_part: int, max_parts: int):
     """Weakly decreasing positive parts of `total`, at most `max_parts` parts."""
     if total == 0:
@@ -382,10 +391,10 @@ def enumerate_superpartitions(n: int, m: int, max_len: int | None = None) -> lis
     in SuperPartition.sort_key, which lists e.g. the (3|2) block as
     (3,0;), (2,1;), (2,0;1), (1,0;2), (1,0;1,1).
     """
-    if n < 0 or m < 0:
-        raise ValueError(f"need n, m >= 0, got ({n}, {m})")
-    if max_len is not None and max_len < 0:
-        raise ValueError(f"need max_len >= 0, got {max_len}")
+    _check_size("n", n)
+    _check_size("m", m)
+    if max_len is not None:
+        _check_size("max_len", max_len)
     block = _block(n, m)
     if max_len is None:
         return list(block)
@@ -395,10 +404,8 @@ def enumerate_superpartitions(n: int, m: int, max_len: int | None = None) -> lis
 def _blocks(n_max: int, max_m: int | None = None):
     """Every block (n, m, superpartitions) with n <= n_max, and m <= max_m
     when given: n increasing, then m.  No block is empty, since SPar(n|m) is
-    empty exactly when n < m(m-1)/2.  A negative n_max raises here, at the
-    call, rather than giving a walk that checks nothing."""
-    if n_max < 0:
-        raise ValueError(f"need n_max >= 0, got {n_max}")
+    empty exactly when n < m(m-1)/2.  The callers check n_max (_check_size),
+    as a negative one would give a walk that checks nothing."""
     top = n_max + 1 if max_m is None else max_m
     return (
         (n, m, _block(n, m))
@@ -422,6 +429,7 @@ def orders_check(n_max: int) -> dict:
     antisymmetry of both orders, and the conjugation reversal
     x <= y iff conj(y) <= conj(x).
     """
+    _check_size("n_max", n_max)
     params = {"n_max": n_max}
     for _, _, block in _blocks(n_max):
         conj = {sp: sp.conjugate() for sp in block}
@@ -472,8 +480,7 @@ def count_check(n_max: int) -> dict:
     p' <= p count those of length <= m+p.  The check runs the cumulative
     comparison for every n <= n_max and every relevant (m, p).
     """
-    if n_max < 0:
-        raise ValueError(f"need n_max >= 0, got {n_max}")
+    _check_size("n_max", n_max)
     coeffs = _series_coefficients(n_max)
     m_top = 0
     while (m_top + 1) * m_top // 2 <= n_max:

@@ -32,7 +32,7 @@ import math
 from fractions import Fraction
 from functools import cache
 
-from .superpartition import BASIS_NAMES, SuperPartition, _Frozen, _block
+from .superpartition import BASIS_NAMES, SuperPartition, _Frozen, _block, _check_size
 
 __all__ = [
     "BasisExpansion",
@@ -72,9 +72,8 @@ class BasisExpansion(_Frozen):
     def __init__(self, basis: str, n: int, m: int, coeffs: dict | None = None) -> None:
         if basis not in BASIS_NAMES:
             raise ValueError(f"unknown basis {basis!r}")
-        for field, v in (("n", n), ("m", m)):
-            if type(v) is not int or v < 0:  # bool is no block size either
-                raise ValueError(f"{field} must be an int >= 0, got {v!r}")
+        _check_size("n", n)
+        _check_size("m", m)
         block = (n, m)
         cleaned = {}
         for sp, c in (coeffs or {}).items():
@@ -344,8 +343,7 @@ def eh_in_p(n: int, fermionic: bool, which: str) -> BasisExpansion:
     """
     if which not in ("e", "h"):
         raise ValueError(f"which must be 'e' or 'h', got {which!r}")
-    if type(n) is not int or n < 0:  # as BasisExpansion checks its n
-        raise ValueError(f"n must be an int >= 0, got {n!r}")
+    _check_size("n", n)
     m, f = 1 if fermionic else 0, math.factorial(n)
     v = [f // z for z in _block_index(n, m)[2]]
     return _from_p(_omega_p(v, n, m) if which == "e" else v, f, "p", n, m)

@@ -6,6 +6,7 @@ a message, a key or the order of the params.
 """
 
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -70,14 +71,15 @@ def _determinant(mp):
     mp.setitem(bases._GENERATORS, "h", (scaled_at(bases, "complete", 2, 3), bases.complete_tilde))
 
 
-def _coefficients_of(target, edit):
-    """_block_matrix with the e column of the label target, as a map from
-    each label of its block to its coefficient, passed through edit."""
-    real, target = engine_checks._block_matrix, sp(target)
+def _coefficients_of(target, edit, basis="e"):
+    """_block_matrix with the column (of basis, e by default) of the label
+    target, as a map from each label of its block to its coefficient,
+    passed through edit."""
+    real, target, edited = engine_checks._block_matrix, sp(target), basis
 
     def patched(basis, n, m):
         mat = real(basis, n, m)
-        if (basis, (n, m)) != ("e", target.bidegree):
+        if (basis, (n, m)) != (edited, target.bidegree):
             return mat
         block = superpartition.enumerate_superpartitions(n, m)
         j = block.index(target)
@@ -97,17 +99,25 @@ def _triangularity_leading(mp):
     mp.setattr(engine_checks, "_block_matrix", _coefficients_of("(1;1)", double))
 
 
+def _triangularity_leading_zero(mp):
+    # with a zero leading coefficient the e matrix would be singular
+    zero = lambda col: {**col, sp("(0;2)"): 0}
+    mp.setattr(engine_checks, "_block_matrix", _coefficients_of("(1;1)", zero))
+
+
 def _triangularity_support(mp):
     extra = lambda col: {**col, sp("(;3)"): Fraction(-1)}
     mp.setattr(engine_checks, "_block_matrix", _coefficients_of("(;2,1)", extra))
 
 
 def _triangularity_singular(mp):
-    real = engine_checks._block_matrix
-    mp.setattr(
-        engine_checks, "_block_matrix",
-        lambda basis, n, m: ((0,),) if (basis, n, m) == ("p", 2, 1) else real(basis, n, m),
-    )
+    zero = lambda col: {**col, sp("(1;1)"): 0}
+    mp.setattr(engine_checks, "_block_matrix", _coefficients_of("(1;1)", zero, "p"))
+
+
+def _triangularity_p_support(mp):
+    lower = lambda col: {**col, sp("(2;)"): 0, sp("(0;1,1)"): col[sp("(2;)")]}
+    mp.setattr(engine_checks, "_block_matrix", _coefficients_of("(1;1)", lower, "p"))
 
 
 def _reproducing(mp):
@@ -178,6 +188,13 @@ FAILURES = {
             "e_(1;1): coefficient on (0;2) is 2, not 1", nonneg_surmise_holds=True,
         ),
     ),
+    "triangularity-leading-zero": (
+        _triangularity_leading_zero, lambda c: triangularity(3),
+        report(
+            "triangularity", {"n_max": 3},
+            "e_(1;1): coefficient on (0;2) is 0, not 1", nonneg_surmise_holds=True,
+        ),
+    ),
     "triangularity-support": (
         _triangularity_support, lambda c: triangularity(3),
         report(
@@ -189,7 +206,14 @@ FAILURES = {
         _triangularity_singular, lambda c: triangularity(3),
         report(
             "triangularity", {"n_max": 3},
-            "p matrix on block (2|1) is singular", nonneg_surmise_holds=True,
+            "p_(1;1): coefficient on (1;1) is 0, not positive", nonneg_surmise_holds=True,
+        ),
+    ),
+    "triangularity-p-support": (
+        _triangularity_p_support, lambda c: triangularity(3),
+        report(
+            "triangularity", {"n_max": 3},
+            "p_(1;1): support (0;1,1) not above (1;1)", nonneg_surmise_holds=True,
         ),
     ),
     "reproducing": (
@@ -224,10 +248,14 @@ def test_failure_report(case, monkeypatch, capsys):
 
 
 @pytest.mark.parametrize(
-    "call",
-    [lambda: triangularity(-1), lambda: reproducing_check(3, -1), lambda: reproducing_check(0, 2)],
+    "call, message",
+    [
+        (lambda: triangularity(-1), "n_max must be an int >= 0, got -1"),
+        (lambda: reproducing_check(3, -1), "max_degree must be an int >= 0, got -1"),
+        (lambda: reproducing_check(0, 2), "nvars must be an int >= 1, got 0"),
+    ],
     ids=["triangularity(-1)", "reproducing_check(3, -1)", "reproducing_check(0, 2)"],
 )
-def test_a_range_with_nothing_to_check_raises(call):
-    with pytest.raises(ValueError, match="need"):
+def test_a_range_with_nothing_to_check_raises(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call()

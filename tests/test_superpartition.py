@@ -184,7 +184,7 @@ def test_max_len_filters_by_length():
 def test_max_len_must_be_nonnegative():
     assert enumerate_superpartitions(0, 0, max_len=0) == [SuperPartition()]
     assert enumerate_superpartitions(3, 1, max_len=0) == []
-    with pytest.raises(ValueError, match="max_len >= 0"):
+    with pytest.raises(ValueError, match=r"^max_len must be an int >= 0, got -1$"):
         enumerate_superpartitions(3, 1, max_len=-1)
 
 
