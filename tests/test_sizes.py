@@ -6,6 +6,7 @@ value that is not an int in range, a bool included, raises ValueError naming
 the parameter, and no cache fills or answers for it.
 """
 
+import inspect
 import re
 
 import pytest
@@ -14,6 +15,7 @@ from supersym import bases, engine_checks, inner, superpartition, transform
 from supersym.superpartition import SuperPartition
 
 BAD = (True, 2.5, -1, "3")
+SIZES = {"n", "m", "max_len", "n_max", "nvars", "trunc", "degree", "max_degree", "bidegree"}
 
 
 def sp(text):
@@ -83,13 +85,17 @@ def cache_sizes():
 
 
 def test_the_table_covers_every_public_entry_that_takes_a_size():
-    entries = {entry.split()[0].split(".")[0] for entry, *_ in ENTRIES}
-    assert entries == {
-        "enumerate_superpartitions", "orders_check", "count_check", *GENERATORS, "monomial",
-        "multiplicative", "basis_element", "generating_check", "BasisExpansion", "eh_in_p",
-        "expand_in_monomials", "verify_recursions", "determinant_formulas", "triangularity",
-        "dual_bases_check", "duality_check", "kernel_check", "reproducing_check",
-    }
+    # every public name with a parameter named as a size has its rows, so a
+    # new entry cannot miss the check unseen
+    takes_a_size = set()
+    for module in (superpartition, bases, transform, inner):  # transform forwards engine_checks
+        for name in module.__all__:
+            obj = getattr(module, name)
+            if callable(obj) and obj is not superpartition.SparError:  # no signature to read
+                if SIZES & set(inspect.signature(obj).parameters):
+                    takes_a_size.add(name)
+    assert {entry.split()[0].split(".")[0] for entry, *_ in ENTRIES} == takes_a_size
+    assert len(takes_a_size) == 23
 
 
 @pytest.mark.parametrize("call, name, value", ROWS)
