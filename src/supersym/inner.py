@@ -17,6 +17,7 @@ from .superpoly import SuperPolynomial, _FIELD_MASK, _sector_sign
 from .transform import (  # noqa: F401  (change_basis is re-exported)
     BasisExpansion,
     _peel,
+    _ratio,
     change_basis,
     eh_in_p,
     omega,
@@ -62,8 +63,7 @@ def dual_bases_check(n: int, m: int, u: str, v: str) -> bool:
     for a in block:
         ua = unit(u, a)
         for b in block:
-            want = Fraction(1) if a == b else Fraction(0)
-            if scalar_product(ua, unit(v, b)) != want:
+            if scalar_product(ua, unit(v, b)) != int(a == b):
                 return False
     return True
 
@@ -139,7 +139,7 @@ def _sum_tables(nvars: int, index):
             e, o = even.get((i, j), 0), odd.get((i, j), 0)
             for table, c in ((pp, sign * (e + o)), (pp_omega, sign * (e - o))):
                 if c:
-                    table[ls[i], ls[j]] = Fraction(c, scale) if c % scale else c // scale
+                    table[ls[i], ls[j]] = _ratio(c, scale)
     requests = [(la, keys[nk]) for nk, ls in labels.items() for la in ls]
     for la, row in _bases._path_reads("h", requests, nvars):
         sign = _sector_sign(la.fermionic_degree)

@@ -20,6 +20,8 @@ from fractions import Fraction
 from functools import reduce
 from operator import or_
 
+from .superpartition import _check_size
+
 __all__ = ["SuperPolynomial"]
 
 _FIELD_BITS = 16
@@ -27,11 +29,15 @@ _FIELD_MASK = (1 << _FIELD_BITS) - 1
 
 
 def _exact(c) -> int | Fraction:
-    """An int passes through; anything else becomes a Fraction, and an
-    integral one an int (plain ints keep the hot loops cheap)."""
+    """The exact-number rule: an integral value as int (plain ints keep the
+    hot loops cheap), any other as a reduced Fraction; a bool or float raises
+    TypeError."""
     if type(c) is int:
         return c
-    c = Fraction(c)
+    if isinstance(c, (bool, float)):
+        raise TypeError(f"coefficient {c!r} is a {type(c).__name__}: use an int or a Fraction")
+    if type(c) is not Fraction:
+        c = Fraction(c)
     return c.numerator if c.denominator == 1 else c
 
 
@@ -74,8 +80,7 @@ class SuperPolynomial:
     __slots__ = ("nvars", "blocks")
 
     def __init__(self, nvars: int, blocks: dict[int, dict[int, Fraction]] | None = None):
-        if nvars < 0:
-            raise ValueError(f"need nvars >= 0, got {nvars}")
+        _check_size("nvars", nvars)
         self.nvars = nvars
         self.blocks = {}
         for mask, terms in (blocks or {}).items():

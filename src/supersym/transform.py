@@ -14,8 +14,9 @@ enumeration.  The tables are built and kept in one form, sparse columns of
 list of integer numerators over one denominator.  _to_p takes an
 expansion to (p numerators, den) and _from_p takes that pair to any basis:
 change_basis is the two halves, omega puts a sign vector between them, and
-scalar_product pairs two p vectors.  SuperPartitions and Fractions appear
-only at the BasisExpansion boundary.
+scalar_product pairs two p vectors.  SuperPartitions appear only at the
+BasisExpansion boundary, and a coefficient leaves the integer pivot as an
+int when it is integral and as a reduced Fraction only otherwise.
 
 Two combinatorial m-basis rules live here as well, independent of the
 polynomial engine and of p so that each can check the others: the product
@@ -52,9 +53,26 @@ __all__ = [
 ]
 
 
+def _exact(c) -> int | Fraction:
+    """superpoly._exact (this module loads no engine): an integral value as
+    int, any other as a reduced Fraction; a bool or float raises TypeError."""
+    if type(c) is int:
+        return c
+    if isinstance(c, (bool, float)):
+        raise TypeError(f"coefficient {c!r} is a {type(c).__name__}: use an int or a Fraction")
+    if type(c) is not Fraction:
+        c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
+def _ratio(num: int, den: int) -> int | Fraction:
+    """num / den by the same rule."""
+    return Fraction(num, den) if num % den else num // den
+
+
 def format_rational(c) -> str:
-    """Render an int or Fraction as 'p' or 'p/q' (a Fraction's own str)."""
-    return str(Fraction(c))
+    """Render an exact number as 'p' or 'p/q' (a Fraction's own str)."""
+    return str(_exact(c))
 
 
 def parse_rational(text: str) -> Fraction:
@@ -65,7 +83,8 @@ def parse_rational(text: str) -> Fraction:
 
 
 class BasisExpansion(_Frozen):
-    """Exact expansion of a homogeneous element over one bidegree block."""
+    """Exact expansion of a homogeneous element over one bidegree block; its
+    nonzero coefficients follow _exact's rule."""
 
     __slots__ = _fields = ("basis", "n", "m", "coeffs")
 
@@ -77,10 +96,14 @@ class BasisExpansion(_Frozen):
         block = (n, m)
         cleaned = {}
         for sp, c in (coeffs or {}).items():
-            if sp.bidegree != block:
-                raise ValueError(f"{sp} has bidegree {sp.bidegree}, expected {block}")
-            if type(c) is not Fraction:
-                c = Fraction(c)
+            try:
+                bidegree = sp.bidegree
+            except AttributeError:
+                raise TypeError(f"expected SuperPartition labels, got {sp!r}") from None
+            if bidegree != block:
+                raise ValueError(f"{sp} has bidegree {bidegree}, expected {block}")
+            if type(c) is not int:
+                c = _exact(c)
             if c:
                 cleaned[sp] = c
         object.__setattr__(self, "basis", basis)
@@ -97,17 +120,17 @@ class BasisExpansion(_Frozen):
     @classmethod
     def unit(cls, basis: str, sp: SuperPartition) -> BasisExpansion:
         n, m = sp.bidegree
-        return cls(basis, n, m, {sp: Fraction(1)})
+        return cls(basis, n, m, {sp: 1})
 
     def items_sorted(self):
         """Terms in the block's enumeration order (decreasing sort_key)."""
         return sorted(self.coeffs.items(), key=lambda kv: kv[0].sort_key(), reverse=True)
 
-    def get(self, sp: SuperPartition) -> Fraction:
-        return self.coeffs.get(sp, Fraction(0))
+    def get(self, sp: SuperPartition) -> int | Fraction:
+        return self.coeffs.get(sp, 0)
 
     def scale(self, c) -> BasisExpansion:
-        c = Fraction(c)
+        c = _exact(c)
         return BasisExpansion(
             self.basis, self.n, self.m, {sp: c * v for sp, v in self.coeffs.items()}
         )
@@ -117,7 +140,7 @@ class BasisExpansion(_Frozen):
             raise ValueError("can only add expansions over the same basis and block")
         out = dict(self.coeffs)
         for sp, c in other.coeffs.items():
-            out[sp] = out.get(sp, Fraction(0)) + c
+            out[sp] = out.get(sp, 0) + c
         return BasisExpansion(self.basis, self.n, self.m, out)
 
     def to_poly(self, nvars: int | None = None) -> SuperPolynomial:
@@ -220,7 +243,7 @@ def _remove_once(rem: tuple, item) -> tuple:
     return rem[:i] + rem[i + 1 :]
 
 
-def mono_product_fillings(a: SuperPartition, b: SuperPartition, g: SuperPartition) -> Fraction:
+def mono_product_fillings(a: SuperPartition, b: SuperPartition, g: SuperPartition) -> int:
     """[m_g] m_a m_b by the filling rule (mono_product); 0 on a bidegree mismatch."""
     return mono_product(a, b).get(g)
 
@@ -454,6 +477,8 @@ def _p_in_m(n: int, m: int) -> tuple:
 def _to_p(x: BasisExpansion) -> tuple[list, int]:
     """x as (p numerators by index, den): e and h apply the h table (e then
     takes omega), and m is a triangular solve on the p-in-m table."""
+    if not isinstance(x, BasisExpansion):
+        raise TypeError(f"expected a BasisExpansion, got {type(x)!r}")
     n, m = x.n, x.m
     labels, index = _block_index(n, m)[:2]
     den = math.lcm(*(c.denominator for c in x.coeffs.values()))
@@ -479,7 +504,7 @@ def _from_p(v: list, den: int, to: str, n: int, m: int) -> BasisExpansion:
         v = _apply(v, _p_in_m(n, m)[2])
     elif to != "p":
         v = _solve(_omega_p(v, n, m) if to == "e" else v, *_h_in_p_columns(n, m), labels)
-    return BasisExpansion(to, n, m, {labels[i]: Fraction(c, den) for i, c in enumerate(v) if c})
+    return BasisExpansion(to, n, m, {labels[i]: _ratio(c, den) for i, c in enumerate(v) if c})
 
 
 def change_basis(x: BasisExpansion, to: str) -> BasisExpansion:
@@ -499,7 +524,7 @@ def change_basis(x: BasisExpansion, to: str) -> BasisExpansion:
 # plain, which makes <p_L, p_O> = z_L delta.
 
 
-def scalar_product(f, g) -> Fraction:
+def scalar_product(f, g) -> int | Fraction:
     """Bilinear form with <p_L, p_O> = z_L delta (left slot arrowed).
 
     f and g may be BasisExpansions or symmetric SuperPolynomials (expanded
@@ -513,9 +538,9 @@ def scalar_product(f, g) -> Fraction:
         sides.append(((x.n, x.m), *_to_p(x)))
     (block, u, du), (other, w, dw) = sides
     if block != other:
-        return Fraction(0)
+        return 0
     z = _block_index(*block)[2]
-    return Fraction(sum(zi * a * b for zi, a, b in zip(z, u, w) if a), du * dw)
+    return _ratio(sum(zi * a * b for zi, a, b in zip(z, u, w) if a), du * dw)
 
 
 def omega(x: BasisExpansion) -> BasisExpansion:

@@ -11,8 +11,9 @@ import re
 
 import pytest
 
-from supersym import bases, engine_checks, inner, superpartition, transform
+from supersym import bases, engine_checks, inner, superpartition, superpoly, transform
 from supersym.superpartition import SuperPartition
+from supersym.superpoly import SuperPolynomial
 
 BAD = (True, 2.5, -1, "3")
 SIZES = {"n", "m", "max_len", "n_max", "nvars", "trunc", "degree", "max_degree", "bidegree"}
@@ -67,6 +68,7 @@ ENTRIES = [
     ("kernel_check", "degree", lambda v: inner.kernel_check(2, v), (1 << 15,)),
     ("reproducing_check", "nvars", lambda v: inner.reproducing_check(v, 2), (0,)),
     ("reproducing_check", "max_degree", lambda v: inner.reproducing_check(2, v), ()),
+    ("SuperPolynomial", "nvars", lambda v: SuperPolynomial(v, {}), (False, 2.0)),
 ]
 
 ROWS = [
@@ -88,14 +90,14 @@ def test_the_table_covers_every_public_entry_that_takes_a_size():
     # every public name with a parameter named as a size has its rows, so a
     # new entry cannot miss the check unseen
     takes_a_size = set()
-    for module in (superpartition, bases, transform, inner):  # transform forwards engine_checks
+    for module in (superpartition, superpoly, bases, transform, inner):  # transform forwards engine_checks
         for name in module.__all__:
             obj = getattr(module, name)
             if callable(obj) and obj is not superpartition.SparError:  # no signature to read
                 if SIZES & set(inspect.signature(obj).parameters):
                     takes_a_size.add(name)
     assert {entry.split()[0].split(".")[0] for entry, *_ in ENTRIES} == takes_a_size
-    assert len(takes_a_size) == 23
+    assert len(takes_a_size) == 24
 
 
 @pytest.mark.parametrize("call, name, value", ROWS)
