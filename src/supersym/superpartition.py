@@ -357,6 +357,21 @@ def _check_size(name: str, value, least: int = 0, most: int | None = None) -> No
         raise ValueError(f"{name} must be an int {bounds}, got {value!r}")
 
 
+def _exact(c) -> int | Fraction:
+    """The one exact-number rule: an integral value as int (plain ints keep
+    the hot loops cheap), any other as a reduced Fraction; a bool or float
+    raises TypeError.  `fractions` loads on the first value that is no int."""
+    if type(c) is int:
+        return c
+    if isinstance(c, (bool, float)):
+        raise TypeError(f"coefficient {c!r} is a {type(c).__name__}: use an int or a Fraction")
+    from fractions import Fraction
+
+    if type(c) is not Fraction:
+        c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
 def _partitions_bounded(total: int, max_part: int, max_parts: int):
     """Weakly decreasing positive parts of `total`, at most `max_parts` parts."""
     if total == 0:

@@ -20,25 +20,12 @@ from fractions import Fraction
 from functools import reduce
 from operator import or_
 
-from .superpartition import _check_size
+from .superpartition import _check_size, _exact
 
 __all__ = ["SuperPolynomial"]
 
 _FIELD_BITS = 16
 _FIELD_MASK = (1 << _FIELD_BITS) - 1
-
-
-def _exact(c) -> int | Fraction:
-    """The exact-number rule: an integral value as int (plain ints keep the
-    hot loops cheap), any other as a reduced Fraction; a bool or float raises
-    TypeError."""
-    if type(c) is int:
-        return c
-    if isinstance(c, (bool, float)):
-        raise TypeError(f"coefficient {c!r} is a {type(c).__name__}: use an int or a Fraction")
-    if type(c) is not Fraction:
-        c = Fraction(c)
-    return c.numerator if c.denominator == 1 else c
 
 
 def _sector_sign(m: int) -> int:
@@ -110,6 +97,7 @@ class SuperPolynomial:
         sequence of 1-based indices in any order, and the stored coefficient
         picks up the sign of sorting them (zero polynomial on a repeat).
         """
+        _check_size("nvars", nvars)
         c = _exact(coeff)
         if not c:
             return cls.zero(nvars)
@@ -250,21 +238,24 @@ class SuperPolynomial:
         (masks only grow under multiplication).  Each block's terms are listed
         once, and the shorter block of each pair drives the outer loop; a new
         output block is seeded from its first outer term in one pass.  With a
-        degree bound both lists are sorted by degree in `vars`, so each outer
-        term reads the inner prefix that fits its budget; without one no
-        degree is computed.
+        degree bound both lists are sorted by degree in `vars`, each term's
+        degree computed once, so each outer term reads the inner prefix that
+        fits its budget; without one no degree is computed.
         """
         self._check_factor(other)
         if max_degree is not None:
             fields = self._field_offsets(vars)
-            degree = lambda term: self._key_degree(term[0], fields)
 
         def listed(poly):  # (mask, terms, their degrees or None) per allowed block
             out = []
             for m, t in poly.blocks.items():
-                if not m & ~allowed:
-                    terms = list(t.items()) if max_degree is None else sorted(t.items(), key=degree)
-                    out.append((m, terms, None if max_degree is None else list(map(degree, terms))))
+                if m & ~allowed:
+                    continue
+                if max_degree is None:
+                    out.append((m, list(t.items()), None))
+                else:
+                    dkc = sorted((self._key_degree(k, fields), k, c) for k, c in t.items())
+                    out.append((m, [(k, c) for _, k, c in dkc], [d for d, _, _ in dkc]))
             return out
 
         right = listed(other)
@@ -326,15 +317,29 @@ class SuperPolynomial:
     def _key_degree(key: int, offsets: tuple[int, ...]) -> int:
         return sum((key >> off) & _FIELD_MASK for off in offsets)
 
+    def _map_terms(self, image, nvars=None) -> SuperPolynomial:
+        """The one term-rewriting loop behind the term-wise methods.
+
+        image(mask, key, c) gives the term's (mask, key, c) in the result, or
+        None to drop it.  Images are distinct, so nothing accumulates, and
+        zero coefficients are dropped on construction.  The result lives in
+        `nvars` variables (default: this ring).
+        """
+        blocks: dict[int, dict[int, Fraction]] = {}
+        for mask, terms in self.blocks.items():
+            for key, c in terms.items():
+                new = image(mask, key, c)
+                if new is not None:
+                    m, k, v = new
+                    blocks.setdefault(m, {})[k] = v
+        return SuperPolynomial(self.nvars if nvars is None else nvars, blocks)
+
     def truncate(self, max_degree: int, vars=None) -> SuperPolynomial:
         """Drop terms of degree > max_degree in `vars` (default all bosonic)."""
         fields = self._field_offsets(vars)
-        blocks = {}
-        for mask, terms in self.blocks.items():
-            blocks[mask] = {
-                k: c for k, c in terms.items() if self._key_degree(k, fields) <= max_degree
-            }
-        return SuperPolynomial(self.nvars, blocks)
+        return self._map_terms(
+            lambda m, k, c: (m, k, c) if self._key_degree(k, fields) <= max_degree else None
+        )
 
     # -- variable operations ----------------------------------------------------
 
@@ -357,39 +362,25 @@ class SuperPolynomial:
                 f"shifting {self.nvars} variables by {offset} leaves a ring of {nvars}"
             )
         shift = _FIELD_BITS * offset
-        return SuperPolynomial(
-            nvars,
-            {
-                mask << offset: {k << shift: c for k, c in terms.items()}
-                for mask, terms in self.blocks.items()
-            },
-        )
+        return self._map_terms(lambda m, k, c: (m << offset, k << shift, c), nvars)
 
     def negate_vars(self, bos_vars=(), ferm_vars=()) -> SuperPolynomial:
         """Substitute x_v -> -x_v and t_v -> -t_v for the listed indices."""
         bos_offs = tuple(_FIELD_BITS * (v - 1) for v in bos_vars)
         fmask = reduce(or_, (1 << (v - 1) for v in ferm_vars), 0)
-        blocks = {}
-        for mask, terms in self.blocks.items():
-            msign = -1 if (mask & fmask).bit_count() & 1 else 1
-            dst = {}
-            for key, c in terms.items():
-                par = sum((key >> off) & _FIELD_MASK for off in bos_offs) & 1
-                dst[key] = -msign * c if par else msign * c
-            blocks[mask] = dst
-        return SuperPolynomial(self.nvars, blocks)
+
+        def image(mask, key, c):
+            par = (mask & fmask).bit_count() + self._key_degree(key, bos_offs)
+            return mask, key, -c if par & 1 else c
+
+        return self._map_terms(image)
 
     def extract_x(self, var: int, exp: int) -> SuperPolynomial:
         """Coefficient of x_var^exp: keep matching terms, clear that field."""
         off = _FIELD_BITS * (var - 1)
-        blocks = {}
-        for mask, terms in self.blocks.items():
-            dst = {}
-            for key, c in terms.items():
-                if (key >> off) & _FIELD_MASK == exp:
-                    dst[key - (exp << off)] = c
-            blocks[mask] = dst
-        return SuperPolynomial(self.nvars, blocks)
+        return self._map_terms(
+            lambda m, k, c: (m, k - (exp << off), c) if (k >> off) & _FIELD_MASK == exp else None
+        )
 
     def select_theta(self, var: int) -> SuperPolynomial:
         """Terms whose theta word contains t_var, unchanged."""
@@ -403,36 +394,22 @@ class SuperPolynomial:
         below it, hence the sign (-1)^(#smaller letters present).
         """
         bit = 1 << (var - 1)
-        blocks = {}
-        for mask, terms in self.blocks.items():
+
+        def image(mask, key, c):
             if not mask & bit:
-                continue
-            sign = -1 if (mask & (bit - 1)).bit_count() & 1 else 1
-            blocks[mask ^ bit] = {k: sign * c for k, c in terms.items()}
-        return SuperPolynomial(self.nvars, blocks)
+                return None
+            return mask ^ bit, key, -c if (mask & (bit - 1)).bit_count() & 1 else c
+
+        return self._map_terms(image)
 
     def euler_scale(self, var: int) -> SuperPolynomial:
         """Multiply each term by its x_var exponent (the operator x d/dx)."""
         off = _FIELD_BITS * (var - 1)
-        blocks = {}
-        for mask, terms in self.blocks.items():
-            dst = {}
-            for key, c in terms.items():
-                e = (key >> off) & _FIELD_MASK
-                if e:
-                    dst[key] = e * c
-            blocks[mask] = dst
-        return SuperPolynomial(self.nvars, blocks)
+        return self._map_terms(lambda m, k, c: (m, k, ((k >> off) & _FIELD_MASK) * c))
 
     def arrow(self) -> SuperPolynomial:
         """Scale each m-theta sector by _sector_sign(m), reversing theta words."""
-        blocks = {}
-        for mask, terms in self.blocks.items():
-            if _sector_sign(mask.bit_count()) < 0:
-                blocks[mask] = {k: -c for k, c in terms.items()}
-            else:
-                blocks[mask] = terms
-        return SuperPolynomial(self.nvars, blocks)
+        return self._map_terms(lambda m, k, c: (m, k, _sector_sign(m.bit_count()) * c))
 
     def apply_exchange(self, i: int) -> SuperPolynomial:
         """Swap variables i and i+1 in both alphabets (1 <= i < nvars).
@@ -450,21 +427,15 @@ class SuperPolynomial:
         off_hi = _FIELD_BITS * i
         # x_i^a x_{i+1}^b -> x_i^b x_{i+1}^a adds (a - b) * step to the key
         step = _FIELD_MASK << off_lo
-        blocks = {}
-        for mask, terms in self.blocks.items():
+
+        def image(mask, key, c):
+            key += (((key >> off_lo) & _FIELD_MASK) - ((key >> off_hi) & _FIELD_MASK)) * step
             both = mask & (lo | hi)
             if both == lo or both == hi:
-                nm = mask ^ lo ^ hi
-                sign = 1
-            else:
-                nm = mask
-                sign = -1 if both else 1
-            dst = blocks[nm] = {}
-            for key, c in terms.items():
-                a = (key >> off_lo) & _FIELD_MASK
-                b = (key >> off_hi) & _FIELD_MASK
-                dst[key + (a - b) * step] = sign * c
-        return SuperPolynomial(self.nvars, blocks)
+                return mask ^ lo ^ hi, key, c
+            return mask, key, -c if both else c
+
+        return self._map_terms(image)
 
     def is_symmetric(self) -> bool:
         """Invariance under every adjacent simultaneous exchange."""

@@ -15,8 +15,8 @@ list of integer numerators over one denominator.  _to_p takes an
 expansion to (p numerators, den) and _from_p takes that pair to any basis:
 change_basis is the two halves, omega puts a sign vector between them, and
 scalar_product pairs two p vectors.  SuperPartitions appear only at the
-BasisExpansion boundary, and a coefficient leaves the integer pivot as an
-int when it is integral and as a reduced Fraction only otherwise.
+BasisExpansion boundary, where a coefficient leaves the integer pivot by
+superpartition._exact's rule: an int if integral, else a reduced Fraction.
 
 Two combinatorial m-basis rules live here as well, independent of the
 polynomial engine and of p so that each can check the others: the product
@@ -33,7 +33,7 @@ import math
 from fractions import Fraction
 from functools import cache
 
-from .superpartition import BASIS_NAMES, SuperPartition, _Frozen, _block, _check_size
+from .superpartition import BASIS_NAMES, SuperPartition, _Frozen, _block, _check_size, _exact
 
 __all__ = [
     "BasisExpansion",
@@ -53,20 +53,8 @@ __all__ = [
 ]
 
 
-def _exact(c) -> int | Fraction:
-    """superpoly._exact (this module loads no engine): an integral value as
-    int, any other as a reduced Fraction; a bool or float raises TypeError."""
-    if type(c) is int:
-        return c
-    if isinstance(c, (bool, float)):
-        raise TypeError(f"coefficient {c!r} is a {type(c).__name__}: use an int or a Fraction")
-    if type(c) is not Fraction:
-        c = Fraction(c)
-    return c.numerator if c.denominator == 1 else c
-
-
 def _ratio(num: int, den: int) -> int | Fraction:
-    """num / den by the same rule."""
+    """num / den by superpartition._exact's rule, from two ints."""
     return Fraction(num, den) if num % den else num // den
 
 

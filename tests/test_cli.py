@@ -348,6 +348,8 @@ def test_subcommand_loads_only_what_it_runs(argv, want):
     assert "dataclasses" not in loaded
     if "json" not in argv:
         assert "json" not in loaded
+    if want == LIGHT:  # superpartition._exact loads fractions on its first non-int
+        assert "fractions" not in loaded
 
 
 def test_importing_the_package_or_the_pivot_loads_no_engine():

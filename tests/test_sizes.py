@@ -69,6 +69,7 @@ ENTRIES = [
     ("reproducing_check", "nvars", lambda v: inner.reproducing_check(v, 2), (0,)),
     ("reproducing_check", "max_degree", lambda v: inner.reproducing_check(2, v), ()),
     ("SuperPolynomial", "nvars", lambda v: SuperPolynomial(v, {}), (False, 2.0)),
+    ("SuperPolynomial.term", "nvars", lambda v: SuperPolynomial.term(v, 1, {1: 1}), ()),
 ]
 
 ROWS = [

@@ -409,3 +409,94 @@ def test_oracle_cases_run_the_loop_both_ways_and_cancel():
     # 1/2 t1 x1 times 3 t2 x2, in both orders
     assert (short * long).coefficient({1: 1, 2: 1}, thetas=(1, 2)) == Fraction(3, 2)
     assert (long * short).coefficient({1: 1, 2: 1}, thetas=(1, 2)) == Fraction(-3, 2)
+
+
+# -- the term-wise methods against term-by-term oracles ----------------------------
+
+
+def term_map(f, image, nvars=None):
+    """f rebuilt one term at a time from iter_terms: image(powers, thetas, c)
+    gives the image term's (powers, thetas, c), or None to drop the term.
+    Each image is a fresh `term`, so a theta word in any order picks up its
+    sort sign there, and the images are summed."""
+    nvars = f.nvars if nvars is None else nvars
+    pairs = []
+    for mask, key, c in f.iter_terms():
+        new = image(_powers(f, key), f.mask_vars(mask), c)
+        if new is not None:
+            pairs.append((1, P.term(nvars, new[2], new[0], new[1])))
+    return P.linear_combination(nvars, pairs)
+
+
+VAR_SETS = st.sets(st.integers(1, ORACLE_VARS)).map(sorted)
+
+
+@given(oracle_polys(), st.integers(0, 5), VAR_SETS)
+@settings(max_examples=100, deadline=None)
+def test_truncate_is_a_degree_filter(f, d, vars):
+    everything = range(1, ORACLE_VARS + 1)
+    assert f.truncate(d) == term_map(f, lambda pw, th, c: (pw, th, c) if _degree_in(pw, everything) <= d else None)
+    assert f.truncate(d, vars) == term_map(f, lambda pw, th, c: (pw, th, c) if _degree_in(pw, vars) <= d else None)
+
+
+@given(oracle_polys(), VAR_SETS, VAR_SETS)
+@settings(max_examples=100, deadline=None)
+def test_negate_vars_signs_each_term_by_its_negated_letters(f, bos, ferm):
+    def image(pw, th, c):
+        flips = _degree_in(pw, bos) + len(set(th) & set(ferm))
+        return pw, th, (-1) ** flips * c
+
+    assert f.negate_vars(bos, ferm) == term_map(f, image)
+
+
+@given(oracle_polys(), st.integers(1, ORACLE_VARS))
+@settings(max_examples=100, deadline=None)
+def test_euler_scale_is_the_exponent_times_the_coefficient(f, v):
+    assert f.euler_scale(v) == term_map(f, lambda pw, th, c: (pw, th, pw.get(v, 0) * c))
+
+
+@given(oracle_polys())
+@settings(max_examples=100, deadline=None)
+def test_arrow_reverses_each_theta_word(f):
+    # reversing the word of m letters is the sector sign (-1)^(m(m-1)/2)
+    assert f.arrow() == term_map(f, lambda pw, th, c: (pw, th[::-1], c))
+
+
+@given(oracle_polys(), st.integers(0, 3), st.integers(0, 3))
+@settings(max_examples=100, deadline=None)
+def test_shift_alphabet_keeps_coefficients_on_shifted_terms(f, offset, room):
+    nvars = ORACLE_VARS + offset + room
+    shifted = f.shift_alphabet(offset, nvars)
+    assert shifted.nvars == nvars
+    assert shifted == term_map(
+        f,
+        lambda pw, th, c: ({v + offset: e for v, e in pw.items()}, [v + offset for v in th], c),
+        nvars,
+    )
+
+
+@given(oracle_polys(), st.integers(1, ORACLE_VARS), st.integers(0, 3))
+@settings(max_examples=100, deadline=None)
+def test_extract_x_times_the_power_is_the_part_with_that_exponent(f, v, e):
+    part = term_map(f, lambda pw, th, c: (pw, th, c) if pw.get(v, 0) == e else None)
+    assert f.extract_x(v, e) * P.term(ORACLE_VARS, 1, {v: e}) == part
+
+
+@given(oracle_polys(), st.integers(1, ORACLE_VARS))
+@settings(max_examples=100, deadline=None)
+def test_theta_times_the_left_extraction_is_the_selected_part(f, v):
+    left = f.extract_theta_left(v)
+    assert all(not mask >> (v - 1) & 1 for mask, _, _ in left.iter_terms())
+    assert P.theta(v, ORACLE_VARS) * left == f.select_theta(v)
+
+
+@given(oracle_polys(), st.integers(1, ORACLE_VARS - 1))
+@settings(max_examples=100, deadline=None)
+def test_apply_exchange_is_the_substitution_and_an_involution(f, i):
+    swap = {i: i + 1, i + 1: i}
+    swapped = f.apply_exchange(i)
+    assert swapped == term_map(
+        f,
+        lambda pw, th, c: ({swap.get(v, v): e for v, e in pw.items()}, [swap.get(v, v) for v in th], c),
+    )
+    assert swapped.apply_exchange(i) == f
