@@ -357,18 +357,22 @@ def _check_size(name: str, value, least: int = 0, most: int | None = None) -> No
         raise ValueError(f"{name} must be an int {bounds}, got {value!r}")
 
 
+_Fraction = None  # fractions.Fraction, bound by _exact's first non-int (not an import per call)
+
+
 def _exact(c) -> int | Fraction:
     """The one exact-number rule: an integral value as int (plain ints keep
     the hot loops cheap), any other as a reduced Fraction; a bool or float
     raises TypeError.  `fractions` loads on the first value that is no int."""
+    global _Fraction
     if type(c) is int:
         return c
     if isinstance(c, (bool, float)):
         raise TypeError(f"coefficient {c!r} is a {type(c).__name__}: use an int or a Fraction")
-    from fractions import Fraction
-
-    if type(c) is not Fraction:
-        c = Fraction(c)
+    if _Fraction is None:
+        from fractions import Fraction as _Fraction
+    if type(c) is not _Fraction:
+        c = _Fraction(c)
     return c.numerator if c.denominator == 1 else c
 
 

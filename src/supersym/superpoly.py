@@ -404,8 +404,7 @@ class SuperPolynomial:
 
     def euler_scale(self, var: int) -> SuperPolynomial:
         """Multiply each term by its x_var exponent (the operator x d/dx)."""
-        off = _FIELD_BITS * (var - 1)
-        return self._map_terms(lambda m, k, c: (m, k, ((k >> off) & _FIELD_MASK) * c))
+        return self._map_terms(lambda m, k, c: (m, k, self.key_exponent(k, var) * c))
 
     def arrow(self) -> SuperPolynomial:
         """Scale each m-theta sector by _sector_sign(m), reversing theta words."""
@@ -423,13 +422,11 @@ class SuperPolynomial:
             raise ValueError(f"need 1 <= i < {self.nvars}, got {i}")
         lo = 1 << (i - 1)
         hi = 1 << i
-        off_lo = _FIELD_BITS * (i - 1)
-        off_hi = _FIELD_BITS * i
         # x_i^a x_{i+1}^b -> x_i^b x_{i+1}^a adds (a - b) * step to the key
-        step = _FIELD_MASK << off_lo
+        step = _FIELD_MASK << (_FIELD_BITS * (i - 1))
 
         def image(mask, key, c):
-            key += (((key >> off_lo) & _FIELD_MASK) - ((key >> off_hi) & _FIELD_MASK)) * step
+            key += (self.key_exponent(key, i) - self.key_exponent(key, i + 1)) * step
             both = mask & (lo | hi)
             if both == lo or both == hi:
                 return mask ^ lo ^ hi, key, c
