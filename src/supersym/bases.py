@@ -237,23 +237,15 @@ _GENERATORS = {
 }
 
 
-def generator_functions(basis: str):
-    """(plain, tilde) constructor pair of a multiplicative basis."""
-    if basis not in _GENERATORS:
-        raise ValueError(f"multiplicative basis must be one of e, h, p, not {basis!r}")
-    return _GENERATORS[basis]
-
-
-def _generator_builders(basis: str) -> tuple:
-    """generator_functions(basis) below any cache: each the innermost
-    function of its __wrapped__ chain, read at call time, so that a
-    constructor replaced in _GENERATORS is seen and nothing is cached."""
-    out = []
-    for f in generator_functions(basis):
-        while hasattr(f, "__wrapped__"):
-            f = f.__wrapped__
-        out.append(f)
-    return tuple(out)
+def _builder(family: str):
+    """The constructor of a generator family (e, te, h, th, p, tp) that
+    _GENERATORS holds at the call, below any cache: the innermost function
+    of its __wrapped__ chain, so a replaced constructor is seen and nothing
+    is cached."""
+    f = _GENERATORS[family[-1]][family[0] == "t"]
+    while hasattr(f, "__wrapped__"):
+        f = f.__wrapped__
+    return f
 
 
 @_typed_cache
@@ -265,7 +257,9 @@ def multiplicative(basis: str, sp: SuperPartition, nvars: int, /) -> SuperPolyno
     arguments only, so each element has one cache key.
     """
     _check_size("nvars", nvars)
-    plain, tilde = generator_functions(basis)
+    if basis not in _GENERATORS:
+        raise ValueError(f"multiplicative basis must be one of e, h, p, not {basis!r}")
+    plain, tilde = _GENERATORS[basis]
     if sp.s:
         return multiplicative(basis, SuperPartition._canonical(sp.a, sp.s[:-1]), nvars) * plain(sp.s[-1], nvars)
     if sp.a:
@@ -294,10 +288,8 @@ def _path_reads(basis: str, requests, nvars: int):
     distinct proper prefix product is built once, on the sectors inside
     t_1..t_k, and dropped when the walk leaves it; each label is read
     (_product_read) off its prefix and last factor.  The generators live for
-    the walk alone: each is built by the innermost function of its
-    __wrapped__ chain, below any cache (_generator_builders)."""
-    gens = _generator_builders(basis)
-    factor = cache(lambda tilde, part: gens[tilde](part, nvars))
+    the walk alone: each is built below any cache (_builder)."""
+    factor = cache(lambda tilde, part: _builder("t" * tilde + basis)(part, nvars))
     by_k = {}
     for label, keys in requests:
         by_k.setdefault(label.fermionic_degree, []).append((label.a + label.s, label, keys))
@@ -309,7 +301,7 @@ def _path_reads(basis: str, requests, nvars: int):
                 common += 1
             del path[common + 1:]
             for i in range(common, len(parts) - 1):
-                path.append(path[-1].mul_restricted(factor(i < k, parts[i]), range(1, k + 1)))
+                path.append(path[-1].mul_restricted(factor(i < k, parts[i]), range(1, min(k, nvars) + 1)))
             seq, last = parts[:-1], factor(len(parts) <= k, parts[-1]) if parts else path[0]
             yield label, _product_read([(1, path[-1], last)], (1 << k) - 1, keys)
 
@@ -327,46 +319,31 @@ def basis_element(basis: str, sp: SuperPartition, nvars: int | None = None, arro
 # -- generating series -------------------------------------------------------
 
 
-def _series_E(nvars: int, trunc: int) -> SuperPolynomial:
-    """prod_i (1 + t x_i + tau t_i) in the ring with t = x_{N+1}, tau = t_{N+1}."""
-    big = nvars + 1
-    term = SuperPolynomial.term
-    out = SuperPolynomial.one(big)
-    for i in range(1, nvars + 1):
-        cell = (term(big, 1), term(big, 1, {big: 1, i: 1}), term(big, 1, thetas=(big, i)))
-        factor = SuperPolynomial.linear_combination(big, ((1, t) for t in cell))
-        out = out.mul_truncated(factor, trunc, vars=(big,))
-    return out
+def _series(kind: str, nvars: int, trunc: int) -> SuperPolynomial:
+    """E = prod_i (1 + u_i), H = prod_i 1/(1 - u_i) or P = sum_i u_i/(1 - u_i)
+    through t-degree trunc, with u_i = t x_i + tau t_i in the ring with
+    t = x_{N+1}, tau = t_{N+1}.
 
-
-def _series_H(nvars: int, trunc: int) -> SuperPolynomial:
-    """prod_i 1/(1 - t x_i - tau t_i), expanded through t-degree trunc.
-
-    Each factor is sum_k (t x_i)^k + tau t_i sum_k k (t x_i)^(k-1); the
-    second sum needs one extra order since tau carries no t-degree.
+    Each factor is sum_k u_i^k, u_i^k = (t x_i)^k + k tau t_i (t x_i)^(k-1),
+    over k in {0, 1} for E, 0..trunc+1 for H and 1..trunc+1 for P: tau
+    carries no t-degree, so the tau part needs one extra order.
     """
-    big = nvars + 1
-    term = SuperPolynomial.term
-    out = SuperPolynomial.one(big)
-    for i in range(1, nvars + 1):
-        factor = SuperPolynomial.linear_combination(
+    big, term = nvars + 1, SuperPolynomial.term
+    ks = {"E": range(2), "H": range(trunc + 2), "P": range(1, trunc + 2)}[kind]
+    factors = [
+        SuperPolynomial.linear_combination(
             big,
-            [(1, term(big, 1, {big: k, i: k})) for k in range(trunc + 1)]
-            + [(k, term(big, 1, {big: k - 1, i: k - 1}, (big, i))) for k in range(1, trunc + 2)],
+            [(1, term(big, 1, {big: k, i: k})) for k in ks]
+            + [(k, term(big, 1, {big: k - 1, i: k - 1}, (big, i))) for k in ks if k],
         )
+        for i in range(1, nvars + 1)
+    ]
+    if kind == "P":
+        return SuperPolynomial.linear_combination(big, ((1, f) for f in factors)).truncate(trunc, vars=(big,))
+    out = SuperPolynomial.one(big)
+    for factor in factors:
         out = out.mul_truncated(factor, trunc, vars=(big,))
     return out
-
-
-def _series_P(nvars: int, trunc: int) -> SuperPolynomial:
-    """sum_i (t x_i + tau t_i)/(1 - t x_i - tau t_i) through t-degree trunc."""
-    big = nvars + 1
-    term = SuperPolynomial.term
-    pairs = []
-    for i in range(1, nvars + 1):
-        pairs += [(1, term(big, 1, {big: k, i: k})) for k in range(1, trunc + 1)]
-        pairs += [(k + 1, term(big, 1, {big: k, i: k}, (big, i))) for k in range(trunc + 1)]
-    return SuperPolynomial.linear_combination(big, pairs)
 
 
 def _split_t_coefficient(series: SuperPolynomial, n: int, big: int):
@@ -395,7 +372,7 @@ def generating_check(kind: str, trunc: int, nvars: int) -> dict:
     big = nvars + 1
 
     if kind in ("E", "H", "P"):
-        series = {"E": _series_E, "H": _series_H, "P": _series_P}[kind](nvars, trunc)
+        series = _series(kind, nvars, trunc)
         plain, tilde = _GENERATORS[kind.lower()]
         for n in range(trunc + 1):
             bos, ferm = _split_t_coefficient(series, n, big)
@@ -406,20 +383,20 @@ def generating_check(kind: str, trunc: int, nvars: int) -> dict:
                 return _report(check, params, f"fermionic t^{n} coefficient differs")
         return _report(check, params, None)
     if kind == "HE":
-        h = _series_H(nvars, trunc)
-        e = _series_E(nvars, trunc).negate_vars((big,), (big,))
+        h = _series("H", nvars, trunc)
+        e = _series("E", nvars, trunc).negate_vars((big,), (big,))
         lhs = h.mul_truncated(e, trunc, vars=(big,))
         rhs = SuperPolynomial.one(big)
         claim = "H(t,tau) E(-t,-tau) != 1"
     elif kind == "HP":
-        h = _series_H(nvars, trunc)
-        p = _series_P(nvars, trunc)
+        h = _series("H", nvars, trunc)
+        p = _series("P", nvars, trunc)
         lhs = h.mul_truncated(p, trunc, vars=(big,))
         rhs = h.euler_scale(big) + h.select_theta(big)
         claim = "H P != (t d/dt + tau d/dtau) H"
     elif kind == "EP":
-        e = _series_E(nvars, trunc)
-        p = _series_P(nvars, trunc).negate_vars((big,), (big,))
+        e = _series("E", nvars, trunc)
+        p = _series("P", nvars, trunc).negate_vars((big,), (big,))
         lhs = e.mul_truncated(p, trunc, vars=(big,))
         rhs = -(e.euler_scale(big) + e.select_theta(big))
         claim = "E(t,tau) P(-t,-tau) != -(t d/dt + tau d/dtau) E"

@@ -143,15 +143,10 @@ def _generators(quotient, nvars: int):
     """The map from a generator term (w, family, k) to the pair (w, X_k in
     the quotient): weights stay scalars, so no generator is scaled.  Each
     X_k is built on its first read, on the ell variables of the quotient,
-    by bases._generator_builders (read at call time, below any cache, so
-    replaced constructors are seen and no cache fills), and lives as long
-    as the map."""
-    ctors = {
-        "t" * tilde + basis: gen
-        for basis in _bases._GENERATORS
-        for tilde, gen in enumerate(_bases._generator_builders(basis))
-    }
-    build = cache(lambda fam, k: _restricted(ctors[fam](k, quotient[0]), quotient, nvars))
+    by bases._builder (read at call time, below any cache, so replaced
+    constructors are seen and no cache fills), and lives as long as the
+    map."""
+    build = cache(lambda fam, k: _restricted(_bases._builder(fam)(k, quotient[0]), quotient, nvars))
     return lambda term: (term[0], build(term[1], term[2]))
 
 

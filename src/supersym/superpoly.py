@@ -3,11 +3,13 @@
 A SuperPolynomial lives in the ring generated by x1..xN (commuting) and
 t1..tN (anticommuting, squaring to zero: t_i t_j = -t_j t_i).  Terms are
 stored per theta-support: for each subset of anticommuting variables, a
-sparse map from packed exponent vectors to exact coefficients (int, or
-Fraction where a true fraction occurs), with the theta letters implicitly in
-increasing order.  Stored blocks hold no zero coefficient and no block is
-empty, so equal polynomials have equal blocks.  Each exponent has a 16-bit
-field; a product that would carry past it raises ValueError.
+sparse map from packed exponent vectors to exact coefficients, with the
+theta letters implicitly in increasing order.  A coefficient passed in is
+kept as an int where integral and a reduced Fraction otherwise; a sum or
+product of fractions may stay a Fraction equal to an integer.  Stored blocks
+hold no zero coefficient and no block is empty, so equal polynomials have
+equal blocks.  Each exponent has a 16-bit field; a product that would carry
+past it raises ValueError.
 
 Variable indices are 1-based throughout the public interface, matching the
 rendered names x1, t1.
@@ -44,6 +46,15 @@ def _sort_sign(seq: tuple[int, ...]) -> int | None:
         if seq[i] > seq[j]
     )
     return -1 if inversions & 1 else 1
+
+
+def _positions(nvars: int, vars, letter: str) -> list[int]:
+    """0-based positions of 1-based variable indices; one outside 1..nvars raises."""
+    vars = tuple(vars)
+    bad = [v for v in vars if not 1 <= v <= nvars]
+    if bad:
+        raise ValueError(f"variable {letter}{bad[0]} outside 1..{nvars}")
+    return [v - 1 for v in vars]
 
 
 def _merge_sign(ma: int, mb: int) -> int:
@@ -96,28 +107,20 @@ class SuperPolynomial:
         `powers` maps 1-based variable index to exponent; `thetas` is a
         sequence of 1-based indices in any order, and the stored coefficient
         picks up the sign of sorting them (zero polynomial on a repeat).
+        Every index and exponent is checked before a zero is returned.
         """
         _check_size("nvars", nvars)
         c = _exact(coeff)
-        if not c:
-            return cls.zero(nvars)
-        thetas = tuple(thetas)
-        sign = _sort_sign(thetas)
-        if sign is None:
-            return cls.zero(nvars)
+        powers, thetas = dict(powers or {}), tuple(thetas)
         key = 0
-        for var, exp in (powers or {}).items():
-            if not 1 <= var <= nvars:
-                raise ValueError(f"variable x{var} outside 1..{nvars}")
+        for pos, (var, exp) in zip(_positions(nvars, powers, "x"), powers.items()):
             if exp < 0 or exp > _FIELD_MASK:
                 raise ValueError(f"exponent {exp} for x{var} out of range")
-            if exp:
-                key += exp << (_FIELD_BITS * (var - 1))
-        mask = 0
-        for var in thetas:
-            if not 1 <= var <= nvars:
-                raise ValueError(f"variable t{var} outside 1..{nvars}")
-            mask |= 1 << (var - 1)
+            key += exp << (_FIELD_BITS * pos)
+        mask = reduce(or_, (1 << pos for pos in _positions(nvars, thetas, "t")), 0)
+        sign = _sort_sign(thetas)
+        if not c or sign is None:
+            return cls.zero(nvars)
         return cls(nvars, {mask: {key: sign * c}})
 
     @classmethod
@@ -299,7 +302,7 @@ class SuperPolynomial:
         be dropped from both factors up front; useful when only one sector
         of a long product is ever read.
         """
-        return self._mul(other, allowed=reduce(or_, (1 << (v - 1) for v in theta_vars), 0))
+        return self._mul(other, allowed=self._theta_mask(theta_vars))
 
     def mul_truncated(self, other: SuperPolynomial, max_degree: int, vars=None) -> SuperPolynomial:
         """Product keeping only terms of degree <= max_degree in `vars`
@@ -309,9 +312,15 @@ class SuperPolynomial:
     # -- degrees and truncation ---------------------------------------------------
 
     def _field_offsets(self, vars=None) -> tuple[int, ...]:
+        """Field offsets of 1-based bosonic indices (default all): the one
+        place an index becomes an offset, so one outside 1..nvars raises."""
         if vars is None:
             vars = range(1, self.nvars + 1)
-        return tuple(_FIELD_BITS * (v - 1) for v in vars)
+        return tuple(_FIELD_BITS * pos for pos in _positions(self.nvars, vars, "x"))
+
+    def _theta_mask(self, vars) -> int:
+        """Block mask of 1-based theta indices; one outside 1..nvars raises."""
+        return reduce(or_, (1 << pos for pos in _positions(self.nvars, vars, "t")), 0)
 
     @staticmethod
     def _key_degree(key: int, offsets: tuple[int, ...]) -> int:
@@ -366,8 +375,7 @@ class SuperPolynomial:
 
     def negate_vars(self, bos_vars=(), ferm_vars=()) -> SuperPolynomial:
         """Substitute x_v -> -x_v and t_v -> -t_v for the listed indices."""
-        bos_offs = tuple(_FIELD_BITS * (v - 1) for v in bos_vars)
-        fmask = reduce(or_, (1 << (v - 1) for v in ferm_vars), 0)
+        bos_offs, fmask = self._field_offsets(bos_vars), self._theta_mask(ferm_vars)
 
         def image(mask, key, c):
             par = (mask & fmask).bit_count() + self._key_degree(key, bos_offs)
@@ -377,14 +385,14 @@ class SuperPolynomial:
 
     def extract_x(self, var: int, exp: int) -> SuperPolynomial:
         """Coefficient of x_var^exp: keep matching terms, clear that field."""
-        off = _FIELD_BITS * (var - 1)
+        (off,) = self._field_offsets((var,))
         return self._map_terms(
             lambda m, k, c: (m, k - (exp << off), c) if (k >> off) & _FIELD_MASK == exp else None
         )
 
     def select_theta(self, var: int) -> SuperPolynomial:
         """Terms whose theta word contains t_var, unchanged."""
-        bit = 1 << (var - 1)
+        bit = self._theta_mask((var,))
         return SuperPolynomial(self.nvars, {m: t for m, t in self.blocks.items() if m & bit})
 
     def extract_theta_left(self, var: int) -> SuperPolynomial:
@@ -393,7 +401,7 @@ class SuperPolynomial:
         Moving t_var to the front of the sorted word passes over the letters
         below it, hence the sign (-1)^(#smaller letters present).
         """
-        bit = 1 << (var - 1)
+        bit = self._theta_mask((var,))
 
         def image(mask, key, c):
             if not mask & bit:
@@ -404,7 +412,8 @@ class SuperPolynomial:
 
     def euler_scale(self, var: int) -> SuperPolynomial:
         """Multiply each term by its x_var exponent (the operator x d/dx)."""
-        return self._map_terms(lambda m, k, c: (m, k, self.key_exponent(k, var) * c))
+        (off,) = self._field_offsets((var,))
+        return self._map_terms(lambda m, k, c: (m, k, (k >> off & _FIELD_MASK) * c))
 
     def arrow(self) -> SuperPolynomial:
         """Scale each m-theta sector by _sector_sign(m), reversing theta words."""

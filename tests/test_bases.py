@@ -9,9 +9,7 @@ from supersym.superpartition import SuperPartition, enumerate_superpartitions
 from supersym.superpoly import SuperPolynomial
 from supersym import bases
 from supersym.bases import (
-    _series_E,
-    _series_H,
-    _series_P,
+    _series,
     basis_element,
     complete,
     complete_tilde,
@@ -324,9 +322,9 @@ def test_integer_products_stay_on_int_coefficients():
             f = multiplicative(basis, la, 6)
             assert not f.is_zero() and int_coefficients(f), (basis, la)
             assert int_coefficients(basis_element(basis, la, 6, arrowed=True))
-    for series in (_series_E, _series_H, _series_P):
-        f = series(3, 3)
-        assert not f.is_zero() and int_coefficients(f), series.__name__
+    for kind in "EHP":
+        f = _series(kind, 3, 3)
+        assert not f.is_zero() and int_coefficients(f), kind
 
 
 # -- generating series -------------------------------------------------------------
@@ -343,7 +341,7 @@ def test_generating_check_bounds_trunc_before_building_a_series(monkeypatch):
     def boom(*args):
         raise AssertionError("a series was built")
 
-    monkeypatch.setattr(bases, "_series_H", boom)
+    monkeypatch.setattr(bases, "_series", boom)
     with pytest.raises(ValueError, match="32768"):
         generating_check("HP", 2**15, 1)
     with pytest.raises(ValueError, match="-1"):
@@ -353,3 +351,29 @@ def test_generating_check_bounds_trunc_before_building_a_series(monkeypatch):
 def test_generating_check_rejects_unknown_kind():
     with pytest.raises(ValueError):
         generating_check("X", 2, 3)
+
+
+def test_multiplicative_rejects_an_unknown_basis():
+    with pytest.raises(ValueError, match=r"^multiplicative basis must be one of e, h, p, not 'q'$"):
+        multiplicative("q", SuperPartition.parse("(1;1)"), 2)
+
+
+@pytest.mark.parametrize("nvars", [1, 2, 3])
+def test_series_is_its_definition_in_engine_products(nvars):
+    # u_i = t x_i + tau t_i with t = x_{N+1} and tau = t_{N+1}, u_i^k by
+    # repeated products: E = prod (1 + u_i), H = prod sum_{k <= trunc+1} u_i^k
+    # and P = sum_i sum_{1 <= k <= trunc+1} u_i^k, each cut at t-degree trunc
+    big = nvars + 1
+    u = [P.term(big, 1, {big: 1, i: 1}) + P.term(big, 1, thetas=(big, i)) for i in range(1, nvars + 1)]
+    for trunc in range(5):
+        powers = [[P.one(big)] for _ in u]
+        for ui, row in zip(u, powers):
+            while len(row) < trunc + 2:
+                row.append(row[-1] * ui)
+        e, h = P.one(big), P.one(big)
+        for ui, row in zip(u, powers):
+            e *= P.one(big) + ui
+            h *= P.linear_combination(big, ((1, f) for f in row))
+        p = P.linear_combination(big, ((1, f) for row in powers for f in row[1:]))
+        for kind, want in zip("EHP", (e, h, p)):
+            assert _series(kind, nvars, trunc) == want.truncate(trunc, vars=(big,)), (kind, trunc)

@@ -59,8 +59,8 @@ def _generating_h(mp):
 
 
 def _generating_hp(mp):
-    real = bases._series_P
-    mp.setattr(bases, "_series_P", lambda nvars, trunc: real(nvars, trunc).scale(2))
+    real = bases._series
+    mp.setattr(bases, "_series", lambda kind, nvars, trunc: real(kind, nvars, trunc).scale(2 if kind == "P" else 1))
 
 
 def _recursions(mp):

@@ -28,6 +28,40 @@ def test_theta_constructor_canonicalizes_order():
     assert P.term(2, 1, thetas=(2, 1)) == P.term(2, -1, thetas=(1, 2))
     # a repeated index kills the term
     assert P.term(2, 1, thetas=(1, 1)).is_zero()
+    with pytest.raises(ValueError, match=r"^repeated theta index in \(1, 1\)$"):
+        P.x(1, 2).coefficient(thetas=(1, 1))
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: P.term(2, 1, {9: 1}), "variable x9 outside 1..2"),
+    (lambda: P.term(2, 0, {9: 1}), "variable x9 outside 1..2"),
+    (lambda: P.term(2, 1, {1: 1}, thetas=(7, 7)), "variable t7 outside 1..2"),
+    (lambda: P.term(2, 0, thetas=(0,)), "variable t0 outside 1..2"),
+    (lambda: P.term(2, 0, {1: -1}), "exponent -1 for x1 out of range"),
+    (lambda: P.x(1, 2).coefficient({3: 1}, thetas=(1, 1)), "variable x3 outside 1..2"),
+], ids=["x9", "x9 zero coefficient", "t7 repeated", "t0 zero coefficient", "negative exponent", "coefficient"])
+def test_term_checks_every_index_and_exponent_before_returning_zero(call, match):
+    with pytest.raises(ValueError, match=rf"^{match}$"):
+        call()
+
+
+@pytest.mark.parametrize("bad", [0, 3])
+@pytest.mark.parametrize("letter, call", [
+    ("x", lambda f, v: f.extract_x(v, 0)),
+    ("x", lambda f, v: f.euler_scale(v)),
+    ("x", lambda f, v: f.negate_vars((v,), ())),
+    ("x", lambda f, v: f.truncate(0, vars=(v,))),
+    ("x", lambda f, v: f.mul_truncated(f, 1, vars=(v,))),
+    ("t", lambda f, v: f.select_theta(v)),
+    ("t", lambda f, v: f.extract_theta_left(v)),
+    ("t", lambda f, v: f.negate_vars((), (v,))),
+    ("t", lambda f, v: f.mul_restricted(f, (v,))),
+], ids=["extract_x", "euler_scale", "negate_vars x", "truncate", "mul_truncated",
+        "select_theta", "extract_theta_left", "negate_vars t", "mul_restricted"])
+def test_term_wise_methods_reject_a_variable_outside_the_ring(letter, call, bad):
+    # index 0 and nvars + 1 on x1 + t2 in two variables
+    with pytest.raises(ValueError, match=rf"^variable {letter}{bad} outside 1\.\.2$"):
+        call(P.x(1, 2) + P.theta(2, 2), bad)
 
 
 def test_product_oracles():
