@@ -286,9 +286,9 @@ def _path_reads(basis: str, requests, nvars: int):
     request (label, keys), k its fermionic degree: by k, then depth-first in
     the order of the factor sequences (tilde parts, then plain parts).  Each
     distinct proper prefix product is built once, on the sectors inside
-    t_1..t_k, and dropped when the walk leaves it; each label is read
-    (_product_read) off its prefix and last factor.  The generators live for
-    the walk alone: each is built below any cache (_builder)."""
+    t_1..t_k (all of them if k > nvars), and dropped when the walk leaves
+    it; each label is read (_product_read) off its prefix and last factor.
+    The generators live for the walk alone, built below any cache (_builder)."""
     factor = cache(lambda tilde, part: _builder("t" * tilde + basis)(part, nvars))
     by_k = {}
     for label, keys in requests:
