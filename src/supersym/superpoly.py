@@ -166,7 +166,9 @@ class SuperPolynomial:
                 yield mask, key, c
 
     def key_exponent(self, key: int, var: int) -> int:
-        return (key >> (_FIELD_BITS * (var - 1))) & _FIELD_MASK
+        """The exponent of x_var in a packed key; var outside 1..nvars raises."""
+        (off,) = self._field_offsets((var,))
+        return (key >> off) & _FIELD_MASK
 
     def mask_vars(self, mask: int) -> tuple[int, ...]:
         """1-based theta indices of a block mask, increasing."""
@@ -431,11 +433,12 @@ class SuperPolynomial:
             raise ValueError(f"need 1 <= i < {self.nvars}, got {i}")
         lo = 1 << (i - 1)
         hi = 1 << i
+        off_i, off_j = self._field_offsets((i, i + 1))
         # x_i^a x_{i+1}^b -> x_i^b x_{i+1}^a adds (a - b) * step to the key
-        step = _FIELD_MASK << (_FIELD_BITS * (i - 1))
+        step = _FIELD_MASK << off_i
 
         def image(mask, key, c):
-            key += (self.key_exponent(key, i) - self.key_exponent(key, i + 1)) * step
+            key += ((key >> off_i & _FIELD_MASK) - (key >> off_j & _FIELD_MASK)) * step
             both = mask & (lo | hi)
             if both == lo or both == hi:
                 return mask ^ lo ^ hi, key, c
@@ -452,13 +455,13 @@ class SuperPolynomial:
     def render(self) -> str:
         if self.is_zero():
             return "0"
-        pieces = []
+        pieces, offsets = [], self._field_offsets()
         for mask in sorted(self.blocks, key=lambda m: (m.bit_count(), m)):
             for key in sorted(self.blocks[mask], reverse=True):
                 c = self.blocks[mask][key]
                 factors = [str(c)]
-                for var in range(1, self.nvars + 1):
-                    e = self.key_exponent(key, var)
+                for var, off in enumerate(offsets, 1):
+                    e = (key >> off) & _FIELD_MASK
                     if e == 1:
                         factors.append(f"x{var}")
                     elif e:

@@ -11,12 +11,16 @@ p and one out of it.
 The pivot runs on block indices, the labels' positions in the block's
 enumeration.  The tables are built and kept in one form, sparse columns of
 (index, int) pairs, diagonal entry first; a coordinate vector is a dense
-list of integer numerators over one denominator.  _to_p takes an
-expansion to (p numerators, den) and _from_p takes that pair to any basis:
-change_basis is the two halves, omega puts a sign vector between them, and
-scalar_product pairs two p vectors.  SuperPartitions appear only at the
-BasisExpansion boundary, where a coefficient leaves the integer pivot by
-superpartition._exact's rule: an int if integral, else a reduced Fraction.
+list of integer numerators over one denominator (1 for an all-int input).
+_to_p takes an expansion to (p numerators, den) and _from_p takes that
+pair to any basis: change_basis is the two halves, omega puts a sign
+vector between them, and scalar_product pairs two p vectors.
+
+Coefficients follow superpartition._exact's rule: an int if integral, else
+a reduced Fraction, never zero.  BasisExpansion.__init__ checks it, with
+the labels' bidegree, on anything passed in; _from_p and mono_product key
+their results by the block's own labels and hold it by construction, so
+they build through the unchecked _expansion, which sets the fields.
 
 Two combinatorial m-basis rules live here as well, independent of the
 polynomial engine and of p so that each can check the others: the product
@@ -36,20 +40,9 @@ from functools import cache
 from .superpartition import BASIS_NAMES, SuperPartition, _Frozen, _block, _check_size, _exact
 
 __all__ = [
-    "BasisExpansion",
-    "expand_in_monomials",
-    "mono_product_fillings",
-    "mono_product",
-    "change_basis",
-    "z_weight",
-    "omega_sign",
-    "eh_in_p",
-    "scalar_product",
-    "omega",
-    "verify_recursions",
-    "determinant_formulas",
-    "DETERMINANT_KINDS",
-    "triangularity",
+    "BasisExpansion", "expand_in_monomials", "mono_product_fillings", "mono_product",
+    "change_basis", "z_weight", "omega_sign", "eh_in_p", "scalar_product", "omega",
+    "verify_recursions", "determinant_formulas", "DETERMINANT_KINDS", "triangularity",
 ]
 
 
@@ -94,10 +87,7 @@ class BasisExpansion(_Frozen):
                 c = _exact(c)
             if c:
                 cleaned[sp] = c
-        object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "coeffs", cleaned)
+        _expansion(basis, n, m, cleaned, self)
 
     def __eq__(self, other) -> bool:
         fields = (self.basis, self.n, self.m, self.coeffs)
@@ -124,6 +114,8 @@ class BasisExpansion(_Frozen):
         )
 
     def __add__(self, other: BasisExpansion) -> BasisExpansion:
+        if not isinstance(other, BasisExpansion):
+            return NotImplemented
         if (self.basis, self.n, self.m) != (other.basis, other.n, other.m):
             raise ValueError("can only add expansions over the same basis and block")
         out = dict(self.coeffs)
@@ -141,15 +133,11 @@ class BasisExpansion(_Frozen):
         )
 
     def to_json_dict(self) -> dict:
-        return {
-            "basis": self.basis,
-            "n": self.n,
-            "m": self.m,
-            "terms": [
-                {"spar": sp.to_json_dict(), "coeff": format_rational(c)}
-                for sp, c in self.items_sorted()
-            ],
-        }
+        terms = [
+            {"spar": sp.to_json_dict(), "coeff": format_rational(c)}
+            for sp, c in self.items_sorted()
+        ]
+        return {"basis": self.basis, "n": self.n, "m": self.m, "terms": terms}
 
     @classmethod
     def from_json_dict(cls, data: dict) -> BasisExpansion:
@@ -160,20 +148,26 @@ class BasisExpansion(_Frozen):
         return cls(data["basis"], data["n"], data["m"], coeffs)
 
 
+def _expansion(basis: str, n: int, m: int, coeffs: dict, x=None) -> BasisExpansion:
+    """The one place BasisExpansion's fields are set (on x, or on a new one),
+    unchecked: __init__ passes what it has checked, and _from_p and
+    mono_product their block's own labels with nonzero values by _exact."""
+    x = object.__new__(BasisExpansion) if x is None else x
+    object.__setattr__(x, "basis", basis)
+    object.__setattr__(x, "n", n)
+    object.__setattr__(x, "m", m)
+    object.__setattr__(x, "coeffs", coeffs)
+    return x
+
+
 # -- the signed filling rule ---------------------------------------------------
 
 
 def _labeled_rows(sp: SuperPartition, first_label: int) -> tuple[tuple[int, int], ...]:
     """Rows as (value, label): circled rows get labels first_label, +1, ...
     top to bottom; plain rows carry label 0."""
-    rows = []
-    nxt = first_label
-    for v, circ in sp.circled_rows():
-        if circ:
-            rows.append((v, nxt))
-            nxt += 1
-        else:
-            rows.append((v, 0))
+    labels = itertools.count(first_label)
+    rows = ((v, next(labels) if circ else 0) for v, circ in sp.circled_rows())
     return tuple(sorted(rows, reverse=True))
 
 
@@ -190,6 +184,8 @@ def mono_product(a: SuperPartition, b: SuperPartition) -> BasisExpansion:
     fill and the source rows left, so targets ending in the same rows share
     counts; the result is keyed by the block's own labels.
     """
+    if bad := [x for x in (a, b) if not isinstance(x, SuperPartition)]:
+        raise TypeError(f"expected a SuperPartition, got {bad[0]!r}")
     n, m = a.degree + b.degree, a.fermionic_degree + b.fermionic_degree
     memo: dict = {}
 
@@ -221,7 +217,7 @@ def mono_product(a: SuperPartition, b: SuperPartition) -> BasisExpansion:
 
     rows = _labeled_rows(a, 1), _labeled_rows(b, a.fermionic_degree + 1)
     coeffs = {g: c for g in _block(n, m) if (c := count(g.circled_rows(), *rows))}
-    return BasisExpansion("m", n, m, coeffs)
+    return _expansion("m", n, m, coeffs)
 
 
 def _remove_once(rem: tuple, item) -> tuple:
@@ -468,11 +464,12 @@ def _to_p(x: BasisExpansion) -> tuple[list, int]:
     if not isinstance(x, BasisExpansion):
         raise TypeError(f"expected a BasisExpansion, got {type(x)!r}")
     n, m = x.n, x.m
-    labels, index = _block_index(n, m)[:2]
-    den = math.lcm(*(c.denominator for c in x.coeffs.values()))
+    labels, index, _, _ = _block_index(n, m)
+    cs = x.coeffs.values()  # an all-int expansion is read as it is, over 1
+    den = math.lcm(*(c.denominator for c in cs)) if Fraction in map(type, cs) else 1
     v = [0] * len(labels)
     for sp, c in x.coeffs.items():
-        v[index[sp.a, sp.s]] = c.numerator * (den // c.denominator)
+        v[index[sp.a, sp.s]] = c if den == 1 else c.numerator * (den // c.denominator)
     if x.basis == "m":
         table = _p_in_m(n, m)
         return _solve(v, *table, labels), den * table[0]
@@ -486,13 +483,16 @@ def _to_p(x: BasisExpansion) -> tuple[list, int]:
 
 def _from_p(v: list, den: int, to: str, n: int, m: int) -> BasisExpansion:
     """The element with p numerators v over den in the basis `to`: m applies
-    the p-in-m table, and h (e, after omega) is a solve on the h table."""
+    the p-in-m table, and h (e, after omega) is a solve on the h table.
+    The result is built unchecked, on the block's labels and nonzero values."""
     labels = _block(n, m)
     if to == "m":
         v = _apply(v, _p_in_m(n, m)[2])
     elif to != "p":
         v = _solve(_omega_p(v, n, m) if to == "e" else v, *_h_in_p_columns(n, m), labels)
-    return BasisExpansion(to, n, m, {labels[i]: _ratio(c, den) for i, c in enumerate(v) if c})
+    if den == 1 or not math.gcd(*v) % den:  # den divides every coordinate
+        return _expansion(to, n, m, {labels[i]: c // den for i, c in enumerate(v) if c})
+    return _expansion(to, n, m, {labels[i]: _ratio(c, den) for i, c in enumerate(v) if c})
 
 
 def change_basis(x: BasisExpansion, to: str) -> BasisExpansion:

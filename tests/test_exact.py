@@ -3,9 +3,12 @@
 A coefficient that the library returns is an int when it is integral and a
 reduced Fraction otherwise, and never zero; a bool or float coefficient, which
 is no exact number, raises TypeError where it enters (BasisExpansion and
-superpoly._exact), as does an input that is not a library object.
+superpoly._exact), as does an input that is not a library object.  The
+results that the pivot and the filling rule build unchecked are fixed points
+of the checked constructor.
 """
 
+import random
 from collections import Counter
 from fractions import Fraction
 from itertools import product
@@ -13,7 +16,7 @@ from itertools import product
 import pytest
 
 from supersym.bases import basis_element
-from supersym.superpartition import BASIS_NAMES, SuperPartition, enumerate_superpartitions
+from supersym.superpartition import BASIS_NAMES, SuperPartition, _block, enumerate_superpartitions
 from supersym.superpoly import SuperPolynomial
 from supersym.transform import (
     BasisExpansion,
@@ -137,7 +140,43 @@ def test_a_bool_or_float_coefficient_raises_naming_it(boundary, value):
     (lambda: change_basis(SuperPolynomial.one(2), "m"), "expected a BasisExpansion, got .*SuperPolynomial"),
     (lambda: omega("m"), "expected a BasisExpansion, got <class 'str'>"),
     (lambda: scalar_product("m", BasisExpansion("m", 0, 0)), "expected a SuperPolynomial, got <class 'str'>"),
-], ids=["BasisExpansion", "change_basis", "omega", "scalar_product"])
+    (lambda: BasisExpansion.unit("m", sp("(1;1)")) + 1, "unsupported operand type.*'BasisExpansion' and 'int'"),
+    (lambda: mono_product(sp("(1;1)"), "x"), "expected a SuperPartition, got 'x'"),
+], ids=["BasisExpansion", "change_basis", "omega", "scalar_product", "BasisExpansion.__add__", "mono_product"])
 def test_an_input_that_is_no_library_object_raises_type_error(call, match):
     with pytest.raises(TypeError, match=match):
         call()
+
+
+def test_pivot_results_are_fixed_points_of_the_checked_constructor():
+    # _from_p (so change_basis, omega and eh_in_p) and mono_product build
+    # their results unchecked, so each must already be what __init__ makes of it
+    def check(y, basis, where):
+        assert y.basis == basis, where
+        block = set(_block(y.n, y.m))
+        assert all(la in block and c != 0 for la, c in y.coeffs.items()), where
+        again = BasisExpansion(y.basis, y.n, y.m, y.coeffs)
+        assert again == y, where
+        typed = [(la, type(c), c) for la, c in y.coeffs.items()]
+        assert [(la, type(c), c) for la, c in again.coeffs.items()] == typed, where
+
+    rng = random.Random(30)
+    inputs = units(6)
+    for n, m in blocks(6):
+        labels = enumerate_superpartitions(n, m)
+        for b, _ in product(BASIS_NAMES, range(3)):
+            picked = rng.sample(labels, min(len(labels), 4))
+            coeffs = {la: Fraction(rng.randint(-9, 9), rng.randint(1, 12)) for la in picked}
+            inputs.append(BasisExpansion(b, n, m, coeffs))
+    for x in inputs:
+        for to in BASIS_NAMES:
+            check(change_basis(x, to), to, (x, to))
+        check(omega(x), x.basis, (x, "omega"))
+    for n in range(7):
+        for fermionic, which in product((False, True), "eh"):
+            check(eh_in_p(n, fermionic, which), "p", (n, fermionic, which))
+    labels = [la for n, m in blocks(4) for la in enumerate_superpartitions(n, m)]
+    products = [mono_product(a, b) for a, b in product(labels, labels) if a.degree + b.degree <= 4]
+    for y in products:
+        check(y, "m", y)
+    assert sum(map(len, (y.coeffs for y in products))) > 0

@@ -10,7 +10,7 @@ from types import MappingProxyType
 
 import pytest
 
-from supersym import bases, cli, engine_checks, inner
+from supersym import bases, cli, engine_checks, inner, transform
 from supersym.superpartition import SuperPartition, _blocks, enumerate_superpartitions
 from supersym.superpoly import SuperPolynomial, _FIELD_MASK
 from supersym.bases import basis_element, powersum
@@ -280,13 +280,19 @@ def test_scalar_product_of_power_sums_builds_no_expansion(monkeypatch):
     left = unit("p", "(2,0;2,1)").scale(Fraction(3, 4)) + unit("p", "(2,1;1,1)")
     right = unit("p", "(2,0;2,1)").scale(Fraction(-1, 6)) + unit("p", "(3,0;1,1)")
     built = []
-    init = BasisExpansion.__init__
+    init, builder = BasisExpansion.__init__, transform._expansion
 
     def counting_init(self, *args, **kwargs):
         built.append(args)
         init(self, *args, **kwargs)
 
+    def counting_builder(*args):
+        built.append(args)
+        return builder(*args)
+
+    # the checked constructor and the unchecked builder that _from_p uses
     monkeypatch.setattr(BasisExpansion, "__init__", counting_init)
+    monkeypatch.setattr(transform, "_expansion", counting_builder)
     # z of (2,0;2,1) is 2, so the pairing is 2 * 3/4 * -1/6
     assert scalar_product(left, right) == Fraction(-1, 4)
     assert built == []

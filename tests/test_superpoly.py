@@ -56,8 +56,9 @@ def test_term_checks_every_index_and_exponent_before_returning_zero(call, match)
     ("t", lambda f, v: f.extract_theta_left(v)),
     ("t", lambda f, v: f.negate_vars((), (v,))),
     ("t", lambda f, v: f.mul_restricted(f, (v,))),
+    ("x", lambda f, v: f.key_exponent(1, v)),
 ], ids=["extract_x", "euler_scale", "negate_vars x", "truncate", "mul_truncated",
-        "select_theta", "extract_theta_left", "negate_vars t", "mul_restricted"])
+        "select_theta", "extract_theta_left", "negate_vars t", "mul_restricted", "key_exponent"])
 def test_term_wise_methods_reject_a_variable_outside_the_ring(letter, call, bad):
     # index 0 and nvars + 1 on x1 + t2 in two variables
     with pytest.raises(ValueError, match=rf"^variable {letter}{bad} outside 1\.\.2$"):
