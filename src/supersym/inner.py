@@ -5,18 +5,21 @@ live in transform with the rest of the pivot; they are re-exported here.
 The pairing convention: the left slot carries the sector sign
 (-1)^(m(m-1)/2) (reversed theta order) and the right slot is plain, which
 makes <p_L, p_O> = z_L delta exactly as displayed everywhere below.
+The kernel's product side, h and e over m counted as signed matrices
+(_peel), lives here too: only the kernel check runs it.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
+from functools import cache
 
 from .superpartition import SuperPartition, _blocks, _check_size, _report, enumerate_superpartitions
 from .superpoly import SuperPolynomial, _FIELD_MASK, _sector_sign
 from .transform import (  # noqa: F401  (change_basis is re-exported)
     BasisExpansion,
-    _peel,
     _ratio,
     change_basis,
     eh_in_p,
@@ -79,6 +82,64 @@ def duality_check(n_max: int) -> dict:
         if not dual_bases_check(n, m, "p", "p/z"):
             return _report("duality", params, f"p-p/z duality fails on block ({n}|{m})")
     return _report("duality", params, None)
+
+
+# -- the matrix-counting peel ----------------------------------------------------
+
+
+def _peel(which: str, blocks) -> dict:
+    """[m_O] u_L (u = h or e) for the labels L, O the caller chose for each
+    (n, m, labels) in blocks: signed counts of matrices with row sums L and
+    column sums O, fermionic parts first, entries in N (h) or {0, 1} (e).
+    Fermionic row i picks fermionic column sigma(i) at the sign sgn(sigma);
+    for h the picked cell weighs its entry plus one, for e it must be empty.
+    Rows are peeled off one at a time, fermionic ones first, memoised on the
+    rows and column sums left (for every block of the call at once); bosonic
+    columns permute freely, so their sums are kept sorted.
+    """
+
+    @cache
+    def takes(total: int, bounds: tuple) -> tuple:
+        # the compositions of total bounded entrywise by bounds (and 1 for e)
+        if not bounds:
+            return () if total else ((),)
+        top = min(total, bounds[0], 1 if which == "e" else total)
+        return tuple((v, *rest) for v in range(top + 1) for rest in takes(total - v, bounds[1:]))
+
+    @cache
+    def bosonic(total: int, sums: tuple) -> tuple:
+        # (sums left, ways) over the rows that take total from the bosonic sums
+        ways: dict = {}
+        for row in takes(total, sums):
+            left = tuple(sorted((c - v for c, v in zip(sums, row) if c > v), reverse=True))
+            ways[left] = ways.get(left, 0) + 1
+        return tuple(ways.items())
+
+    @cache
+    def count(rows: tuple, fer: tuple, bos: tuple) -> int:
+        # rows are (value, picked column or None); the last is peeled first
+        if not rows:
+            return 1
+        (value, j), total = rows[-1], 0
+        for part in range(min(value, sum(fer)) + 1):
+            spread = bosonic(value - part, bos)
+            for row in takes(part, fer) if spread else ():
+                w = 1 if j is None else row[j] + 1 if which == "h" else int(not row[j])
+                if w:
+                    left = tuple(c - v for c, v in zip(fer, row))
+                    total += w * sum(ways * count(rows[:-1], left, rest) for rest, ways in spread)
+        return total
+
+    table = {}
+    for n, m, labels in blocks:
+        perms = list(itertools.permutations(range(m)))
+        signs = [-1 if sum(x > y for i, x in enumerate(s) for y in s[i + 1 :]) & 1 else 1 for s in perms]
+        for i, la in enumerate(labels):
+            rows = [tuple((v, None) for v in la.s) + tuple(zip(la.a, sigma)) for sigma in perms]
+            for om in labels[i:]:  # transposing swaps L and O and inverts sigma
+                if c := sum(sign * count(r, om.a, om.s) for sign, r in zip(signs, rows)):
+                    table[la, om] = table[om, la] = c
+    return table
 
 
 # -- Cauchy kernels over a doubled alphabet --------------------------------------

@@ -16,15 +16,15 @@ _to_p takes an expansion to (p numerators, den) and _from_p takes that
 pair to any basis: change_basis is the two halves, omega puts a sign
 vector between them, and scalar_product pairs two p vectors.
 
-Coefficients follow superpartition._exact's rule: an int if integral, else
-a reduced Fraction, never zero.  BasisExpansion.__init__ checks it, with
-the labels' bidegree, on anything passed in; _from_p and mono_product key
-their results by the block's own labels and hold it by construction, so
-they build through the unchecked _expansion, which sets the fields.
+Coefficients follow superpartition._exact's rule (an int if integral, else
+a reduced Fraction; never zero).  BasisExpansion.__init__ checks it and each
+label's bidegree; _from_p and mono_product, which key their results by the
+block's own labels, hold it by construction and build through _expansion.
 
-Two combinatorial m-basis rules live here as well, independent of the
-polynomial engine and of p so that each can check the others: the product
-of two monomials by signed fillings, and h and e over m by counting matrices.
+One combinatorial m-basis rule lives here as well, independent of the
+polynomial engine and of p so that each can check the other: the product of
+two monomials by signed fillings.  The other, h and e over m by counting
+matrices, is inner._peel, which only the kernel check runs.
 
 Nothing here loads the polynomial engine.  Its oracle (expand_in_monomials
 and the identity checks) is in engine_checks, loaded here on first use.
@@ -32,7 +32,6 @@ and the identity checks) is in engine_checks, loaded here on first use.
 
 from __future__ import annotations
 
-import itertools
 import math
 from fractions import Fraction
 from functools import cache
@@ -40,9 +39,20 @@ from functools import cache
 from .superpartition import BASIS_NAMES, SuperPartition, _Frozen, _block, _check_size, _exact
 
 __all__ = [
-    "BasisExpansion", "expand_in_monomials", "mono_product_fillings", "mono_product",
-    "change_basis", "z_weight", "omega_sign", "eh_in_p", "scalar_product", "omega",
-    "verify_recursions", "determinant_formulas", "DETERMINANT_KINDS", "triangularity",
+    "BasisExpansion",
+    "expand_in_monomials",
+    "mono_product_fillings",
+    "mono_product",
+    "change_basis",
+    "z_weight",
+    "omega_sign",
+    "eh_in_p",
+    "scalar_product",
+    "omega",
+    "verify_recursions",
+    "determinant_formulas",
+    "DETERMINANT_KINDS",
+    "triangularity",
 ]
 
 
@@ -133,11 +143,15 @@ class BasisExpansion(_Frozen):
         )
 
     def to_json_dict(self) -> dict:
-        terms = [
-            {"spar": sp.to_json_dict(), "coeff": format_rational(c)}
-            for sp, c in self.items_sorted()
-        ]
-        return {"basis": self.basis, "n": self.n, "m": self.m, "terms": terms}
+        return {
+            "basis": self.basis,
+            "n": self.n,
+            "m": self.m,
+            "terms": [
+                {"spar": sp.to_json_dict(), "coeff": format_rational(c)}
+                for sp, c in self.items_sorted()
+            ],
+        }
 
     @classmethod
     def from_json_dict(cls, data: dict) -> BasisExpansion:
@@ -149,9 +163,8 @@ class BasisExpansion(_Frozen):
 
 
 def _expansion(basis: str, n: int, m: int, coeffs: dict, x=None) -> BasisExpansion:
-    """The one place BasisExpansion's fields are set (on x, or on a new one),
-    unchecked: __init__ passes what it has checked, and _from_p and
-    mono_product their block's own labels with nonzero values by _exact."""
+    """Set BasisExpansion's fields (on x, or on a new one), unchecked: the
+    one place they are set, for __init__, _from_p and mono_product."""
     x = object.__new__(BasisExpansion) if x is None else x
     object.__setattr__(x, "basis", basis)
     object.__setattr__(x, "n", n)
@@ -166,8 +179,14 @@ def _expansion(basis: str, n: int, m: int, coeffs: dict, x=None) -> BasisExpansi
 def _labeled_rows(sp: SuperPartition, first_label: int) -> tuple[tuple[int, int], ...]:
     """Rows as (value, label): circled rows get labels first_label, +1, ...
     top to bottom; plain rows carry label 0."""
-    labels = itertools.count(first_label)
-    rows = ((v, next(labels) if circ else 0) for v, circ in sp.circled_rows())
+    rows = []
+    nxt = first_label
+    for v, circ in sp.circled_rows():
+        if circ:
+            rows.append((v, nxt))
+            nxt += 1
+        else:
+            rows.append((v, 0))
     return tuple(sorted(rows, reverse=True))
 
 
@@ -230,64 +249,6 @@ def _remove_once(rem: tuple, item) -> tuple:
 def mono_product_fillings(a: SuperPartition, b: SuperPartition, g: SuperPartition) -> int:
     """[m_g] m_a m_b by the filling rule (mono_product); 0 on a bidegree mismatch."""
     return mono_product(a, b).get(g)
-
-
-# -- the matrix-counting peel ----------------------------------------------------
-
-
-def _peel(which: str, blocks) -> dict:
-    """[m_O] u_L (u = h or e) for the labels L, O the caller chose for each
-    (n, m, labels) in blocks: signed counts of matrices with row sums L and
-    column sums O, fermionic parts first, entries in N (h) or {0, 1} (e).
-    Fermionic row i picks fermionic column sigma(i) at the sign sgn(sigma);
-    for h the picked cell weighs its entry plus one, for e it must be empty.
-    Rows are peeled off one at a time, fermionic ones first, memoised on the
-    rows and column sums left (for every block of the call at once); bosonic
-    columns permute freely, so their sums are kept sorted.
-    """
-
-    @cache
-    def takes(total: int, bounds: tuple) -> tuple:
-        # the compositions of total bounded entrywise by bounds (and 1 for e)
-        if not bounds:
-            return () if total else ((),)
-        top = min(total, bounds[0], 1 if which == "e" else total)
-        return tuple((v, *rest) for v in range(top + 1) for rest in takes(total - v, bounds[1:]))
-
-    @cache
-    def bosonic(total: int, sums: tuple) -> tuple:
-        # (sums left, ways) over the rows that take total from the bosonic sums
-        ways: dict = {}
-        for row in takes(total, sums):
-            left = tuple(sorted((c - v for c, v in zip(sums, row) if c > v), reverse=True))
-            ways[left] = ways.get(left, 0) + 1
-        return tuple(ways.items())
-
-    @cache
-    def count(rows: tuple, fer: tuple, bos: tuple) -> int:
-        # rows are (value, picked column or None); the last is peeled first
-        if not rows:
-            return 1
-        (value, j), total = rows[-1], 0
-        for part in range(min(value, sum(fer)) + 1):
-            spread = bosonic(value - part, bos)
-            for row in takes(part, fer) if spread else ():
-                w = 1 if j is None else row[j] + 1 if which == "h" else int(not row[j])
-                if w:
-                    left = tuple(c - v for c, v in zip(fer, row))
-                    total += w * sum(ways * count(rows[:-1], left, rest) for rest, ways in spread)
-        return total
-
-    table = {}
-    for n, m, labels in blocks:
-        perms = list(itertools.permutations(range(m)))
-        signs = [-1 if sum(x > y for i, x in enumerate(s) for y in s[i + 1 :]) & 1 else 1 for s in perms]
-        for i, la in enumerate(labels):
-            rows = [tuple((v, None) for v in la.s) + tuple(zip(la.a, sigma)) for sigma in perms]
-            for om in labels[i:]:  # transposing swaps L and O and inverts sigma
-                if c := sum(sign * count(r, om.a, om.s) for sign, r in zip(signs, rows)):
-                    table[la, om] = table[om, la] = c
-    return table
 
 
 # -- the power-sum algebra ------------------------------------------------------

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from supersym import engine_checks, transform
+from supersym import engine_checks, inner, transform
 from supersym.superpartition import SuperPartition, enumerate_superpartitions
 from supersym.superpoly import SuperPolynomial
 from supersym.bases import multiplicative
@@ -57,7 +57,7 @@ def test_pivot_matches_engine_block_matrices():
 
 # -- the matrix-counting oracle -------------------------------------------------------
 #
-# [m_O] h_L and [m_O] e_L counted as signed superspace matrices by transform._peel:
+# [m_O] h_L and [m_O] e_L counted as signed superspace matrices by inner._peel:
 # neither the engine nor the power-sum algebra.
 
 
@@ -66,7 +66,7 @@ def test_generators_in_m_match_the_matrix_counts():
     for n, m in blocks(7):
         block = enumerate_superpartitions(n, m)
         for basis in ("e", "h"):
-            counts = transform._peel(basis, [(n, m, block)])
+            counts = inner._peel(basis, [(n, m, block)])
             for la in block:
                 want = BasisExpansion("m", n, m, {om: counts.get((la, om), 0) for om in block})
                 assert change_basis(BasisExpansion.unit(basis, la), "m") == want, (basis, la)
@@ -81,8 +81,8 @@ def test_one_peel_over_many_blocks_is_the_union_of_single_block_peels(basis, nva
     shared = [(n, m, enumerate_superpartitions(n, m, max_len=nvars)) for n, m in blocks(degree) if m <= nvars]
     union = {}
     for block in shared:
-        union.update(transform._peel(basis, [block]))
-    assert transform._peel(basis, shared) == union
+        union.update(inner._peel(basis, [block]))
+    assert inner._peel(basis, shared) == union
 
 
 # -- round trips and the triangular solve -------------------------------------------
