@@ -2,9 +2,10 @@
 
 Each family comes in a bosonic version (e_n, h_n, p_n) and a fermionic one
 (te_n, th_n, tp_n, rendered with a tilde in math and spelled with a
-`_tilde` suffix here).  Products over the parts of a superpartition give the
-multiplicative bases; the monomial basis is written directly, one term per
-distinct variable placement.
+`_tilde` suffix here), each written once as its closed form and built by one
+uncached builder at the keys it is given.  Products over the parts of a
+superpartition give the multiplicative bases; the monomial basis is written
+directly, one term per distinct variable placement.
 
 Generating series with one extra bosonic parameter t = x_{N+1} and one extra
 anticommuting parameter tau = t_{N+1} tie the families together; see
@@ -148,12 +149,45 @@ def monomial(sp: SuperPartition, nvars: int, strict: bool = True) -> SuperPolyno
     return SuperPolynomial(nvars, blocks)
 
 
-def _packed_key(combo) -> int:
-    """Exponent key for a monomial given as a multiset of 1-based variables."""
-    key = 0
-    for v in combo:
-        key += 1 << (_FIELD_BITS * (v - 1))
-    return key
+# The closed forms: the coefficient of X_n at t_i x^v, with x^v given as
+# the sorted sequence of its variables (0-based, each repeated by its
+# exponent) and i the 0-based theta of a fermionic family (None if bosonic).
+_FORMS = {
+    "e": lambda i, v: 1 if len(set(v)) == len(v) else 0,  # squarefree
+    "te": lambda i, v: 1 if len(set(v)) == len(v) and i not in v else 0,
+    "h": lambda i, v: 1,
+    "th": lambda i, v: v.count(i) + 1,
+    "p": lambda i, v: 1 if len(set(v)) == 1 else 0,  # n e_j with n >= 1: p_0 = 0
+    "tp": lambda i, v: 1 if v.count(i) == len(v) else 0,  # n e_i
+}
+
+# Each family's support, as tuples of n entries of vs (variables or their unit keys).
+_SUPPORTS = {"e": itertools.combinations, "h": itertools.combinations_with_replacement,
+             "p": lambda vs, n: dict.fromkeys((j,) * n for j in vs)}  # single powers
+
+
+def _variables(key: int) -> list[int]:
+    """The sorted variables of a packed key, each repeated by its exponent;
+    a list, since the tuple free lists would keep a build's many tuples."""
+    fields = range(0, key.bit_length(), _FIELD_BITS)
+    return [o // _FIELD_BITS for o in fields for _ in range(key >> o & _FIELD_MASK)]
+
+
+def _generator(family: str, n: int, nvars: int, keys=None) -> SuperPolynomial:
+    """X_n of a family (e, te, h, th, p or tp) in nvars variables: its closed
+    form (_FORMS) at the packed keys given, of degree n on variables below
+    nvars, by default at the family's support.  Uncached: the constructors
+    cache it; the engine's walks and checks build what they alone read."""
+    _check_size("n", n, 0, _FIELD_MASK)  # one exponent field
+    _check_size("nvars", nvars)
+    form = _FORMS[family]
+    if keys is None:  # the support on the variables and on their unit keys, in one order
+        support, units = _SUPPORTS[family[-1]], [1 << (_FIELD_BITS * j) for j in range(nvars)]
+        terms = [(sum(u), v) for v, u in zip(support(range(nvars), n), support(units, n))]
+    else:
+        terms = [(key, _variables(key)) for key in keys]
+    sectors = [(1 << i, i) for i in range(nvars)] if family[0] == "t" else [(0, None)]
+    return SuperPolynomial(nvars, {mask: {key: form(i, v) for key, v in terms} for mask, i in sectors})
 
 
 # Typed cache keys: True == 1 and hashes alike, so an untyped cache would
@@ -164,31 +198,19 @@ _typed_cache = lru_cache(maxsize=None, typed=True)
 @_typed_cache
 def elementary(n: int, nvars: int) -> SuperPolynomial:
     """e_n: sum of squarefree degree-n monomials."""
-    _check_size("n", n, 0, _FIELD_MASK)  # one exponent field
-    _check_size("nvars", nvars)
-    combos = itertools.combinations(range(1, nvars + 1), n)
-    return SuperPolynomial(nvars, {0: {_packed_key(combo): 1 for combo in combos}})
+    return _generator("e", n, nvars)
 
 
 @_typed_cache
 def elementary_tilde(n: int, nvars: int) -> SuperPolynomial:
     """te_n: sum of t_i times squarefree monomials avoiding x_i."""
-    _check_size("n", n, 0, _FIELD_MASK)  # one exponent field
-    _check_size("nvars", nvars)
-    blocks = {}
-    for i in range(1, nvars + 1):
-        others = [v for v in range(1, nvars + 1) if v != i]
-        blocks[1 << (i - 1)] = {_packed_key(combo): 1 for combo in itertools.combinations(others, n)}
-    return SuperPolynomial(nvars, blocks)
+    return _generator("te", n, nvars)
 
 
 @_typed_cache
 def complete(n: int, nvars: int) -> SuperPolynomial:
     """h_n: sum of all degree-n monomials."""
-    _check_size("n", n, 0, _FIELD_MASK)  # one exponent field
-    _check_size("nvars", nvars)
-    combos = itertools.combinations_with_replacement(range(1, nvars + 1), n)
-    return SuperPolynomial(nvars, {0: {_packed_key(combo): 1 for combo in combos}})
+    return _generator("h", n, nvars)
 
 
 @_typed_cache
@@ -199,35 +221,19 @@ def complete_tilde(n: int, nvars: int) -> SuperPolynomial:
     choices for the split, so th_n = sum_i t_i sum_{|v|=n} (v_i + 1) x^v.
     Equivalently th_n weights the one-fermion monomial basis by a + 1.
     """
-    _check_size("n", n, 0, _FIELD_MASK)  # one exponent field
-    _check_size("nvars", nvars)
-    blocks: dict[int, dict[int, int]] = {1 << i: {} for i in range(nvars)}
-    for combo in itertools.combinations_with_replacement(range(1, nvars + 1), n):
-        key = _packed_key(combo)
-        for i in range(nvars):
-            blocks[1 << i][key] = 1
-        for v in combo:
-            blocks[1 << (v - 1)][key] += 1
-    return SuperPolynomial(nvars, blocks)
+    return _generator("th", n, nvars)
 
 
 @_typed_cache
 def powersum(n: int, nvars: int) -> SuperPolynomial:
     """p_n: sum of n-th powers; p_0 is zero by convention."""
-    _check_size("n", n, 0, _FIELD_MASK)  # one exponent field
-    _check_size("nvars", nvars)
-    if n == 0:
-        return SuperPolynomial.zero(nvars)
-    body = {_packed_key([i] * n): 1 for i in range(1, nvars + 1)}
-    return SuperPolynomial(nvars, {0: body})
+    return _generator("p", n, nvars)
 
 
 @_typed_cache
 def powersum_tilde(n: int, nvars: int) -> SuperPolynomial:
     """tp_n: sum of t_i x_i^n."""
-    _check_size("n", n, 0, _FIELD_MASK)  # one exponent field
-    _check_size("nvars", nvars)
-    return SuperPolynomial(nvars, {1 << (i - 1): {_packed_key([i] * n): 1} for i in range(1, nvars + 1)})
+    return _generator("tp", n, nvars)
 
 
 _GENERATORS = {
@@ -235,17 +241,6 @@ _GENERATORS = {
     "h": (complete, complete_tilde),
     "p": (powersum, powersum_tilde),
 }
-
-
-def _builder(family: str):
-    """The constructor of a generator family (e, te, h, th, p, tp) that
-    _GENERATORS holds at the call, below any cache: the innermost function
-    of its __wrapped__ chain, so a replaced constructor is seen and nothing
-    is cached."""
-    f = _GENERATORS[family[-1]][family[0] == "t"]
-    while hasattr(f, "__wrapped__"):
-        f = f.__wrapped__
-    return f
 
 
 @_typed_cache
@@ -288,8 +283,8 @@ def _path_reads(basis: str, requests, nvars: int):
     distinct proper prefix product is built once, on the sectors inside
     t_1..t_k (all of them if k > nvars), and dropped when the walk leaves
     it; each label is read (_product_read) off its prefix and last factor.
-    The generators live for the walk alone, built below any cache (_builder)."""
-    factor = cache(lambda tilde, part: _builder("t" * tilde + basis)(part, nvars))
+    The generators are built for the walk alone, uncached (_generator)."""
+    factor = cache(lambda tilde, part: _generator("t" * tilde + basis, part, nvars))
     by_k = {}
     for label, keys in requests:
         by_k.setdefault(label.fermionic_degree, []).append((label.a + label.s, label, keys))

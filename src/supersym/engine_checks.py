@@ -3,9 +3,10 @@
 A symmetric homogeneous polynomial is expanded over monomials by reading off
 the coefficients of the defining monomials t_1..t_m x^L; the block matrices
 built that way are what the power-sum pivot of transform is tested against.
-The generator recursions, the determinantal formulas and the triangularity
-of the elementary basis are checked exactly.  The public names are listed
-in transform.__all__ and also read as transform.<name>.
+The triangularity of the elementary basis is checked exactly, and so are the
+generator recursions and determinantal formulas, in the quotient of their
+reads, each generator built only at its keys there.  The public names are
+listed in transform.__all__ and also read as transform.<name>.
 """
 
 from __future__ import annotations
@@ -141,12 +142,15 @@ def _restricted(f: SuperPolynomial, quotient, nvars: int) -> SuperPolynomial:
 
 def _generators(quotient, nvars: int):
     """The map from a generator term (w, family, k) to the pair (w, X_k in
-    the quotient): weights stay scalars, so no generator is scaled.  Each
-    X_k is built on its first read, on the ell variables of the quotient,
-    by bases._builder (read at call time, below any cache, so replaced
-    constructors are seen and no cache fills), and lives as long as the
-    map."""
-    build = cache(lambda fam, k: _restricted(_bases._builder(fam)(k, quotient[0]), quotient, nvars))
+    the quotient): weights stay scalars, so no generator is scaled.  X_k is
+    built on its first read, for the map alone, by bases._generator at D's
+    keys of degree k on the quotient's ell variables (no key outside D is
+    built), then kept on the mask's sectors and widened (_restricted)."""
+    ell, divisors, _ = quotient
+    by_degree = {}
+    for key in divisors:
+        by_degree.setdefault(len(_bases._variables(key)), []).append(key)
+    build = cache(lambda fam, k: _restricted(_bases._generator(fam, k, ell, by_degree.get(k, ())), quotient, nvars))
     return lambda term: (term[0], build(term[1], term[2]))
 
 

@@ -7,7 +7,7 @@ import pytest
 
 from supersym.superpartition import SuperPartition, enumerate_superpartitions
 from supersym.superpoly import SuperPolynomial
-from supersym import bases
+from supersym import bases, engine_checks
 from supersym.bases import (
     _series,
     basis_element,
@@ -217,15 +217,39 @@ def test_powersum_oracles():
 
 
 def test_generators_match_their_monomials():
-    for n in range(7):
-        nv = n + 1
-        assert elementary(n, nv) == monomial(SuperPartition(a=(), s=(1,) * n), nv)
-        assert powersum_tilde(n, nv) == monomial(SuperPartition(a=(n,), s=()), nv)
-        if n >= 1:
-            assert powersum(n, nv) == monomial(SuperPartition(a=(), s=(n,)), nv)
-        assert elementary_tilde(n, nv + 1) == monomial(
-            SuperPartition(a=(0,), s=(1,) * n), nv + 1
-        )
+    # an oracle for the closed forms that shares no code with them: each
+    # generator is a sum over monomial elements, zero past their length
+    for n in range(9):
+        for nv in range(n + 2):
+            mono = lambda a, s: monomial(SuperPartition(a, s), nv, strict=False)
+            over = lambda pairs: P.linear_combination(nv, pairs)
+            assert elementary(n, nv) == mono((), (1,) * n)
+            assert elementary_tilde(n, nv) == mono((0,), (1,) * n)
+            assert complete(n, nv) == over((1, mono(la.a, la.s)) for la in enumerate_superpartitions(n, 0, nv))
+            assert complete_tilde(n, nv) == over(
+                (la.a[0] + 1, mono(la.a, la.s)) for la in enumerate_superpartitions(n, 1, nv)
+            )
+            assert powersum(n, nv) == (mono((), (n,)) if n else P.zero(nv))
+            assert powersum_tilde(n, nv) == mono((n,), ())
+
+
+def test_generators_at_quotient_keys_are_the_whole_generators_kept_there():
+    # the identity checks build each generator only at the keys of degree k
+    # of D (engine_checks._quotient): per block n <= 6, m <= 1 at N = n + 2,
+    # and jointly for the recursions at N = 8
+    quotients = [engine_checks._quotient([(n, m)], n + 2) for n in range(7) for m in (0, 1)]
+    quotients.append(engine_checks._quotient([(n, m) for n in range(7) for m in (0, 1)], 8))
+    for ell, divisors, _ in quotients:
+        by_degree = {}
+        for key in divisors:
+            by_degree.setdefault(sum(key >> o & 0xFFFF for o in range(0, 16 * ell, 16)), []).append(key)
+        for basis, pair in bases._GENERATORS.items():
+            for tilde, whole in enumerate(pair):
+                for k in range(9):
+                    kept = {mb: {key: c for key, c in terms.items() if key in divisors}
+                            for mb, terms in whole(k, ell).blocks.items()}
+                    built = bases._generator("t" * tilde + basis, k, ell, by_degree.get(k, ()))
+                    assert built == P(ell, kept), (basis, tilde, k, ell)
 
 
 def test_negative_degree_rejected():

@@ -186,6 +186,7 @@ def test_malformed_superpartition_names_token(capsys):
 @pytest.mark.parametrize("argv, line", [
     (("conj", "(1,2;)"), "error: fermionic parts not strictly decreasing: (1, 2)"),
     (("inner", "p:(;2)", "h:(;a)"), "error: bad part 'a' in '(;a)'"),
+    (("convert", "--from", "h", "--to", "m", "(;1_0)"), "error: bad part '1_0' in '(;1_0)'"),
     (("build", "--basis", "m", "(;1,1,1)", "--nvars", "2"),
      "error: monomial for (;1,1,1) needs at least 3 variables, got 2"),
 ])

@@ -29,6 +29,12 @@ def scaled_at(module, name, k, factor):
     return lambda n, nvars: real(n, nvars).scale(factor) if n == k else real(n, nvars)
 
 
+def scaled_form(family, k, factor):
+    """Replace the closed form of a generator family by one scaled at degree k."""
+    real = bases._FORMS[family]
+    return lambda i, v: real(i, v) * factor if len(v) == k else real(i, v)
+
+
 def duality_via_cli(n_max):
     def call(capsys):
         rc = main(["verify", "--suite", "duality", "--n-max", str(n_max), "--format", "json"])
@@ -64,11 +70,11 @@ def _generating_hp(mp):
 
 
 def _recursions(mp):
-    mp.setitem(bases._GENERATORS, "h", (bases.complete, scaled_at(bases, "complete_tilde", 2, 2)))
+    mp.setitem(bases._FORMS, "th", scaled_form("th", 2, 2))
 
 
 def _determinant(mp):
-    mp.setitem(bases._GENERATORS, "h", (scaled_at(bases, "complete", 2, 3), bases.complete_tilde))
+    mp.setitem(bases._FORMS, "h", scaled_form("h", 2, 3))
 
 
 def _coefficients_of(target, edit, basis="e"):

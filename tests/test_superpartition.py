@@ -64,7 +64,8 @@ def test_zero_kept_on_antisymmetric_side():
 
 @pytest.mark.parametrize(
     "bad",
-    ["(1,1;)", "(1,2;)", "(;1,2)", "(-1;)", "(;-2)", "()", "(1;2", "(a;)", "(;1,b)"],
+    ["(1,1;)", "(1,2;)", "(;1,2)", "(-1;)", "(;-2)", "()", "(1;2", "(a;)", "(;1,b)",
+     "(;1_0)", "(;\u0663)", "(;+1)"],
 )
 def test_malformed_input_raises(bad):
     with pytest.raises(SparError):

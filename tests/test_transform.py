@@ -552,7 +552,7 @@ def test_identity_checks_reject_sizes_that_are_not_ints_in_range(call, argument)
 def test_one_variable_is_a_real_determinant_check(monkeypatch):
     # (3) is the one label read with one variable
     assert determinant_formulas(3, "e_in_h", nvars=1)["pass"] is True
-    monkeypatch.setitem(bases_module._GENERATORS, *scaled("complete", 3)[1])
+    monkeypatch.setitem(bases_module._FORMS, *scaled("complete", 3)[1])
     assert determinant_formulas(3, "e_in_h", nvars=1)["pass"] is False
 
 
@@ -561,15 +561,14 @@ def test_one_variable_is_a_real_determinant_check(monkeypatch):
 
 def unpruned(nv):
     """The map from a generator term (w, family, k) to w X_k, built whole in
-    nv variables by the constructor that bases._GENERATORS holds now."""
-    ctors = {"t" * tilde + basis: pair[tilde] for basis, pair in bases_module._GENERATORS.items() for tilde in (0, 1)}
-    return lambda term: ctors[term[1]](term[2], nv).scale(term[0])
+    nv variables, uncached, from the closed form that bases._FORMS holds now."""
+    return lambda term: bases_module._generator(term[1], term[2], nv).scale(term[0])
 
 
 def built_recursions(n_max):
     """(failure message, whether it holds) per recursion sum in the order
     verify_recursions reads them, each side built whole from the unpruned
-    constructors with * and linear_combination and compared: the oracle that
+    generators with * and linear_combination and compared: the oracle that
     verify_recursions' canonical reads in the quotient are held against."""
     nv, out = n_max + 2, []
     poly = unpruned(nv)
@@ -586,7 +585,7 @@ def built_recursions(n_max):
 
 def built_determinants(n, which, nv):
     """(failure message, whether it holds) per case of a determinant kind,
-    each determinant built whole from the unpruned constructors by the
+    each determinant built whole from the unpruned generators by the
     leading-minor recursion and compared with its target."""
     poly, out = unpruned(nv), []
     for name, size, row1, entry, subdiag, target in _determinant_cases(which, n):
@@ -607,13 +606,19 @@ def first_failure(verdicts):
     return next((message for message, holds in verdicts if not holds), None)
 
 
+# the family of each generator constructor, as bases._FORMS names it
+FAMILIES = {
+    "elementary": "e", "elementary_tilde": "te", "complete": "h",
+    "complete_tilde": "th", "powersum": "p", "powersum_tilde": "tp",
+}
+
+
 def scaled(name, k, factor=2):
-    """(name, the bases._GENERATORS item with the generator bases.name's
-    degree-k element scaled, k)."""
-    real = getattr(bases_module, name)
-    fake = lambda n, nvars: real(n, nvars).scale(factor) if n == k else real(n, nvars)
-    basis, pair = next((b, pair) for b, pair in bases_module._GENERATORS.items() if real in pair)
-    return name, (basis, tuple(fake if f is real else f for f in pair)), k
+    """(name, the bases._FORMS item with the closed form of the generator
+    bases.name scaled at degree k, k)."""
+    family = FAMILIES[name]
+    real = bases_module._FORMS[family]
+    return name, (family, lambda i, v: real(i, v) * factor if len(v) == k else real(i, v)), k
 
 
 # one generator scaled at a time, so that some identities fail
@@ -628,10 +633,10 @@ SCALINGS = [None] + [
 def test_canonical_reads_give_the_whole_polynomial_verdicts(monkeypatch, scaling):
     """Every identity read at the canonical terms, in the quotient of its
     reads, gets the verdict of the sum built whole from the unpruned
-    constructors, per identity and in both the primal and the image; and
+    generators, per identity and in both the primal and the image; and
     the reports name the oracle's first failure."""
     if scaling is not None:
-        monkeypatch.setitem(bases_module._GENERATORS, *scaling[1])
+        monkeypatch.setitem(bases_module._FORMS, *scaling[1])
     real = engine_checks._vanishes
     reads = []
 
@@ -660,21 +665,11 @@ def test_canonical_reads_give_the_whole_polynomial_verdicts(monkeypatch, scaling
 
 
 def with_term(name, k, var):
-    """The bases._GENERATORS item with the generator bases.name's degree-k
-    element plus x_v^k (times t_v for a tilde family), v = var(nvars) for the
-    ring of nvars variables it is built in, widened to v variables if need be."""
-    real = getattr(bases_module, name)
-    basis, pair = next((b, pair) for b, pair in bases_module._GENERATORS.items() if real in pair)
-
-    def fake(n, nvars):
-        if n != k:
-            return real(n, nvars)
-        v = var(nvars)
-        wide = max(nvars, v)
-        extra = SuperPolynomial.term(wide, 1, {v: n}, thetas=(v,) if pair.index(real) else ())
-        return real(n, nvars).widen(wide) + extra
-
-    return basis, tuple(fake if f is real else f for f in pair)
+    """The bases._FORMS item with the closed form of the generator bases.name
+    plus x_var^k at degree k (times t_var for a tilde family)."""
+    family = FAMILIES[name]
+    real = bases_module._FORMS[family]
+    return family, lambda i, v: real(i, v) + (len(v) == v.count(var - 1) == k and i in (None, var - 1))
 
 
 def identity_reads(monkeypatch):
@@ -691,16 +686,17 @@ def identity_reads(monkeypatch):
 
 @pytest.mark.parametrize("name", ["elementary", "complete_tilde", "powersum"])
 def test_a_term_outside_the_quotient_changes_no_read(monkeypatch, name):
-    """A term that divides no read key, here one on a variable past every
-    label read, reaches no read: dropping it is exact.  The same term on
-    x_1, inside the quotient, flips a verdict, so the test is not vacuous."""
+    """A term that divides no read key, here one on x_6, past every label
+    read (at most five parts), reaches no read: dropping it is exact.  The
+    same term on x_1, inside the quotient, flips a verdict, so the test is
+    not vacuous."""
     want = identity_reads(monkeypatch)
     assert set(want[1]) == {None}
     with monkeypatch.context() as mp:
-        mp.setitem(bases_module._GENERATORS, *with_term(name, 2, lambda nvars: nvars + 1))
+        mp.setitem(bases_module._FORMS, *with_term(name, 2, 6))
         assert identity_reads(mp) == want
     with monkeypatch.context() as mp:
-        mp.setitem(bases_module._GENERATORS, *with_term(name, 2, lambda nvars: 1))
+        mp.setitem(bases_module._FORMS, *with_term(name, 2, 1))
         assert set(identity_reads(mp)[1]) != {None}
 
 
