@@ -163,7 +163,7 @@ _FORMS = {
 
 # Each family's support, as tuples of n entries of vs (variables or their unit keys).
 _SUPPORTS = {"e": itertools.combinations, "h": itertools.combinations_with_replacement,
-             "p": lambda vs, n: dict.fromkeys((j,) * n for j in vs)}  # single powers
+             "p": lambda vs, n: ((j,) * n for j in vs)}  # single powers
 
 
 def _variables(key: int) -> list[int]:

@@ -266,7 +266,7 @@ def _parse_side(side: str, full: str) -> tuple[int, ...]:
     for token in side.split(","):
         tok = token.strip()
         # ASCII digits after an optional '-': int() also takes '+1', '1_0' and other digits
-        if not (tok.isdigit() or tok[:1] == "-" and tok[1:].isdigit()) or not tok.isascii():
+        if not (tok.removeprefix("-").isdigit() and tok.isascii()):
             raise SparError(f"bad part {tok!r} in {full!r}")
         parts.append(int(tok))
     return tuple(parts)

@@ -242,7 +242,7 @@ def test_generators_at_quotient_keys_are_the_whole_generators_kept_there():
     for ell, divisors, _ in quotients:
         by_degree = {}
         for key in divisors:
-            by_degree.setdefault(sum(key >> o & 0xFFFF for o in range(0, 16 * ell, 16)), []).append(key)
+            by_degree.setdefault(sum(key >> o & bases._FIELD_MASK for o in range(0, bases._FIELD_BITS * ell, bases._FIELD_BITS)), []).append(key)
         for basis, pair in bases._GENERATORS.items():
             for tilde, whole in enumerate(pair):
                 for k in range(9):
