@@ -183,10 +183,11 @@ def _generator(family: str, n: int, nvars: int, keys=None) -> SuperPolynomial:
     form = _FORMS[family]
     if keys is None:  # the support on the variables and on their unit keys, in one order
         support, units = _SUPPORTS[family[-1]], [1 << (_FIELD_BITS * j) for j in range(nvars)]
-        terms = [(sum(u), v) for v, u in zip(support(range(nvars), n), support(units, n))]
+        terms = ((sum(u), v) for v, u in zip(support(range(nvars), n), support(units, n)))
     else:
-        terms = [(key, _variables(key)) for key in keys]
+        terms = ((key, _variables(key)) for key in keys)
     sectors = [(1 << i, i) for i in range(nvars)] if family[0] == "t" else [(0, None)]
+    terms = terms if len(sectors) == 1 else list(terms)  # streamed into one sector, else read per sector
     return SuperPolynomial(nvars, {mask: {key: form(i, v) for key, v in terms} for mask, i in sectors})
 
 

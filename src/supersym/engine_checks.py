@@ -144,12 +144,11 @@ def _generators(quotient, nvars: int):
     """The map from a generator term (w, family, k) to the pair (w, X_k in
     the quotient): weights stay scalars, so no generator is scaled.  X_k is
     built on its first read, for the map alone, by bases._generator at D's
-    keys of degree k on the quotient's ell variables (no key outside D is
-    built), then kept on the mask's sectors and widened (_restricted)."""
+    keys of degree k on ell variables, then put in the quotient (_restricted)."""
     ell, divisors, _ = quotient
-    by_degree = {}
+    offsets, by_degree = SuperPolynomial.zero(ell)._field_offsets(), {}
     for key in divisors:
-        by_degree.setdefault(len(_bases._variables(key)), []).append(key)
+        by_degree.setdefault(SuperPolynomial._key_degree(key, offsets), []).append(key)
     build = cache(lambda fam, k: _restricted(_bases._generator(fam, k, ell, by_degree.get(k, ())), quotient, nvars))
     return lambda term: (term[0], build(term[1], term[2]))
 

@@ -240,9 +240,9 @@ def test_generators_at_quotient_keys_are_the_whole_generators_kept_there():
     quotients = [engine_checks._quotient([(n, m)], n + 2) for n in range(7) for m in (0, 1)]
     quotients.append(engine_checks._quotient([(n, m) for n in range(7) for m in (0, 1)], 8))
     for ell, divisors, _ in quotients:
-        by_degree = {}
+        offsets, by_degree = P.zero(ell)._field_offsets(), {}
         for key in divisors:
-            by_degree.setdefault(sum(key >> o & bases._FIELD_MASK for o in range(0, bases._FIELD_BITS * ell, bases._FIELD_BITS)), []).append(key)
+            by_degree.setdefault(P._key_degree(key, offsets), []).append(key)
         for basis, pair in bases._GENERATORS.items():
             for tilde, whole in enumerate(pair):
                 for k in range(9):

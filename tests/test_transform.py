@@ -672,6 +672,24 @@ def with_term(name, k, var):
     return family, lambda i, v: real(i, v) + (len(v) == v.count(var - 1) == k and i in (None, var - 1))
 
 
+def with_built_term(families, k, hits):
+    """bases._generator with each degree-k build of the families, in nvars
+    variables, widened by one and plus x_v^k (times t_v for a tilde family),
+    v = nvars + 1: added after the build, so the term reaches whatever the
+    build feeds.  Each such build is appended to hits."""
+    real = bases_module._generator
+
+    def fake(fam, n, nvars, keys=None):
+        built = real(fam, n, nvars, keys)
+        if fam not in families or n != k:
+            return built
+        hits.append(nvars)
+        v = nvars + 1
+        return built.widen(v) + SuperPolynomial.term(v, 1, {v: n}, thetas=(v,) if fam[0] == "t" else ())
+
+    return fake
+
+
 def identity_reads(monkeypatch):
     """Every coefficient read (_product_read) by verify_recursions(4) and by
     each determinant kind with n <= 4, and the first failures reported."""
@@ -686,15 +704,18 @@ def identity_reads(monkeypatch):
 
 @pytest.mark.parametrize("name", ["elementary", "complete_tilde", "powersum"])
 def test_a_term_outside_the_quotient_changes_no_read(monkeypatch, name):
-    """A term that divides no read key, here one on x_6, past every label
-    read (at most five parts), reaches no read: dropping it is exact.  The
-    same term on x_1, inside the quotient, flips a verdict, so the test is
-    not vacuous."""
+    """A term that divides no read key, here one added to each built
+    generator on x_{ell+1}, past every label read (ell the quotient's longest
+    label), reaches no read: dropping it (_restricted) is exact.  The same
+    term on x_1 in the closed form, inside the quotient, flips a verdict, so
+    the test is not vacuous."""
     want = identity_reads(monkeypatch)
     assert set(want[1]) == {None}
     with monkeypatch.context() as mp:
-        mp.setitem(bases_module._FORMS, *with_term(name, 2, 6))
+        hits = []
+        mp.setattr(bases_module, "_generator", with_built_term({FAMILIES[name]}, 2, hits))
         assert identity_reads(mp) == want
+        assert hits
     with monkeypatch.context() as mp:
         mp.setitem(bases_module._FORMS, *with_term(name, 2, 1))
         assert set(identity_reads(mp)[1]) != {None}
@@ -702,13 +723,15 @@ def test_a_term_outside_the_quotient_changes_no_read(monkeypatch, name):
 
 def test_determinant_factors_lie_in_the_quotient_of_their_reads(monkeypatch):
     # every generator and minor that reaches a read divides a canonical key
-    # of the block, on the sectors inside t_1..t_m
-    real, seen = engine_checks._vanishes, []
+    # of the block, on the sectors inside t_1..t_m, also when every quadratic
+    # generator is built with a term outside the quotient
+    real, seen, hits = engine_checks._vanishes, [], []
+    monkeypatch.setattr(bases_module, "_generator", with_built_term(set(FAMILIES.values()), 2, hits))
     monkeypatch.setattr(engine_checks, "_vanishes", lambda *args: seen.append(args) or real(*args))
     for which in DETERMINANT_KINDS:
         for n in range(_FIRST_N[which], 6):
             assert determinant_formulas(n, which, nvars=7)["pass"] is True
-    assert len(seen) == 2 * (5 + 6 + 5 + 6 + 5 + 6)
+    assert len(seen) == 2 * (5 + 6 + 5 + 6 + 5 + 6) and hits
     for summands, n, m, nvars in seen:
         keys = bases_module._canonical_reads(n, m, nvars)[1]
         for _, f, g in summands:
