@@ -3,7 +3,7 @@
 Each family comes in a bosonic version (e_n, h_n, p_n) and a fermionic one
 (te_n, th_n, tp_n, rendered with a tilde in math and spelled with a
 `_tilde` suffix here), each written once as its closed form and built by one
-uncached builder at the keys it is given.  Products over the parts of a
+uncached builder, whole or in the quotient of a check's reads.  Products over the parts of a
 superpartition give the multiplicative bases; the monomial basis is written
 directly, one term per distinct variable placement.
 
@@ -101,19 +101,30 @@ def _canonical_reads(n: int, m: int, nvars: int) -> tuple[list, list]:
     return labels, [_canonical_key(sp) for sp in labels]
 
 
-def _read_divisors(keys) -> set[int]:
-    """The packed keys dividing some key of keys: every monomial that can
-    reach a read at those keys.  A multiple of any other monomial divides no
-    key either, so the others span a monomial ideal, and dropping them is a
-    ring map.  Uncached: each caller builds it once per call."""
-    out = set()
-    for key in keys:
-        divisors, unit = [0], 1
-        while key:
-            divisors = [d + e * unit for d in divisors for e in range((key & _FIELD_MASK) + 1)]
-            key, unit = key >> _FIELD_BITS, unit << _FIELD_BITS
-        out.update(divisors)
-    return out
+def _quotient(blocks, nvars: int) -> tuple[int, dict[int, list[int]], int]:
+    """The quotient that the reads of the blocks (n, m) at nvars see, as
+    (ell, D by degree, mask): ell the length of their longest label, D the
+    packed keys dividing some canonical key, as lists by degree, and mask
+    the sectors of t_1..t_m for their largest m.  A multiple of a key
+    outside D divides no read key, and masks only grow, so the terms outside
+    D or the mask span an ideal: dropping them is a ring map, and x_j, t_j
+    for j > ell reach no read, so every read of a product or sum is the same
+    in the quotient.  Uncached: each check builds it once per call."""
+    ell, divisors, mask = 0, set(), 0
+    for n, m in blocks:
+        labels, keys = _canonical_reads(n, m, nvars)
+        ell = max([ell] + [sp.length for sp in labels])
+        mask |= (1 << m) - 1
+        for key in keys:
+            found, unit = [0], 1
+            while key:
+                found = [d + e * unit for d in found for e in range((key & _FIELD_MASK) + 1)]
+                key, unit = key >> _FIELD_BITS, unit << _FIELD_BITS
+            divisors.update(found)
+    by_degree = {}
+    for key in divisors:  # a key's degree below 2^16 - 1 is the key mod 2^16 - 1, as 2^16 is 1 there
+        by_degree.setdefault(key % _FIELD_MASK, []).append(key)
+    return ell, by_degree, mask
 
 
 def monomial(sp: SuperPartition, nvars: int, strict: bool = True) -> SuperPolynomial:
@@ -173,22 +184,24 @@ def _variables(key: int) -> list[int]:
     return [o // _FIELD_BITS for o in fields for _ in range(key >> o & _FIELD_MASK)]
 
 
-def _generator(family: str, n: int, nvars: int, keys=None) -> SuperPolynomial:
+def _generator(family: str, n: int, nvars: int, quotient=None) -> SuperPolynomial:
     """X_n of a family (e, te, h, th, p or tp) in nvars variables: its closed
-    form (_FORMS) at the packed keys given, of degree n on variables below
-    nvars, by default at the family's support.  Uncached: the constructors
-    cache it; the engine's walks and checks build what they alone read."""
+    form (_FORMS) at the family's support, or in a quotient (_quotient, on
+    its ell variables) at D's keys of degree n and on the mask's sectors
+    alone.  Uncached: the constructors cache it; the engine's walks and
+    checks build what they alone read."""
     _check_size("n", n, 0, _FIELD_MASK)  # one exponent field
     _check_size("nvars", nvars)
-    form = _FORMS[family]
-    if keys is None:  # the support on the variables and on their unit keys, in one order
+    form, mask = _FORMS[family], -1
+    if quotient is None:  # the support on the variables and on their unit keys, in one order
         support, units = _SUPPORTS[family[-1]], [1 << (_FIELD_BITS * j) for j in range(nvars)]
         terms = ((sum(u), v) for v, u in zip(support(range(nvars), n), support(units, n)))
     else:
-        terms = ((key, _variables(key)) for key in keys)
-    sectors = [(1 << i, i) for i in range(nvars)] if family[0] == "t" else [(0, None)]
+        _, by_degree, mask = quotient
+        terms = ((key, _variables(key)) for key in by_degree.get(n, ()))
+    sectors = [(1 << i, i) for i in range(nvars) if mask >> i & 1] if family[0] == "t" else [(0, None)]
     terms = terms if len(sectors) == 1 else list(terms)  # streamed into one sector, else read per sector
-    return SuperPolynomial(nvars, {mask: {key: form(i, v) for key, v in terms} for mask, i in sectors})
+    return SuperPolynomial(nvars, {bit: {key: form(i, v) for key, v in terms} for bit, i in sectors})
 
 
 # Typed cache keys: True == 1 and hashes alike, so an untyped cache would

@@ -5,7 +5,9 @@ the coefficients of the defining monomials t_1..t_m x^L; the block matrices
 built that way are what the power-sum pivot of transform is tested against.
 The triangularity of the elementary basis is checked exactly, and so are the
 generator recursions and determinantal formulas, in the quotient of their
-reads, each generator built only at its keys there.  The public names are
+reads (bases._quotient): each generator is built only there, and every sum
+of products, each Hessenberg minor included, is read into it off its
+factors, so no polynomial is multiplied here.  The public names are
 listed in transform.__all__ and also read as transform.<name>.
 """
 
@@ -114,43 +116,29 @@ _SWAP = {"e": "h", "h": "e", "te": "th", "th": "te"}
 _ZERO = (0, "e", 0)
 
 
-def _quotient(blocks, nvars: int) -> tuple[int, set[int], int]:
-    """The quotient that the reads of the blocks (n, m) at nvars see, as
-    (ell, D, mask): ell the length of their longest label, D the packed keys
-    dividing some canonical key (bases._read_divisors), mask the sectors of
-    t_1..t_m for their largest m.  Terms on a sector outside the mask or a
-    key outside D span an ideal (masks only grow, and a multiple of a
-    non-divisor is one), and x_j, t_j for j > ell reach no read, so every
-    read of a product or sum is the same in the quotient."""
-    ell, keys, mask = 0, [], 0
-    for n, m in blocks:
-        labels, block_keys = _bases._canonical_reads(n, m, nvars)
-        ell = max([ell] + [sp.length for sp in labels])
-        keys += block_keys
-        mask |= (1 << m) - 1
-    return ell, _bases._read_divisors(keys), mask
-
-
-def _restricted(f: SuperPolynomial, quotient, nvars: int) -> SuperPolynomial:
-    """The image of f in the quotient, in nvars variables."""
-    _, divisors, mask = quotient
-    return SuperPolynomial(nvars, {
-        mb: {k: c for k, c in terms.items() if k in divisors}
-        for mb, terms in f.blocks.items() if not mb & ~mask
-    })
-
-
-def _generators(quotient, nvars: int):
+def _generators(quotient):
     """The map from a generator term (w, family, k) to the pair (w, X_k in
     the quotient): weights stay scalars, so no generator is scaled.  X_k is
-    built on its first read, for the map alone, by bases._generator at D's
-    keys of degree k on ell variables, then put in the quotient (_restricted)."""
-    ell, divisors, _ = quotient
-    offsets, by_degree = SuperPolynomial.zero(ell)._field_offsets(), {}
-    for key in divisors:
-        by_degree.setdefault(SuperPolynomial._key_degree(key, offsets), []).append(key)
-    build = cache(lambda fam, k: _restricted(_bases._generator(fam, k, ell, by_degree.get(k, ())), quotient, nvars))
+    built on its first read, for the map alone, by bases._generator in the
+    quotient (bases._quotient), on its ell variables."""
+    build = cache(lambda fam, k: _bases._generator(fam, k, quotient[0], quotient))
     return lambda term: (term[0], build(term[1], term[2]))
+
+
+def _read_into(summands, quotient) -> SuperPolynomial:
+    """sum c a b over the summands (c, a, b), in the quotient: read
+    (_product_read) on every sector inside its mask, at D's keys of each
+    degree that a term of a times a term of b reaches.  Every term of the
+    sum in the quotient lies there, so the read is exact for any summands,
+    homogeneous or not; no product is built."""
+    ell, by_degree, mask = quotient
+    # degrees as bases._quotient takes them, exact below 2^16 - 1, as on D;
+    # a term of a higher degree reaches no key of D
+    degrees = lambda f: {key % _FIELD_MASK for terms in f.blocks.values() for key in terms}
+    reach = {da + db for _, a, b in summands for da in degrees(a) for db in degrees(b)}
+    keys = [key for d in sorted(reach) for key in by_degree.get(d, ())]
+    sectors = [s for s in range(mask + 1) if not s & ~mask]
+    return SuperPolynomial(ell, {s: dict(zip(keys, _product_read(summands, s, keys))) for s in sectors})
 
 
 def _omega(term):
@@ -206,12 +194,12 @@ def verify_recursions(n_max: int) -> dict:
     and the omega images of the second and the fourth, "n e_n from p" and
     "(n+1) te_n" (the first and the third are their own images up to sign).
     Each identity is read as one sum (_vanishes), its target times -e_0 = -1,
-    its generators in the quotient of every block read (_quotient).
+    its generators in the quotient of every block read (bases._quotient).
     """
     _check_size("n_max", n_max, 1, _FIELD_MASK >> 1)  # _product_read is exact below 2^15
     nv = n_max + 2
     params = {"n_max": n_max, "nvars": nv}
-    gen = _generators(_quotient([(n, m) for n in range(n_max + 1) for m in (0, 1)], nv), nv)
+    gen = _generators(_bases._quotient([(n, m) for n in range(n_max + 1) for m in (0, 1)], nv))
     for n in range(n_max + 1):
         for names, first_n, products, target in _RECURSIONS:
             if n < first_n:
@@ -228,10 +216,10 @@ def verify_recursions(n_max: int) -> dict:
 # -- determinantal formulas ---------------------------------------------------------
 
 
-def _hessenberg_summands(size, row1, entry, subdiag, quotient, nvars) -> list:
+def _hessenberg_summands(size, row1, entry, subdiag, quotient) -> list:
     """An upper-Hessenberg determinant as the summands (c, a_{i,size},
-    minor_{i-1}) of sum c a minor, left unmultiplied, each minor kept in
-    the quotient (_restricted) as it is built.
+    minor_{i-1}) of sum c a minor, left unmultiplied, each minor read into
+    the quotient from its own summands (_read_into).
 
     Each entry is a pair (w, polynomial) standing for w times it.  row1[j-1]
     is the (1,j) entry (the only possibly anticommuting ones); entry(i, j)
@@ -239,7 +227,7 @@ def _hessenberg_summands(size, row1, entry, subdiag, quotient, nvars) -> list:
     (l+1, l) entry.  Leading-minor recursion: each term of the
     expansion uses exactly one first-row entry, everything else commutes.
     """
-    minors = [SuperPolynomial.one(nvars)]
+    minors = [SuperPolynomial.one(quotient[0])]
     for k in range(1, size + 1):
         summands, sdp = [], 1
         for i in range(k, 0, -1):
@@ -248,8 +236,7 @@ def _hessenberg_summands(size, row1, entry, subdiag, quotient, nvars) -> list:
             if i > 1:
                 sdp *= subdiag(i - 1)
         if k < size:
-            minor = SuperPolynomial.linear_combination(nvars, [(c, a * b) for c, a, b in summands])
-            minors.append(_restricted(minor, quotient, nvars))
+            minors.append(_read_into(summands, quotient))
     return summands
 
 
@@ -295,9 +282,9 @@ def determinant_formulas(n: int, which: str, nvars: int | None = None) -> dict:
       ptilde_in_e: tp_n = det(te, e band)
       e_in_p:      n! e_n = det(p band)
       etilde_in_p: n! te_n = det(tp, p band)
-    The generators and every minor are kept in the quotient of the block's
-    reads (_quotient); the last level of the minor recursion is only read
-    (_vanishes).
+    The generators are built and every minor is read in the quotient of the
+    block's reads (bases._quotient); the last level of the minor recursion
+    is only read at the canonical keys (_vanishes).
     """
     if which not in DETERMINANT_KINDS:
         raise ValueError(f"which must be one of {DETERMINANT_KINDS}, got {which!r}")
@@ -306,14 +293,12 @@ def determinant_formulas(n: int, which: str, nvars: int | None = None) -> dict:
     _check_size("nvars", nv, 1)  # with no variable, no label is read
     check, params = f"determinant-{which}", {"n": n, "nvars": nv}
     m = int("tilde" in which)  # the tilde kinds have one fermion
-    quotient = _quotient([(n, m)], nv)
-    gen = _generators(quotient, nv)
+    quotient = _bases._quotient([(n, m)], nv)
+    gen = _generators(quotient)
     for name, size, row1, entry, subdiag, target in _determinant_cases(which, n):
         w, target = gen(target)
-        last = _hessenberg_summands(
-            size, [gen(t) for t in row1], lambda i, j: gen(entry(i, j)), subdiag, quotient, nv
-        )
-        if not _vanishes(last + [(-w, target, SuperPolynomial.one(nv))], n, m, nv):
+        last = _hessenberg_summands(size, [gen(t) for t in row1], lambda i, j: gen(entry(i, j)), subdiag, quotient)
+        if not _vanishes(last + [(-w, target, SuperPolynomial.one(quotient[0]))], n, m, nv):
             return _report(check, params, f"{which} {name} determinant differs at n={n}, N={nv}")
     return _report(check, params, None)
 

@@ -349,7 +349,7 @@ def _h_in_p(parts: tuple) -> tuple:
     return ((i, out.pop(i)), *((j, c) for j, c in out.items() if c))
 
 
-def _quotient(num: int, den: int, what: str, *labels) -> int:
+def _exact_div(num: int, den: int, what: str, *labels) -> int:
     """num / den, which must be exact; `what` names it, with the labels
     formatted in only when the division fails."""
     q, r = divmod(num, den)
@@ -383,7 +383,7 @@ def _solve(v: list, scale: int, order, columns, labels) -> list:
         c = v[i]
         if c:
             col = columns[i]
-            c = out[i] = _quotient(c, col[0][1], "the coordinate at {}", labels[i])
+            c = out[i] = _exact_div(c, col[0][1], "the coordinate at {}", labels[i])
             for j, d in col:
                 v[j] -= c * d
     if any(v):
@@ -415,7 +415,7 @@ def _p_in_m(n: int, m: int) -> tuple:
     order = order[::-1]
     for j in order:
         for i, c in h_cols[j]:
-            cols[i].append((j, _quotient(z[i] * c, den, "[m_{}] p_{}", labels[j], labels[i])))
+            cols[i].append((j, _exact_div(z[i] * c, den, "[m_{}] p_{}", labels[j], labels[i])))
     return math.lcm(*z), order, tuple(map(tuple, cols))
 
 

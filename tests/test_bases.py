@@ -234,22 +234,23 @@ def test_generators_match_their_monomials():
 
 
 def test_generators_at_quotient_keys_are_the_whole_generators_kept_there():
-    # the identity checks build each generator only at the keys of degree k
-    # of D (engine_checks._quotient): per block n <= 6, m <= 1 at N = n + 2,
-    # and jointly for the recursions at N = 8
-    quotients = [engine_checks._quotient([(n, m)], n + 2) for n in range(7) for m in (0, 1)]
-    quotients.append(engine_checks._quotient([(n, m) for n in range(7) for m in (0, 1)], 8))
-    for ell, divisors, _ in quotients:
-        offsets, by_degree = P.zero(ell)._field_offsets(), {}
-        for key in divisors:
-            by_degree.setdefault(P._key_degree(key, offsets), []).append(key)
+    # the identity checks build each generator only in the quotient
+    # (bases._quotient), at the keys of degree k of D and on the sectors
+    # inside the mask: per block n <= 6, m <= 1 at N = n + 2, and jointly
+    # for the recursions at N = 8
+    quotients = [bases._quotient([(n, m)], n + 2) for n in range(7) for m in (0, 1)]
+    quotients.append(bases._quotient([(n, m) for n in range(7) for m in (0, 1)], 8))
+    for quotient in quotients:
+        ell, by_degree, mask = quotient
+        divisors = {key for keys in by_degree.values() for key in keys}
         for basis, pair in bases._GENERATORS.items():
             for tilde, whole in enumerate(pair):
                 for k in range(9):
                     kept = {mb: {key: c for key, c in terms.items() if key in divisors}
-                            for mb, terms in whole(k, ell).blocks.items()}
-                    built = bases._generator("t" * tilde + basis, k, ell, by_degree.get(k, ()))
+                            for mb, terms in whole(k, ell).blocks.items() if not mb & ~mask}
+                    built = bases._generator("t" * tilde + basis, k, ell, quotient)
                     assert built == P(ell, kept), (basis, tilde, k, ell)
+                    assert not any(mb & ~mask for mb in built.blocks), (basis, tilde, k, ell)
 
 
 def test_negative_degree_rejected():

@@ -674,8 +674,9 @@ def test_canonical_reads_are_the_short_labels_and_their_keys():
             assert bases._canonical_reads(n, m, nvars) == (labels, [bases._canonical_key(la) for la in labels])
 
 
-def test_read_divisors_are_the_keys_below_some_read_key():
-    # against every exponent vector in the box of the degree
+def test_quotient_divisors_are_the_keys_below_some_read_key():
+    # D of bases._quotient against every exponent vector in the box of the
+    # degree, grouped by degree
     for n, m, nvars in [(3, 0, 3), (3, 1, 4), (4, 2, 4), (4, 0, 2)]:
         keys = bases._canonical_reads(n, m, nvars)[1]
         exponents = [[key >> (16 * i) & 0xFFFF for i in range(nvars)] for key in keys]
@@ -684,8 +685,11 @@ def test_read_divisors_are_the_keys_below_some_read_key():
             for vector in itertools.product(range(n + 1), repeat=nvars)
             if any(all(e <= f for e, f in zip(vector, row)) for row in exponents)
         }
-        assert bases._read_divisors(keys) == want, (n, m, nvars)
-    assert bases._read_divisors([]) == set()
+        _, by_degree, _ = bases._quotient([(n, m)], nvars)
+        assert {key for keys in by_degree.values() for key in keys} == want, (n, m, nvars)
+        assert all(sum(key >> (16 * i) & 0xFFFF for i in range(nvars)) == d
+                   for d, keys in by_degree.items() for key in keys), (n, m, nvars)
+    assert bases._quotient([], 3) == (0, {}, 0)
 
 
 def test_every_engine_reader_reads_the_one_read_set(monkeypatch):

@@ -169,10 +169,10 @@ def e_in_m(n, m):
         in_m = transform._apply(transform._omega_p(vector(h_in_p, len(labels)), n, m), p_in_m)
         col = {om: c for om, c in zip(labels, in_m) if c}
         conj = la.conjugate()
-        pivot = transform._quotient(col.pop(conj, 0), den, "[m_{}] e_{}", conj, la)
+        pivot = transform._exact_div(col.pop(conj, 0), den, "[m_{}] e_{}", conj, la)
         assert pivot in (1, -1), (la, pivot)
         rest = tuple(
-            (om, transform._quotient(c, den, "[m_{}] e_{}", om, la)) for om, c in col.items() if c
+            (om, transform._exact_div(c, den, "[m_{}] e_{}", om, la)) for om, c in col.items() if c
         )
         cols.append((conj, la, pivot, rest))
     # lexicographic (star, circled shape) extends the Bruhat-style order,

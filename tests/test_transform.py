@@ -40,8 +40,6 @@ from supersym.engine_checks import (
     _determinant_cases,
     _generators,
     _omega,
-    _quotient,
-    _restricted,
 )
 
 
@@ -391,6 +389,17 @@ def weighted(pair):
     return poly.scale(w)
 
 
+def restricted(f, quotient):
+    """f in the quotient (bases._quotient): its terms at D's keys on the
+    sectors inside the mask, in the quotient's ell variables."""
+    ell, by_degree, mask = quotient
+    divisors = {key for keys in by_degree.values() for key in keys}
+    return SuperPolynomial(ell, {
+        mb: {k: c for k, c in terms.items() if k in divisors}
+        for mb, terms in f.blocks.items() if not mb & ~mask
+    })
+
+
 def image_by_hand(which, n, nv):
     """The image determinant of each kind as written out by hand:
     (first row, entry(i, j), subdiag(l), target)."""
@@ -434,10 +443,10 @@ def test_determinant_images_match_the_hand_written_ones(which):
     # compared in the quotient that determinant_formulas builds its generators in
     for n in range(_FIRST_N[which], 5):
         nv = n + 2
-        quotient = _quotient([(n, int("tilde" in which))], nv)
-        gen = _generators(quotient, nv)
+        quotient = bases_module._quotient([(n, int("tilde" in which))], nv)
+        gen = _generators(quotient)
         poly = lambda term: weighted(gen(term))
-        in_quotient = lambda f: _restricted(f, quotient, nv)
+        in_quotient = lambda f: restricted(f, quotient)
         (name, size, row1, entry, subdiag, target), = _determinant_cases(which, n)[1:]
         want_row1, want_entry, want_subdiag, want_target = image_by_hand(which, n, nv)
         assert name == "image" and size == len(want_row1)
@@ -475,17 +484,17 @@ def test_recursion_images_match_the_hand_written_ones():
     for n in range(5):
         nv = n + 2
         # compared in the quotient that verify_recursions builds its generators in
-        quotient = _quotient([(n, 0), (n, 1)], nv)
-        gen = _generators(quotient, nv)
+        quotient = bases_module._quotient([(n, 0), (n, 1)], nv)
+        gen = _generators(quotient)
         poly = lambda term: weighted(gen(term))
-        in_quotient = lambda f: _restricted(f, quotient, nv)
+        in_quotient = lambda f: restricted(f, quotient)
         by_hand = recursion_images_by_hand(n, nv)
         for (_, image), first_n, products, target in images:
             if n < first_n:
                 continue
             summands, want_target = by_hand[image]
             for r in range(n + 1):
-                got = SuperPolynomial.zero(nv)
+                got = SuperPolynomial.zero(quotient[0])
                 for left, right in products(n, r):
                     got = got + poly(_omega(left)) * poly(_omega(right))
                 assert in_quotient(got) == in_quotient(summands[r]), (image, n, r)
@@ -583,10 +592,10 @@ def built_recursions(n_max):
     return out
 
 
-def built_determinants(n, which, nv):
-    """(failure message, whether it holds) per case of a determinant kind,
-    each determinant built whole from the unpruned generators by the
-    leading-minor recursion and compared with its target."""
+def built_minors(n, which, nv):
+    """(name, minors 0..size, target) per case of a determinant kind, each
+    minor built whole from the unpruned generators with * and
+    linear_combination by the leading-minor recursion."""
     poly, out = unpruned(nv), []
     for name, size, row1, entry, subdiag, target in _determinant_cases(which, n):
         minors = [SuperPolynomial.one(nv)]
@@ -598,8 +607,17 @@ def built_determinants(n, which, nv):
                 if i > 1:
                     sdp *= subdiag(i - 1)
             minors.append(SuperPolynomial.linear_combination(nv, summands))
-        out.append((f"{which} {name} determinant differs at n={n}, N={nv}", minors[size] == poly(target)))
+        out.append((name, minors, poly(target)))
     return out
+
+
+def built_determinants(n, which, nv):
+    """(failure message, whether it holds) per case of a determinant kind,
+    each determinant built whole (built_minors) and compared with its target."""
+    return [
+        (f"{which} {name} determinant differs at n={n}, N={nv}", minors[-1] == target)
+        for name, minors, target in built_minors(n, which, nv)
+    ]
 
 
 def first_failure(verdicts):
@@ -679,8 +697,8 @@ def with_built_term(families, k, hits):
     build feeds.  Each such build is appended to hits."""
     real = bases_module._generator
 
-    def fake(fam, n, nvars, keys=None):
-        built = real(fam, n, nvars, keys)
+    def fake(fam, n, nvars, quotient=None):
+        built = real(fam, n, nvars, quotient)
         if fam not in families or n != k:
             return built
         hits.append(nvars)
@@ -706,7 +724,7 @@ def identity_reads(monkeypatch):
 def test_a_term_outside_the_quotient_changes_no_read(monkeypatch, name):
     """A term that divides no read key, here one added to each built
     generator on x_{ell+1}, past every label read (ell the quotient's longest
-    label), reaches no read: dropping it (_restricted) is exact.  The same
+    label), reaches no read: reading into the quotient drops it.  The same
     term on x_1 in the closed form, inside the quotient, flips a verdict, so
     the test is not vacuous."""
     want = identity_reads(monkeypatch)
@@ -723,15 +741,14 @@ def test_a_term_outside_the_quotient_changes_no_read(monkeypatch, name):
 
 def test_determinant_factors_lie_in_the_quotient_of_their_reads(monkeypatch):
     # every generator and minor that reaches a read divides a canonical key
-    # of the block, on the sectors inside t_1..t_m, also when every quadratic
-    # generator is built with a term outside the quotient
-    real, seen, hits = engine_checks._vanishes, [], []
-    monkeypatch.setattr(bases_module, "_generator", with_built_term(set(FAMILIES.values()), 2, hits))
+    # of the block, on the sectors inside t_1..t_m: each is built or read in
+    # the quotient, and nothing filters after a build
+    real, seen = engine_checks._vanishes, []
     monkeypatch.setattr(engine_checks, "_vanishes", lambda *args: seen.append(args) or real(*args))
     for which in DETERMINANT_KINDS:
         for n in range(_FIRST_N[which], 6):
             assert determinant_formulas(n, which, nvars=7)["pass"] is True
-    assert len(seen) == 2 * (5 + 6 + 5 + 6 + 5 + 6) and hits
+    assert len(seen) == 2 * (5 + 6 + 5 + 6 + 5 + 6)
     for summands, n, m, nvars in seen:
         keys = bases_module._canonical_reads(n, m, nvars)[1]
         for _, f, g in summands:
@@ -739,6 +756,41 @@ def test_determinant_factors_lie_in_the_quotient_of_their_reads(monkeypatch):
                 assert not mask >> m, (n, m, mask)
                 assert all(any(all((d >> o & 0xFFFF) <= (k >> o & 0xFFFF) for o in range(0, 16 * nvars, 16))
                                for k in keys) for d in terms), (n, m)
+
+
+def test_minors_read_into_the_quotient_are_the_whole_minors_kept_there(monkeypatch):
+    # each minor below the last level, read (_read_into) for every kind with
+    # n <= 6, against the same minor built whole and then restricted
+    real, read, compared = engine_checks._read_into, [], 0
+    monkeypatch.setattr(engine_checks, "_read_into", lambda *args: read.append((args[1], real(*args))) or read[-1][1])
+    for which in DETERMINANT_KINDS:
+        for n in range(_FIRST_N[which], 7):
+            del read[:]
+            assert determinant_formulas(n, which)["pass"] is True
+            whole = [minor for _, minors, _ in built_minors(n, which, n + 2) for minor in minors[1:-1]]
+            assert len(read) == len(whole), (which, n)
+            for (quotient, got), minor in zip(read, whole):
+                assert got == restricted(minor, quotient), (which, n)
+                compared += not got.is_zero()
+    # 2 cases per n, size - 1 minors each: none of them vanishes in the quotient
+    assert compared == 2 * sum(n - _FIRST_N[which] for which in DETERMINANT_KINDS for n in range(_FIRST_N[which], 7))
+
+
+def test_a_read_into_the_quotient_is_exact_for_inhomogeneous_summands():
+    # mixed degrees and sectors on both sides, a term outside D included
+    quotient = bases_module._quotient([(3, 0), (3, 1), (4, 1)], 5)
+    ell = quotient[0]
+    e, te, h, th, p, tp = families(4, ell)
+    outside = SuperPolynomial.term(ell, 5, {1: 9})
+    summands = [
+        (1, e[1] + th[2] + SuperPolynomial.one(ell), h[2] + tp[1] + p[3]),
+        (-3, te[0] + outside + h[1], e[2] + th[1] + SuperPolynomial.one(ell)),
+        (2, tp[2] + p[1], te[1] + h[0] + outside),
+    ]
+    whole = SuperPolynomial.linear_combination(ell, [(c, a * b) for c, a, b in summands])
+    got = engine_checks._read_into(summands, quotient)
+    assert got == restricted(whole, quotient)
+    assert {mb for mb in got.blocks} == {0, 1} and len({k % 0xFFFF for k in got.blocks[0]}) > 1
 
 
 @pytest.mark.parametrize("wrapped", [False, True], ids=["plain", "behind wrappers"])
