@@ -110,18 +110,19 @@ def _quotient(blocks, nvars: int) -> tuple[int, dict[int, list[int]], int]:
     D or the mask span an ideal: dropping them is a ring map, and x_j, t_j
     for j > ell reach no read, so every read of a product or sum is the same
     in the quotient.  Uncached: each check builds it once per call."""
-    ell, divisors, mask = 0, set(), 0
+    ell, keys, mask = 0, [], 0
     for n, m in blocks:
-        labels, keys = _canonical_reads(n, m, nvars)
+        labels, block_keys = _canonical_reads(n, m, nvars)
         ell = max([ell] + [sp.length for sp in labels])
+        keys += block_keys
         mask |= (1 << m) - 1
-        for key in keys:
-            found, unit = [0], 1
-            while key:
-                found = [d + e * unit for d in found for e in range((key & _FIELD_MASK) + 1)]
-                key, unit = key >> _FIELD_BITS, unit << _FIELD_BITS
-            divisors.update(found)
-    by_degree = {}
+    divisors, by_degree = set(), {}
+    for key in keys:
+        found, unit = [0], 1
+        while key:
+            found = [d + e * unit for d in found for e in range((key & _FIELD_MASK) + 1)]
+            key, unit = key >> _FIELD_BITS, unit << _FIELD_BITS
+        divisors.update(found)
     for key in divisors:  # a key's degree below 2^16 - 1 is the key mod 2^16 - 1, as 2^16 is 1 there
         by_degree.setdefault(key % _FIELD_MASK, []).append(key)
     return ell, by_degree, mask
