@@ -3,9 +3,9 @@
 Each family comes in a bosonic version (e_n, h_n, p_n) and a fermionic one
 (te_n, th_n, tp_n, rendered with a tilde in math and spelled with a
 `_tilde` suffix here), each written once as its closed form and built by one
-uncached builder, whole or in the quotient of a check's reads.  Products over the parts of a
-superpartition give the multiplicative bases; the monomial basis is written
-directly, one term per distinct variable placement.
+uncached builder, whole or in the quotient of a check's reads.  Products over
+the parts of a superpartition give the multiplicative bases; the monomial
+basis is written directly, one term per distinct variable placement.
 
 Generating series with one extra bosonic parameter t = x_{N+1} and one extra
 anticommuting parameter tau = t_{N+1} tie the families together; see

@@ -7,7 +7,7 @@ import pytest
 
 from supersym.superpartition import SuperPartition, enumerate_superpartitions
 from supersym.superpoly import SuperPolynomial
-from supersym import bases, engine_checks
+from supersym import bases
 from supersym.bases import (
     _series,
     basis_element,
