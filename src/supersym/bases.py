@@ -185,21 +185,21 @@ def _variables(key: int) -> list[int]:
     return [o // _FIELD_BITS for o in fields for _ in range(key >> o & _FIELD_MASK)]
 
 
-def _generator(family: str, n: int, nvars: int, quotient=None) -> SuperPolynomial:
-    """X_n of a family (e, te, h, th, p or tp) in nvars variables: its closed
-    form (_FORMS) at the family's support, or in a quotient (_quotient, on
-    its ell variables) at D's keys of degree n and on the mask's sectors
-    alone.  Uncached: the constructors cache it; the engine's walks and
-    checks build what they alone read."""
+def _generator(family: str, n: int, ring) -> SuperPolynomial:
+    """X_n of a family (e, te, h, th, p or tp) in a ring: its closed form
+    (_FORMS) in ring variables at the family's support, or, when ring is a
+    quotient (_quotient), on its ell variables at D's keys of degree n and
+    on the mask's sectors alone.  Uncached: the constructors cache it; the
+    engine's walks and checks build what they alone read."""
     _check_size("n", n, 0, _FIELD_MASK)  # one exponent field
-    _check_size("nvars", nvars)
-    form, mask = _FORMS[family], -1
-    if quotient is None:  # the support on the variables and on their unit keys, in one order
+    form, nvars, mask = _FORMS[family], ring, -1
+    if isinstance(ring, tuple):
+        nvars, by_degree, mask = ring
+        terms = ((key, _variables(key)) for key in by_degree.get(n, ()))
+    else:  # the support on the variables and on their unit keys, in one order
+        _check_size("nvars", nvars)
         support, units = _SUPPORTS[family[-1]], [1 << (_FIELD_BITS * j) for j in range(nvars)]
         terms = ((sum(u), v) for v, u in zip(support(range(nvars), n), support(units, n)))
-    else:
-        _, by_degree, mask = quotient
-        terms = ((key, _variables(key)) for key in by_degree.get(n, ()))
     sectors = [(1 << i, i) for i in range(nvars) if mask >> i & 1] if family[0] == "t" else [(0, None)]
     terms = terms if len(sectors) == 1 else list(terms)  # streamed into one sector, else read per sector
     return SuperPolynomial(nvars, {bit: {key: form(i, v) for key, v in terms} for bit, i in sectors})

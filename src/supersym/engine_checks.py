@@ -121,7 +121,7 @@ def _generators(quotient):
     the quotient): weights stay scalars, so no generator is scaled.  X_k is
     built on its first read, for the map alone, by bases._generator in the
     quotient (bases._quotient), on its ell variables."""
-    build = cache(lambda fam, k: _bases._generator(fam, k, quotient[0], quotient))
+    build = cache(lambda fam, k: _bases._generator(fam, k, quotient))
     return lambda term: (term[0], build(term[1], term[2]))
 
 

@@ -6,7 +6,8 @@ The pairing convention: the left slot carries the sector sign
 (-1)^(m(m-1)/2) (reversed theta order) and the right slot is plain, which
 makes <p_L, p_O> = z_L delta exactly as displayed everywhere below.
 The kernel's product side, h and e over m counted as signed matrices
-(_peel), lives here too: only the kernel check runs it.
+(_peel), lives here too: only the kernel check runs it, comparing every
+side in one frame, on coefficients read from one index (_canonical_index).
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from fractions import Fraction
 from functools import cache
 
 from .superpartition import SuperPartition, _blocks, _check_size, _report, enumerate_superpartitions
-from .superpoly import SuperPolynomial, _FIELD_MASK, _sector_sign
+from .superpoly import SuperPolynomial, _FIELD_MASK, _sort_sign
 from .transform import (  # noqa: F401  (change_basis is re-exported)
     BasisExpansion,
     _ratio,
@@ -89,8 +90,8 @@ def duality_check(n_max: int) -> dict:
 
 def _peel(which: str, blocks) -> dict:
     """[m_O] u_L (u = h or e) for the labels L, O the caller chose for each
-    (n, m, labels) in blocks: signed counts of matrices with row sums L and
-    column sums O, fermionic parts first, entries in N (h) or {0, 1} (e).
+    (n, m, labels, ...) in blocks: signed counts of matrices with row sums L
+    and column sums O, fermionic parts first, entries in N (h) or {0, 1} (e).
     Fermionic row i picks fermionic column sigma(i) at the sign sgn(sigma);
     for h the picked cell weighs its entry plus one, for e it must be empty.
     Rows are peeled off one at a time, fermionic ones first, memoised on the
@@ -131,9 +132,9 @@ def _peel(which: str, blocks) -> dict:
         return total
 
     table = {}
-    for n, m, labels in blocks:
+    for _, m, labels, *_ in blocks:
         perms = list(itertools.permutations(range(m)))
-        signs = [-1 if sum(x > y for i, x in enumerate(s) for y in s[i + 1 :]) & 1 else 1 for s in perms]
+        signs = [_sort_sign(sigma) for sigma in perms]
         for i, la in enumerate(labels):
             rows = [tuple((v, None) for v in la.s) + tuple(zip(la.a, sigma)) for sigma in perms]
             for om in labels[i:]:  # transposing swaps L and O and inverts sigma
@@ -147,42 +148,34 @@ def _peel(which: str, blocks) -> dict:
 # x_i, t_i are variables 1..N and y_j, f_j are variables N+1..2N.  Both sides
 # of each identity are compared on canonical coefficients only: T[(L, O)] is
 # the coefficient of t_1..t_k x^L f_1..f_k y^O, where x^L puts the fermionic
-# parts of L on x_1..x_k and its symmetric parts on x_{k+1}.. (likewise y^O).
+# parts of L on x_1..x_k and its symmetric parts on x_{k+1}.. (likewise y^O),
+# divided by sector(k) = (-1)^(k(k-1)/2), the sign of moving the x thetas
+# ahead of the y thetas, which every entry of every side of block (n|k) shares.
 
 
 def _canonical_index(nvars: int, degree: int):
-    """Blocks (n|k) with n <= degree and k <= nvars, each with the labels of
-    its canonical terms: the read set of bases._canonical_reads at nvars."""
-    return tuple((n, k, _bases._canonical_reads(n, k, nvars)[0]) for n, k, _ in _blocks(degree, max_m=nvars))
-
-
-def _counted_table(index, inverse: bool) -> dict:
-    """Canonical coefficients of the kernel product, nonzero only: sector(k)
-    [m_O] h_L, or [m_O] e_L when inverse, counted by _peel as signed matrices
-    with row sums L and column sums O over every block of the index at once."""
-    table = _peel("e" if inverse else "h", index)
-    return {pair: _sector_sign(pair[0].fermionic_degree) * c for pair, c in table.items()}
+    """Blocks (n|k) with n <= degree and k <= nvars, each as (n, k, labels,
+    keys, block): the read set of bases._canonical_reads at nvars (its
+    labels and the keys of their canonical terms) and the whole block."""
+    return tuple((n, k, *_bases._canonical_reads(n, k, nvars), block) for n, k, block in _blocks(degree, max_m=nvars))
 
 
 def _sum_tables(nvars: int, index):
-    """Canonical coefficients of the three sum sides, nonzero only: (pp, pp_omega, mh).
+    """The three sum sides on the index, nonzero only: (pp, pp_omega, mh).
 
-    pp[(L, O)] = sector(k) sum_G z_G^(-1) [L]p_G [O]p_G over the G of the
-    block (n|k), and pp_omega weights each G by omega_sign(G) as well: the
-    arrow on the x-side is the sign sector(k), as the x thetas precede the y
-    thetas.  One walk (bases._path_reads) reads each p_G once; the G of
-    either omega sign accumulate apart, as integers over the lcm of the
-    block's z_G, and after its last G the two sums are their sum and
-    difference.  [L]m_G = delta_(L, G) as monomial() normalises it, so
-    mh[(L, O)] = sector(k) [O]h_L, read by a second walk.
+    pp[(L, O)] = sum_G z_G^(-1) [L]p_G [O]p_G over the G of the block (n|k),
+    and pp_omega weights each G by omega_sign(G) as well.  One walk
+    (bases._path_reads) reads each p_G once; the G of either omega sign
+    accumulate apart, as integers over the lcm of the block's z_G, and after
+    its last G the two sums are their sum and difference.  [L]m_G =
+    delta_(L, G) as monomial() normalises it, so mh[(L, O)] = [O]h_L, read
+    by a second walk.
     """
-    pp, pp_omega, mh = {}, {}, {}
-    labels = {(n, k): ls for n, k, ls in index}
-    keys = {nk: _bases._canonical_reads(*nk, nvars)[1] for nk in labels}
-    blocks = {nk: enumerate_superpartitions(*nk) for nk in labels}
+    pp, pp_omega = {}, {}
+    labels = {(n, k): ls for n, k, ls, _, _ in index}
     # per block: [lcm of z_G, G left to read, sum over omega sign +1, over -1]
-    sums = {nk: [math.lcm(*map(z_weight, block)), len(block), {}, {}] for nk, block in blocks.items()}
-    requests = [(g, keys[nk]) for nk, block in blocks.items() for g in block]
+    sums = {(n, k): [math.lcm(*map(z_weight, block)), len(block), {}, {}] for n, k, _, _, block in index}
+    requests = [(g, keys) for _, _, _, keys, block in index for g in block]
     for g, row in _bases._path_reads("p", requests, nvars):
         scale, _, even, odd = acc = sums[g.bidegree]
         out, w = even if omega_sign(g) > 0 else odd, scale // z_weight(g)
@@ -195,18 +188,14 @@ def _sum_tables(nvars: int, index):
         if acc[1]:
             continue
         del sums[g.bidegree]
-        sign, ls = _sector_sign(g.fermionic_degree), labels[g.bidegree]
+        ls = labels[g.bidegree]
         for i, j in even.keys() | odd.keys():
             e, o = even.get((i, j), 0), odd.get((i, j), 0)
-            for table, c in ((pp, sign * (e + o)), (pp_omega, sign * (e - o))):
+            for table, c in ((pp, e + o), (pp_omega, e - o)):
                 if c:
                     table[ls[i], ls[j]] = _ratio(c, scale)
-    requests = [(la, keys[nk]) for nk, ls in labels.items() for la in ls]
-    for la, row in _bases._path_reads("h", requests, nvars):
-        sign = _sector_sign(la.fermionic_degree)
-        for om, c in zip(labels[la.bidegree], row):
-            if c:
-                mh[la, om] = sign * c
+    reads = _bases._path_reads("h", [(la, keys) for _, _, ls, keys, _ in index for la in ls], nvars)
+    mh = {(la, om): c for la, row in reads for om, c in zip(labels[la.bidegree], row) if c}
     return pp, pp_omega, mh
 
 
@@ -218,23 +207,25 @@ def kernel_check(nvars: int, degree: int) -> dict:
     p times p and the sum of arrowed m times h; the product of
     (1 + x_i y_j + t_i f_j) must equal the omega-signed p-times-p sum.
 
-    Every side is compared on its canonical coefficients T[(L, O)] (see
-    _canonical_index), completely: each side is symmetric in either alphabet
-    (see engine_checks._vanishes), and as both alphabets carry equal degree
-    and fermion number, only pairs from one block (n|k) can be nonzero.
+    Every side is compared on its canonical coefficients (see
+    _canonical_index), each divided by the sector(k) that all of them share,
+    and completely: each side is symmetric in either alphabet (see
+    engine_checks._vanishes), and as both alphabets carry equal degree and
+    fermion number, only pairs from one block (n|k) can be nonzero.  So
+    divided, the products are [m_O] h_L and [m_O] e_L (_peel).
     """
     _check_size("nvars", nvars, 1)
     _check_size("degree", degree, 0, _FIELD_MASK >> 1)  # see bases._product_read
     params = {"nvars": nvars, "degree": degree}
     index = _canonical_index(nvars, degree)
-    direct = _counted_table(index, False)
+    direct = _peel("h", index)
     pp, pp_omega, mh = _sum_tables(nvars, index)
     if direct != pp:
         return _report("kernel", params, "product expansion differs from the weighted p-p sum")
     if direct != mh:
         return _report("kernel", params, "product expansion differs from the m-h sum")
     del direct, pp, mh  # the inverse table is counted with only the omega-signed sum alive
-    if _counted_table(index, True) != pp_omega:
+    if _peel("e", index) != pp_omega:
         return _report("kernel", params, "inverse product differs from the omega-signed p-p sum")
     return _report("kernel", params, None)
 
@@ -251,10 +242,8 @@ def reproducing_check(nvars: int, max_degree: int) -> dict:
     _check_size("nvars", nvars, 1)
     _check_size("max_degree", max_degree)
     params = {"nvars": nvars, "max_degree": max_degree}
-    for n, m, block in _blocks(max_degree, max_m=nvars):
-        for sp in block:
-            if sp.length > nvars:
-                continue
+    for _, _, labels, _, block in _canonical_index(nvars, max_degree):
+        for sp in labels:
             in_p = change_basis(BasisExpansion.unit("m", sp), "p")
             pairs = []
             for om in block:

@@ -1,4 +1,5 @@
-"""The package surface: lazily loaded public names and immutable value types."""
+"""The package surface: lazily loaded public names, immutable value types
+and the errors that malformed input raises."""
 
 import copy
 import pickle
@@ -9,8 +10,10 @@ import pytest
 
 import supersym
 from supersym import transform
-from supersym.superpartition import SuperPartition
-from supersym.transform import BasisExpansion
+from supersym.engine_checks import expand_in_monomials
+from supersym.superpartition import SparError, SuperPartition, apply_move
+from supersym.superpoly import SuperPolynomial
+from supersym.transform import BasisExpansion, change_basis, eh_in_p, parse_rational
 
 
 def test_public_names_resolve_to_their_defining_objects():
@@ -58,3 +61,47 @@ def test_value_types_pickle_copy_and_refuse_assignment():
     twin = SuperPartition((2, 0), (1, 0))
     assert twin == sp and hash(twin) == hash(sp) == hash(pickle.loads(pickle.dumps(sp)))
     assert hash(copy.deepcopy(diagram)) == hash(diagram)
+
+
+P = SuperPolynomial
+M1 = BasisExpansion.unit("m", SuperPartition((1,), ()))
+
+# (call, exception, message)
+INPUT_ERRORS = {
+    "expand zero": (
+        lambda: expand_in_monomials(P.zero(2)),
+        ValueError, "cannot infer the bidegree of the zero polynomial",
+    ),
+    "expand inhomogeneous": (
+        lambda: expand_in_monomials(P.term(2, 1, {1: 1}) + P.term(2, 1, {1: 2})),
+        ValueError, "not homogeneous: bidegrees [(1, 0), (2, 0)] all present",
+    ),
+    "non-int part": (lambda: SuperPartition((1.5,), ()), SparError, "non-integer part 1.5 in fermionic side"),
+    "malformed json": (
+        lambda: SuperPartition.from_json_dict({"a": [1]}),
+        SparError, "expected {'a': [...], 's': [...]}, got {'a': [1]}",
+    ),
+    "move positions": (lambda: apply_move("S", 1, 1, (2, 0)), IndexError, "need 0 <= i < j < 2, got (1, 1)"),
+    "widen to fewer": (lambda: P.one(3).widen(2), ValueError, "cannot narrow 3 -> 2"),
+    "negative shift": (lambda: P.one(2).shift_alphabet(-1, 3), ValueError, "offset must be >= 0"),
+    "hash polynomial": (
+        lambda: hash(P.one(1)), TypeError, "SuperPolynomial is mutable-by-construction; not hashable",
+    ),
+    "bad rational": (
+        lambda: parse_rational("1/x"), ValueError, "bad rational '1/x': Invalid literal for Fraction: '1/x'",
+    ),
+    "mismatched add": (
+        lambda: M1 + BasisExpansion.unit("h", SuperPartition((1,), ())),
+        ValueError, "can only add expansions over the same basis and block",
+    ),
+    "eh_in_p which": (lambda: eh_in_p(2, False, "p"), ValueError, "which must be 'e' or 'h', got 'p'"),
+    "unknown basis": (lambda: change_basis(M1, "x"), ValueError, "unknown basis 'x'"),
+}
+
+
+@pytest.mark.parametrize("case", list(INPUT_ERRORS))
+def test_malformed_input_raises_with_its_message(case):
+    call, error, message = INPUT_ERRORS[case]
+    with pytest.raises(error) as caught:
+        call()
+    assert type(caught.value) is error and str(caught.value) == message

@@ -235,8 +235,8 @@ def test_generators_match_their_monomials():
 
 def test_generators_at_quotient_keys_are_the_whole_generators_kept_there():
     # the identity checks build each generator only in the quotient
-    # (bases._quotient), at the keys of degree k of D and on the sectors
-    # inside the mask: per block n <= 6, m <= 1 at N = n + 2, and jointly
+    # (bases._quotient), on its ell variables, at the keys of degree k of D
+    # and on the sectors inside the mask: per block n <= 6, m <= 1 at N = n + 2, and jointly
     # for the recursions at N = 8
     quotients = [bases._quotient([(n, m)], n + 2) for n in range(7) for m in (0, 1)]
     quotients.append(bases._quotient([(n, m) for n in range(7) for m in (0, 1)], 8))
@@ -248,8 +248,8 @@ def test_generators_at_quotient_keys_are_the_whole_generators_kept_there():
                 for k in range(9):
                     kept = {mb: {key: c for key, c in terms.items() if key in divisors}
                             for mb, terms in whole(k, ell).blocks.items() if not mb & ~mask}
-                    built = bases._generator("t" * tilde + basis, k, ell, quotient)
-                    assert built == P(ell, kept), (basis, tilde, k, ell)
+                    built = bases._generator("t" * tilde + basis, k, quotient)
+                    assert built.nvars == ell and built == P(ell, kept), (basis, tilde, k, ell)
                     assert not any(mb & ~mask for mb in built.blocks), (basis, tilde, k, ell)
 
 

@@ -343,8 +343,8 @@ def full_sum(nvars, degree, summand):
     """sum over |G| <= degree of w_G x_G(x, t) y_G(y, f) in 2N variables."""
     big = 2 * nvars
     total = SuperPolynomial.zero(big)
-    for n, k, _ in inner._canonical_index(nvars, degree):
-        for g in enumerate_superpartitions(n, k):
+    for *_, block in inner._canonical_index(nvars, degree):
+        for g in block:
             term = summand(g)
             if term is not None:
                 w, xg, yg = term
@@ -353,9 +353,11 @@ def full_sum(nvars, degree, summand):
 
 
 def canonical_coefficients(poly, nvars, index):
-    """T[(L, O)] read from a 2N-variable polynomial through its public API."""
+    """T[(L, O)] read from a 2N-variable polynomial through its public API,
+    in the kernel tables' frame: divided by sector(k) = (-1)^(k(k-1)/2)."""
     table = {}
-    for _, k, labels in index:
+    for _, k, labels, *_ in index:
+        sector = -1 if (k * (k - 1) // 2) % 2 else 1
         thetas = (*range(1, k + 1), *range(nvars + 1, nvars + k + 1))
         for la in labels:
             for om in labels:
@@ -363,7 +365,7 @@ def canonical_coefficients(poly, nvars, index):
                 powers.update({nvars + i + 1: e for i, e in enumerate(om.as_composition())})
                 c = poly.coefficient(powers, thetas)
                 if c:
-                    table[la, om] = c
+                    table[la, om] = sector * c
     return table
 
 
@@ -384,7 +386,7 @@ def test_full_alphabet_oracle(nvars, degree):
         for i in (*range(1, nvars), *range(nvars + 1, 2 * nvars)):
             assert full.apply_exchange(i) == full, (inverse, i)
         table = canonical_coefficients(full, nvars, index)
-        assert table == inner._counted_table(index, inverse)
+        assert table == inner._peel("e" if inverse else "h", index)
         for got, weight, basis in sums:
             assert full_sum(nvars, degree, full_summand(weight, basis, nvars)) == full
             assert got == table
@@ -459,8 +461,8 @@ def test_walk_builds_each_proper_prefix_once(monkeypatch):
     )
     assert kernel_check(nvars, degree)["pass"] is True
     prefixes = set()
-    for n, k, labels in inner._canonical_index(nvars, degree):
-        reads = [("p", g) for g in enumerate_superpartitions(n, k)] + [("h", la) for la in labels]
+    for _, k, labels, _, block in inner._canonical_index(nvars, degree):
+        reads = [("p", g) for g in block] + [("h", la) for la in labels]
         for basis, g in reads:
             parts = g.a + g.s
             prefixes |= {(basis, k, parts[:i]) for i in range(1, len(parts))}
@@ -578,17 +580,17 @@ def matrices(alpha, beta, cap):
 
 
 def counted_entry(la, om, nvars, inverse):
-    """Kernel coefficient at (L, O) by counting matrices, with no polynomials.
+    """Kernel coefficient at (L, O) by counting matrices, with no polynomials,
+    divided by sector(k) as in the kernel tables.
 
     Choosing the theta pairs t_i f_sigma(i) (i <= k) costs the sign
-    (-1)^(k(k-1)/2) sgn(sigma).  Directly, a chosen cell carries b^2 =
+    (-1)^(k(k-1)/2) sgn(sigma), so sgn(sigma) alone in that frame.  Directly, a chosen cell carries b^2 =
     sum (a + 1) u^a and the others b = sum u^a, which sums to a determinant;
     inversely, a chosen cell carries u^0 and the others 1 + u.
     """
     k = la.fermionic_degree
     alpha = la.as_composition() + (0,) * (nvars - la.length)
     beta = om.as_composition() + (0,) * (nvars - om.length)
-    sector = -1 if (k * (k - 1) // 2) % 2 else 1
     perms = list(itertools.permutations(range(k)))
     total = 0
     for a in matrices(alpha, beta, 1 if inverse else sum(alpha)):
@@ -597,7 +599,7 @@ def counted_entry(la, om, nvars, inverse):
                 total += _perm_sign(perm) * all(a[i][perm[i]] == 0 for i in range(k))
             else:
                 total += _perm_sign(perm) * math.prod(a[i][perm[i]] + 1 for i in range(k))
-    return sector * total
+    return total
 
 
 @pytest.mark.parametrize("nvars, degree, inverse", [
@@ -607,9 +609,9 @@ def counted_entry(la, om, nvars, inverse):
 ])
 def test_kernel_tables_match_matrix_counts(nvars, degree, inverse):
     index = inner._canonical_index(nvars, degree)
-    table = inner._counted_table(index, inverse)
+    table = inner._peel("e" if inverse else "h", index)
     counted = {}
-    for _, _, labels in index:
+    for _, _, labels, *_ in index:
         for la in labels:
             for om in labels:
                 c = counted_entry(la, om, nvars, inverse)
@@ -625,7 +627,7 @@ def test_kernel_tables_match_matrix_counts(nvars, degree, inverse):
 def test_sum_sides_use_neither_the_peel_nor_the_pivot(monkeypatch):
     nvars, degree = 3, 5
     index = inner._canonical_index(nvars, degree)
-    direct, inverse = (inner._counted_table(index, inv) for inv in (False, True))
+    direct, inverse = (inner._peel(basis, index) for basis in ("h", "e"))
 
     def refuse(*args, **kwargs):
         raise AssertionError("a sum side reached the product side's machinery")
@@ -651,8 +653,8 @@ def test_sum_tables_read_each_element_once(monkeypatch):
     monkeypatch.setattr(bases, "_path_reads", counting)
     assert kernel_check(nvars, degree)["pass"] is True
     want = []
-    for n, k, labels in inner._canonical_index(nvars, degree):
-        want += [("p", g) for g in enumerate_superpartitions(n, k)]
+    for _, _, labels, _, block in inner._canonical_index(nvars, degree):
+        want += [("p", g) for g in block]
         want += [("h", la) for la in labels]
     assert len(set(want)) == len(want) == 182
     assert len(reads) == len(want) and set(reads) == set(want)
@@ -662,8 +664,8 @@ def test_canonical_index_covers_every_block():
     nvars, degree = 3, 5
     index = inner._canonical_index(nvars, degree)
     want = {(n, k) for n in range(degree + 1) for k in range(nvars + 1) if k * (k - 1) // 2 <= n}
-    assert {(n, k) for n, k, labels in index if labels} == want
-    table = inner._counted_table(index, inverse=False)
+    assert {(n, k) for n, k, labels, *_ in index if labels} == want
+    table = inner._peel("h", index)
     assert {(la.degree, la.fermionic_degree) for la, _ in table} == want
 
 
@@ -707,7 +709,9 @@ def test_every_engine_reader_reads_the_one_read_set(monkeypatch):
     summands = [(1, bases.monomial(dropped, 5), SuperPolynomial.one(5))]
     assert not engine_checks._vanishes(summands, 4, 1, 5)
     monkeypatch.setattr(bases, "_canonical_reads", short)
-    assert [labels for *_, labels in inner._canonical_index(nvars, degree)] == [labels[:-1] for *_, labels in full]
+    assert [labels for _, _, labels, *_ in inner._canonical_index(nvars, degree)] == [
+        labels[:-1] for _, _, labels, *_ in full
+    ]
     shrunk = engine_checks._block_matrix("e", 4, 1)
     assert (len(shrunk), len(shrunk[0])) == (len(matrix) - 1, len(matrix[0]) - 1)
     assert engine_checks._vanishes(summands, 4, 1, 5)

@@ -49,6 +49,19 @@ def _orders(mp):
     mp.setattr(superpartition, "dominance_leq", lambda x, y: x == y)
 
 
+def _bruhat_antisymmetry(mp):
+    real = superpartition.bruhat_leq
+    mp.setattr(superpartition, "bruhat_leq", lambda x, y: real(x, y) or (x, y) == (sp("(2;3)"), sp("(3;1,1)")))
+
+
+def _dominance_antisymmetry(mp):
+    mp.setattr(superpartition, "dominance_leq", lambda x, y: True)
+
+
+def _conjugation(mp):
+    mp.setattr(SuperPartition, "conjugate", lambda self: self)
+
+
 def _counting(mp):
     real = superpartition._series_coefficients
 
@@ -62,6 +75,10 @@ def _counting(mp):
 
 def _generating_h(mp):
     mp.setitem(bases._GENERATORS, "h", (bases.complete, scaled_at(bases, "complete_tilde", 1, 2)))
+
+
+def _generating_h_bosonic(mp):
+    mp.setitem(bases._GENERATORS, "h", (scaled_at(bases, "complete", 1, 2), bases.complete_tilde))
 
 
 def _generating_hp(mp):
@@ -135,6 +152,10 @@ def _duality(mp):
     mp.setattr(inner, "dual_bases_check", lambda n, m, u, v: (n, m, u) != (3, 1, "p"))
 
 
+def _duality_hm(mp):
+    mp.setattr(inner, "dual_bases_check", lambda n, m, u, v: (n, m, u) != (2, 1, "h"))
+
+
 def _kernel(mp):
     mp.setattr(inner, "omega_sign", lambda g: 1)
 
@@ -148,6 +169,18 @@ FAILURES = {
         _orders, lambda c: orders_check(3),
         report("orders", {"n_max": 3}, "(0;1) <= (1;) in bruhat but not in dominance"),
     ),
+    "orders-bruhat-antisymmetry": (
+        _bruhat_antisymmetry, lambda c: orders_check(5),
+        report("orders", {"n_max": 5}, "bruhat antisymmetry fails on (3;1,1), (2;3)"),
+    ),
+    "orders-dominance-antisymmetry": (
+        _dominance_antisymmetry, lambda c: orders_check(3),
+        report("orders", {"n_max": 3}, "dominance antisymmetry fails on (1;), (0;1)"),
+    ),
+    "orders-conjugation": (
+        _conjugation, lambda c: orders_check(3),
+        report("orders", {"n_max": 3}, "conjugation does not reverse bruhat on (1;), (0;1)"),
+    ),
     "counting": (
         _counting, lambda c: count_check(4),
         report("counting", {"n_max": 4}, "n=3 m=1 p=1: enumeration gives 4, series gives 5"),
@@ -157,6 +190,13 @@ FAILURES = {
         report(
             "generating-H", {"kind": "H", "trunc": 2, "nvars": 2},
             "fermionic t^1 coefficient differs",
+        ),
+    ),
+    "generating-H-bosonic": (
+        _generating_h_bosonic, lambda c: generating_check("H", 2, 2),
+        report(
+            "generating-H", {"kind": "H", "trunc": 2, "nvars": 2},
+            "bosonic t^1 coefficient differs",
         ),
     ),
     "generating-HP": (
@@ -232,6 +272,10 @@ FAILURES = {
     "duality": (
         _duality, duality_via_cli(4),
         report("duality", {"n_max": 4}, "p-p/z duality fails on block (3|1)"),
+    ),
+    "duality-h-m": (
+        _duality_hm, lambda c: inner.duality_check(3),
+        report("duality", {"n_max": 3}, "h-m duality fails on block (2|1)"),
     ),
     "kernel": (
         _kernel, lambda c: kernel_check(2, 2),

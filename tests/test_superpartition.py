@@ -120,6 +120,10 @@ def test_shape_counts_circles():
     assert sp("(3,1,0;4,3,2,1)").shape_circled() == (4, 4, 3, 2, 2, 1, 1)
     assert sp("(0;)").shape_circled() == (1,)
     assert sp("(5,2,1;4,3,3)").shape_circled() == (6, 4, 3, 3, 3, 2)
+    for _, _, block in _blocks(6):
+        for x in block:
+            assert x.circled_diagram().shape() == x.shape_circled(), x
+    assert str(sp("(2,1;2)").circled_diagram()) == "[][]()\n[][]\n[]()"
 
 
 # -- conjugation --------------------------------------------------------------

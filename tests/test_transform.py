@@ -691,18 +691,20 @@ def with_term(name, k, var):
 
 
 def with_built_term(families, k, hits):
-    """bases._generator with each degree-k build of the families, in nvars
-    variables, widened by one and plus x_v^k (times t_v for a tilde family),
-    v = nvars + 1: added after the build, so the term reaches whatever the
-    build feeds.  Each such build is appended to hits."""
+    """bases._generator with each degree-k build of the families, in its
+    ring's nvars variables (ell for a quotient), widened by one and plus x_v^k
+    (times t_v for a tilde family), v = nvars + 1: added after the build, so
+    the term reaches whatever the build feeds.  Each such build's nvars is
+    appended to hits."""
     real = bases_module._generator
 
-    def fake(fam, n, nvars, quotient=None):
-        built = real(fam, n, nvars, quotient)
+    def fake(fam, n, ring):
+        built = real(fam, n, ring)
+        assert built.nvars == (ring[0] if isinstance(ring, tuple) else ring)
         if fam not in families or n != k:
             return built
-        hits.append(nvars)
-        v = nvars + 1
+        hits.append(built.nvars)
+        v = built.nvars + 1
         return built.widen(v) + SuperPolynomial.term(v, 1, {v: n}, thetas=(v,) if fam[0] == "t" else ())
 
     return fake
