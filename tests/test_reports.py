@@ -50,6 +50,8 @@ def _orders(mp):
 
 
 def _bruhat_antisymmetry(mp):
+    # (3;1,1) is listed before (2;3) and lies below it in both orders, so the
+    # refinement check passes on that pair before antisymmetry is asked
     real = superpartition.bruhat_leq
     mp.setattr(superpartition, "bruhat_leq", lambda x, y: real(x, y) or (x, y) == (sp("(2;3)"), sp("(3;1,1)")))
 
