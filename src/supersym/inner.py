@@ -88,10 +88,24 @@ def duality_check(n_max: int) -> dict:
 # -- the matrix-counting peel ----------------------------------------------------
 
 
+def _margins(la: SuperPartition) -> tuple:
+    """The prefix sums of L's sorted parts and of their conjugate."""
+    parts = la.star()
+    conj = (sum(min(v, k) for v in parts) for k in range(1, max(parts, default=0) + 1))
+    return tuple(itertools.accumulate(parts)), tuple(conj)
+
+
+def _gale_ryser(la: tuple, om: tuple) -> bool:
+    """Whether a 0/1 matrix has row sums L and column sums O (equal totals), by
+    Gale-Ryser: iff O's sorted parts are dominated by L's conjugate (_margins)."""
+    return all(a <= b for a, b in zip(om[0], la[1]))
+
+
 def _peel(which: str, blocks) -> dict:
-    """[m_O] u_L (u = h or e) for the labels L, O the caller chose for each
-    (n, m, labels, ...) in blocks: signed counts of matrices with row sums L
-    and column sums O, fermionic parts first, entries in N (h) or {0, 1} (e).
+    """[m_O] u_L (u = h or e) at [n, m][i][j], L, O = labels[i], labels[j], for
+    each (n, m, labels, ...) in blocks: signed counts of matrices with row sums
+    L and column sums O, fermionic parts first, entries in N (h) or {0, 1} (e),
+    so an e pair that no 0/1 matrix fits (_gale_ryser) is 0 uncounted.
     Fermionic row i picks fermionic column sigma(i) at the sign sgn(sigma);
     for h the picked cell weighs its entry plus one, for e it must be empty.
     Rows are peeled off one at a time, fermionic ones first, memoised on the
@@ -132,22 +146,25 @@ def _peel(which: str, blocks) -> dict:
         return total
 
     table = {}
-    for _, m, labels, *_ in blocks:
+    for n, m, labels, *_ in blocks:
         perms = list(itertools.permutations(range(m)))
         signs = [_sort_sign(sigma) for sigma in perms]
+        margins = [_margins(la) for la in labels] if which == "e" else None
+        out = table[n, m] = [[0] * len(labels) for _ in labels]
         for i, la in enumerate(labels):
             rows = [tuple((v, None) for v in la.s) + tuple(zip(la.a, sigma)) for sigma in perms]
-            for om in labels[i:]:  # transposing swaps L and O and inverts sigma
-                if c := sum(sign * count(r, om.a, om.s) for sign, r in zip(signs, rows)):
-                    table[la, om] = table[om, la] = c
+            for j, om in enumerate(labels[i:], i):  # transposing swaps L and O and inverts sigma
+                if margins is None or _gale_ryser(margins[i], margins[j]):
+                    out[i][j] = out[j][i] = sum(sign * count(r, om.a, om.s) for sign, r in zip(signs, rows))
     return table
 
 
 # -- Cauchy kernels over a doubled alphabet --------------------------------------
 #
 # x_i, t_i are variables 1..N and y_j, f_j are variables N+1..2N.  Both sides
-# of each identity are compared on canonical coefficients only: T[(L, O)] is
-# the coefficient of t_1..t_k x^L f_1..f_k y^O, where x^L puts the fermionic
+# of each identity are compared on canonical coefficients only, one dense table
+# per block (n|k): T[n, k][i][j], for L, O its labels i, j in _canonical_index,
+# is the coefficient of t_1..t_k x^L f_1..f_k y^O, where x^L puts the fermionic
 # parts of L on x_1..x_k and its symmetric parts on x_{k+1}.. (likewise y^O),
 # divided by sector(k) = (-1)^(k(k-1)/2), the sign of moving the x thetas
 # ahead of the y thetas, which every entry of every side of block (n|k) shares.
@@ -161,41 +178,44 @@ def _canonical_index(nvars: int, degree: int):
 
 
 def _sum_tables(nvars: int, index):
-    """The three sum sides on the index, nonzero only: (pp, pp_omega, mh).
+    """The three sum sides on the index, in _peel's frame: (pp, pp_omega, mh).
 
-    pp[(L, O)] = sum_G z_G^(-1) [L]p_G [O]p_G over the G of the block (n|k),
-    and pp_omega weights each G by omega_sign(G) as well.  One walk
-    (bases._path_reads) reads each p_G once; the G of either omega sign
-    accumulate apart, as integers over the lcm of the block's z_G, and after
-    its last G the two sums are their sum and difference.  [L]m_G =
-    delta_(L, G) as monomial() normalises it, so mh[(L, O)] = [O]h_L, read
-    by a second walk.
+    pp[n, k][i][j] = sum_G z_G^(-1) [L]p_G [O]p_G over the G of the block
+    (n|k), L and O its labels i and j, and pp_omega weights each G by
+    omega_sign(G) as well.  One walk (bases._path_reads) reads each p_G once;
+    the G of either omega sign accumulate apart over i <= j, as integers over
+    the lcm of the block's z_G, and after its last G the two sums are their
+    sum and difference, mirrored.  [L]m_G = delta_(L, G) as monomial()
+    normalises it, so mh[n, k][i] is the row that a second walk reads of h_L.
     """
-    pp, pp_omega = {}, {}
-    labels = {(n, k): ls for n, k, ls, _, _ in index}
-    # per block: [lcm of z_G, G left to read, sum over omega sign +1, over -1]
-    sums = {(n, k): [math.lcm(*map(z_weight, block)), len(block), {}, {}] for n, k, _, _, block in index}
+    pp, pp_omega, weights, sums = {}, {}, {}, {}
+    for n, k, labels, _, block in index:
+        zs = [z_weight(g) for g in block]
+        scale = math.lcm(*zs)
+        weights.update((g, (scale // z, 2 if omega_sign(g) > 0 else 3)) for g, z in zip(block, zs))
+        # [lcm of z_G, G left to read, sum over omega sign +1 (at 2), over -1 (at 3)]
+        sums[n, k] = [scale, len(block), *([[0] * len(labels) for _ in labels] for _ in range(2))]
     requests = [(g, keys) for _, _, _, keys, block in index for g in block]
     for g, row in _bases._path_reads("p", requests, nvars):
-        scale, _, even, odd = acc = sums[g.bidegree]
-        out, w = even if omega_sign(g) > 0 else odd, scale // z_weight(g)
+        (w, side), acc = weights[g], sums[g.bidegree]
         ps = [(i, a) for i, a in enumerate(row) if a]
-        for i, a in ps:
-            wa = w * a
-            for j, b in ps:
-                out[i, j] = out.get((i, j), 0) + wa * b
+        for x, (i, a) in enumerate(ps):
+            line, wa = acc[side][i], w * a
+            for j, b in ps[x:]:
+                line[j] += wa * b
         acc[1] -= 1
         if acc[1]:
             continue
-        del sums[g.bidegree]
-        ls = labels[g.bidegree]
-        for i, j in even.keys() | odd.keys():
-            e, o = even.get((i, j), 0), odd.get((i, j), 0)
-            for table, c in ((pp, e + o), (pp_omega, e - o)):
-                if c:
-                    table[ls[i], ls[j]] = _ratio(c, scale)
-    reads = _bases._path_reads("h", [(la, keys) for _, _, ls, keys, _ in index for la in ls], nvars)
-    mh = {(la, om): c for la, row in reads for om, c in zip(labels[la.bidegree], row) if c}
+        scale, _, even, odd = sums.pop(g.bidegree)
+        for table, sign in ((pp, 1), (pp_omega, -1)):
+            t = table[g.bidegree] = [[0] * len(even) for _ in even]
+            for i, (e, o) in enumerate(zip(even, odd)):
+                for j in range(i, len(e)):
+                    t[i][j] = t[j][i] = _ratio(e[j] + sign * o[j], scale)
+    mh = {(n, k): [None] * len(labels) for n, k, labels, _, _ in index}
+    at = {la: i for _, _, labels, _, _ in index for i, la in enumerate(labels)}
+    for la, row in _bases._path_reads("h", [(la, keys) for _, _, ls, keys, _ in index for la in ls], nvars):
+        mh[la.bidegree][at[la]] = row
     return pp, pp_omega, mh
 
 

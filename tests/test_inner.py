@@ -352,6 +352,18 @@ def full_sum(nvars, degree, summand):
     return total
 
 
+def labelled(tables, index):
+    """{(L, O): c} over the nonzero entries of kernel tables, which hold
+    T[n, k][i][j] for L, O the labels i and j of the index's block (n|k)."""
+    out = {}
+    for n, k, labels, *_ in index:
+        for la, row in zip(labels, tables[n, k], strict=True):
+            for om, c in zip(labels, row, strict=True):
+                if c:
+                    out[la, om] = c
+    return out
+
+
 def canonical_coefficients(poly, nvars, index):
     """T[(L, O)] read from a 2N-variable polynomial through its public API,
     in the kernel tables' frame: divided by sector(k) = (-1)^(k(k-1)/2)."""
@@ -386,10 +398,10 @@ def test_full_alphabet_oracle(nvars, degree):
         for i in (*range(1, nvars), *range(nvars + 1, 2 * nvars)):
             assert full.apply_exchange(i) == full, (inverse, i)
         table = canonical_coefficients(full, nvars, index)
-        assert table == inner._peel("e" if inverse else "h", index)
+        assert table == labelled(inner._peel("e" if inverse else "h", index), index)
         for got, weight, basis in sums:
             assert full_sum(nvars, degree, full_summand(weight, basis, nvars)) == full
-            assert got == table
+            assert labelled(got, index) == table
 
 
 def sector_block(basis, g, nvars):
@@ -547,8 +559,10 @@ def test_verify_suites_write_into_no_cached_block(read_only_caches, suite):
 
 @pytest.mark.parametrize("nvars", [1, 2, 3, 4])
 def test_sum_tables_hold_integers(nvars):
-    for table in inner._sum_tables(nvars, inner._canonical_index(nvars, 6)):
-        assert table and all(type(c) is int for c in table.values())
+    index = inner._canonical_index(nvars, 6)
+    for table in inner._sum_tables(nvars, index):
+        assert all(type(c) is int for rows in table.values() for row in rows for c in row)
+        assert labelled(table, index)
 
 
 def _perm_sign(perm):
@@ -617,11 +631,33 @@ def test_kernel_tables_match_matrix_counts(nvars, degree, inverse):
                 c = counted_entry(la, om, nvars, inverse)
                 if c:
                     counted[la, om] = c
-    assert table == counted
+    assert labelled(table, index) == counted
     pp, pp_omega, mh = inner._sum_tables(nvars, index)
-    assert (pp_omega if inverse else pp) == counted
+    assert labelled(pp_omega if inverse else pp, index) == counted
     if not inverse:
-        assert mh == counted
+        assert labelled(mh, index) == counted
+
+
+def test_gale_ryser_is_the_existence_of_a_0_1_matrix():
+    # the premise of the inverse peel's skip, on every ordered pair of every
+    # block with n <= 6; the predicate rejects pairs, so this is not vacuous
+    rejected = 0
+    for n, m, block in _blocks(6):
+        margins = [inner._margins(la) for la in block]
+        for la, row in zip(block, margins):
+            for om, column in zip(block, margins):
+                exists = next(matrices(la.as_composition(), om.as_composition(), 1), None) is not None
+                assert inner._gale_ryser(row, column) == exists, (la, om)
+                rejected += not exists
+    assert rejected == 1302
+
+
+@pytest.mark.parametrize("nvars, degree", [(4, 4), (3, 6), (5, 8)])
+def test_inverse_peel_skips_only_pairs_it_counts_as_zero(monkeypatch, nvars, degree):
+    index = inner._canonical_index(nvars, degree)
+    skipping = inner._peel("e", index)
+    monkeypatch.setattr(inner, "_gale_ryser", lambda la, om: True)
+    assert inner._peel("e", index) == skipping
 
 
 def test_sum_sides_use_neither_the_peel_nor_the_pivot(monkeypatch):
@@ -665,7 +701,7 @@ def test_canonical_index_covers_every_block():
     index = inner._canonical_index(nvars, degree)
     want = {(n, k) for n in range(degree + 1) for k in range(nvars + 1) if k * (k - 1) // 2 <= n}
     assert {(n, k) for n, k, labels, *_ in index if labels} == want
-    table = inner._peel("h", index)
+    table = labelled(inner._peel("h", index), index)
     assert {(la.degree, la.fermionic_degree) for la, _ in table} == want
 
 

@@ -21,6 +21,7 @@ from supersym.transform import (
     z_weight,
 )
 from supersym.inner import omega, scalar_product
+from test_inner import labelled
 
 
 def sp(text):
@@ -66,7 +67,7 @@ def test_generators_in_m_match_the_matrix_counts():
     for n, m in blocks(7):
         block = enumerate_superpartitions(n, m)
         for basis in ("e", "h"):
-            counts = inner._peel(basis, [(n, m, block)])
+            counts = labelled(inner._peel(basis, [(n, m, block)]), [(n, m, block)])
             for la in block:
                 want = BasisExpansion("m", n, m, {om: counts.get((la, om), 0) for om in block})
                 assert change_basis(BasisExpansion.unit(basis, la), "m") == want, (basis, la)

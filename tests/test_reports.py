@@ -162,6 +162,10 @@ def _kernel(mp):
     mp.setattr(inner, "omega_sign", lambda g: 1)
 
 
+def _kernel_skip(mp):
+    mp.setattr(inner, "_gale_ryser", lambda la, om: False)
+
+
 def report(check, params, failure, **extra):
     return {"check": check, "params": params, "pass": False, "first_failure": failure, **extra}
 
@@ -281,6 +285,13 @@ FAILURES = {
     ),
     "kernel": (
         _kernel, lambda c: kernel_check(2, 2),
+        report(
+            "kernel", {"nvars": 2, "degree": 2},
+            "inverse product differs from the omega-signed p-p sum",
+        ),
+    ),
+    "kernel-skip": (
+        _kernel_skip, lambda c: kernel_check(2, 2),
         report(
             "kernel", {"nvars": 2, "degree": 2},
             "inverse product differs from the omega-signed p-p sum",
