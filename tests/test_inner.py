@@ -642,7 +642,7 @@ def test_gale_ryser_is_the_existence_of_a_0_1_matrix():
     # the premise of the inverse peel's skip, on every ordered pair of every
     # block with n <= 6; the predicate rejects pairs, so this is not vacuous
     rejected = 0
-    for n, m, block in _blocks(6):
+    for *_, block in _blocks(6):
         margins = [inner._margins(la) for la in block]
         for la, row in zip(block, margins):
             for om, column in zip(block, margins):

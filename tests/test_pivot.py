@@ -66,8 +66,9 @@ def test_generators_in_m_match_the_matrix_counts():
     conversions = 0
     for n, m in blocks(7):
         block = enumerate_superpartitions(n, m)
+        index = [(n, m, block)]
         for basis in ("e", "h"):
-            counts = labelled(inner._peel(basis, [(n, m, block)]), [(n, m, block)])
+            counts = labelled(inner._peel(basis, index), index)
             for la in block:
                 want = BasisExpansion("m", n, m, {om: counts.get((la, om), 0) for om in block})
                 assert change_basis(BasisExpansion.unit(basis, la), "m") == want, (basis, la)
